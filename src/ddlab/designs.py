@@ -21,7 +21,7 @@ import numpy as np
 
 from .covariance import Spectrum, apply_sqrt
 from .errors import UnsupportedMeasureError
-from .linalg import log_det_gram
+from .linalg import log_det_gram, zero_threshold
 from .parallel import run_trials, trial_rng
 from .surrogate import surrogate_params, surrogate_size_pmf
 
@@ -146,7 +146,7 @@ def _log_weight(X: np.ndarray, n: float, d: int) -> float:
     if k < d:
         return -np.inf
     s = np.linalg.svd(X, compute_uv=False)
-    if np.any(s <= 0):
+    if np.any(s <= zero_threshold(s, X.shape)):
         return -np.inf
     return float(2.0 * np.sum(np.log(s)))
 

@@ -12,7 +12,8 @@ import numpy as np
 
 from .covariance import Spectrum
 from .designs import MeasureSpec, MonteCarloEstimate, sample_iid
-from .parallel import run_trials, trial_rng
+from .linalg import min_norm_stats, projection_complement_sum
+from .parallel import block_size, run_blocks, trial_rng
 from .surrogate import (
     RegressionProblem,
     bias_factors,
@@ -65,34 +66,27 @@ class CurvePoint:
     norm_implicit_mean: float
 
 
-def _trial_stat(X: np.ndarray, w_star: np.ndarray, sigma2: float) -> float:
-    """Noise-integrated MSE statistic sigma^2 tr((X^T X)^+) + ||(I - X^+X) w*||^2.
-
-    Exact over the response noise, random only in X, which removes all
-    noise-sampling variance from the Monte Carlo.
-    """
-    if X.shape[0] == 0:
-        return float(np.dot(w_star, w_star))
-    _, s, Vt = np.linalg.svd(X, full_matrices=False)
-    cut = np.finfo(float).eps * s[0] * max(X.shape) if s.size else 0.0
-    nz = s > cut
-    tr_pinv = float(np.sum(1.0 / s[nz] ** 2))
-    proj = Vt[nz] @ w_star
-    bias = float(np.dot(w_star, w_star) - np.dot(proj, proj))
-    return sigma2 * tr_pinv + max(bias, 0.0)
+def _designs(m: MeasureSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Stack of the i.i.d. designs of trials lo..hi-1, each drawn from its
+    trial's own stream."""
+    return np.stack([sample_iid(m, n, trial_rng(seed, i)) for i in range(lo, hi)])
 
 
 def mse_trial_samples(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
                       seed: int, threads: int | None = None) -> np.ndarray:
-    """Per-trial Rao-Blackwellized MSE statistics for an i.i.d. design."""
+    """Per-trial Rao-Blackwellized MSE statistics for an i.i.d. design:
+    sigma^2 tr((X^T X)^+) + ||(I - X^+X) w*||^2, exact over the response
+    noise and random only in X, which removes all noise-sampling variance
+    from the Monte Carlo."""
     if trials < 30:
         raise ValueError("need at least 30 trials")
     w, s2 = p.w_star, p.sigma2
 
-    def one(rng, _i):
-        return _trial_stat(sample_iid(m, n, rng), w, s2)
+    def block(lo, hi):
+        tr, resid = min_norm_stats(_designs(m, n, seed, lo, hi), w)
+        return s2 * tr + resid
 
-    return np.array(run_trials(one, trials, seed, threads))
+    return np.concatenate(run_blocks(block, trials, threads, block_size(n * m.dim)))
 
 
 def mse_monte_carlo_iid(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
@@ -108,20 +102,32 @@ def mse_monte_carlo_iid(p: RegressionProblem, m: MeasureSpec, n: int, trials: in
     )
 
 
+# bootstrap indices drawn at once: keeps memory flat at large trial counts
+_RESAMPLE_CHUNK = 2**17
+
+
+def _resample_chunks(rng: np.random.Generator, T: int, resamples: int, width: int):
+    """Bootstrap index rows, ``resamples`` of them in all, drawn in chunks of
+    at most _RESAMPLE_CHUNK // width rows. The stream is the same as drawing
+    one row of T indices at a time."""
+    rows = max(1, _RESAMPLE_CHUNK // width)
+    for start in range(0, resamples, rows):
+        yield rng.integers(T, size=(min(rows, resamples - start), T))
+
+
 def bootstrap_ci(samples, resamples: int = 2000, level: float = 0.95,
                  seed: int = 0, stat=None) -> tuple[float, float]:
     """Percentile bootstrap CI of the sample mean (or of ``stat`` applied
-    to the resampled mean)."""
+    to the array of resampled means)."""
     samples = np.asarray(samples, dtype=float)
     T = samples.shape[0]
     if T < 30:
         raise ValueError("need at least 30 samples to bootstrap")
     rng = trial_rng(seed, 0xB5)
-    means = np.empty(resamples)
-    for b in range(resamples):
-        means[b] = np.mean(samples[rng.integers(T, size=T)])
+    means = np.concatenate([samples[idx].mean(axis=1)
+                            for idx in _resample_chunks(rng, T, resamples, T)])
     if stat is not None:
-        means = np.array([stat(v) for v in means])
+        means = stat(means)
     lo, hi = np.quantile(means, [(1 - level) / 2, 1 - (1 - level) / 2])
     return float(lo), float(hi)
 
@@ -129,19 +135,27 @@ def bootstrap_ci(samples, resamples: int = 2000, level: float = 0.95,
 def bootstrap_opnorm_ci(matrix_samples, resamples: int = 2000, level: float = 0.95,
                         seed: int = 0, transform=None) -> tuple[float, float]:
     """Percentile bootstrap over resampled matrix means, with the spectral
-    norm (optionally of a transformed mean) computed per resample."""
+    norm (optionally of a transformed mean) computed per resample.
+    ``transform`` is applied to a stack of means at once.
+
+    Each chunk's means are one product of resample counts and the flattened
+    samples, and their norms one batched SVD."""
     stack = np.asarray(matrix_samples, dtype=float)
     T = stack.shape[0]
     if T < 30:
         raise ValueError("need at least 30 matrix samples to bootstrap")
+    flat = stack.reshape(T, -1)
     rng = trial_rng(seed, 0xB6)
-    norms = np.empty(resamples)
-    for b in range(resamples):
-        mean = np.mean(stack[rng.integers(T, size=T)], axis=0)
+    norms = []
+    for idx in _resample_chunks(rng, T, resamples, max(T, flat.shape[1])):
+        rows = idx.shape[0]
+        offsets = (idx + T * np.arange(rows)[:, None]).ravel()
+        counts = np.bincount(offsets, minlength=rows * T).reshape(rows, T)
+        means = (counts @ flat / T).reshape((rows,) + stack.shape[1:])
         if transform is not None:
-            mean = transform(mean)
-        norms[b] = np.linalg.norm(mean, ord=2)
-    lo, hi = np.quantile(norms, [(1 - level) / 2, 1 - (1 - level) / 2])
+            means = transform(means)
+        norms.append(np.linalg.norm(means, ord=2, axis=(1, 2)))
+    lo, hi = np.quantile(np.concatenate(norms), [(1 - level) / 2, 1 - (1 - level) / 2])
     return float(lo), float(hi)
 
 
@@ -157,12 +171,10 @@ def variance_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: 
     target = variance_term(s, n)
     m = MeasureSpec(s, "gaussian")
 
-    def one(rng, _i):
-        X = sample_iid(m, n, rng)
-        sv = np.linalg.svd(X, compute_uv=False)
-        return float(np.sum(1.0 / sv**2))
+    def block(lo, hi):
+        return min_norm_stats(_designs(m, n, seed, lo, hi))[0]
 
-    vals = np.array(run_trials(one, trials, seed, threads))
+    vals = np.concatenate(run_blocks(block, trials, threads, block_size(n * d)))
     value = abs(float(np.mean(vals)) / target - 1.0)
     lo, hi = bootstrap_ci(vals, resamples, seed=seed, stat=lambda mu: abs(mu / target - 1.0))
     return DiscrepancyPoint(d=d, n=n, aspect=aspect, kind="variance", value=value,
@@ -176,7 +188,8 @@ def bias_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
     for a Gaussian i.i.d. design, with an operator-norm bootstrap CI.
 
     Trials are aggregated into batch means before bootstrapping so memory
-    stays flat for large trial counts.
+    stays flat for large trial counts; the engine's blocks are runs of whole
+    batches.
     """
     if s.dim != d:
         raise ValueError("spectrum dimension does not match d")
@@ -187,19 +200,19 @@ def bias_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
     white = 1.0 / np.sqrt(bias_factors(s, n))
     batches = min(batches, trials)
     bounds = np.linspace(0, trials, batches + 1).astype(int)
-    batch_means = np.empty((batches, d, d))
+    size = block_size(n * d)
 
-    def one(rng, _i):
-        X = sample_iid(m, n, rng)
-        Vt = np.linalg.svd(X, full_matrices=False)[2]
-        return np.eye(d) - Vt.T @ Vt
+    def block(lo, hi):
+        # batch means of batches lo..hi-1, their designs drawn `size` at a time
+        out = np.empty((hi - lo, d, d))
+        for b in range(lo, hi):
+            first, last = bounds[b], bounds[b + 1]
+            out[b - lo] = sum(projection_complement_sum(_designs(m, n, seed, i, min(i + size, last)))
+                              for i in range(first, last, size)) / (last - first)
+        return out
 
-    for b in range(batches):
-        lo_i, hi_i = bounds[b], bounds[b + 1]
-        acc = np.zeros((d, d))
-        for i in range(lo_i, hi_i):
-            acc += one(trial_rng(seed, i), i)
-        batch_means[b] = acc / (hi_i - lo_i)
+    batch_means = np.concatenate(
+        run_blocks(block, batches, threads, max(1, size * batches // trials)))
 
     def whitened_dev(mean):
         return (white[:, None] * mean * white[None, :]) - np.eye(d)

@@ -8,6 +8,7 @@ from ddlab.covariance import Spectrum
 from ddlab.designs import (
     DesignSample,
     MeasureSpec,
+    _log_weight,
     gen_responses,
     sample_iid,
     sample_surrogate_over,
@@ -17,7 +18,7 @@ from ddlab.designs import (
 )
 from ddlab.errors import UnsupportedMeasureError
 from ddlab.linalg import projection_complement
-from ddlab.parallel import run_trials, trial_rng
+from ddlab.parallel import _openblas_threads, run_blocks, run_trials, trial_rng
 from ddlab.surrogate import surrogate_size_pmf
 
 
@@ -214,3 +215,44 @@ class TestRunTrials:
     def test_index_order(self):
         out = run_trials(lambda rng, i: i, 20, 0, threads=4)
         assert out == list(range(20))
+
+
+class TestRunBlocks:
+    def test_fixed_blocks_in_index_order(self):
+        for threads in (1, 3):
+            out = run_blocks(lambda lo, hi: (lo, hi), 10, threads, 4)
+            assert out == [(0, 4), (4, 8), (8, 10)]
+        assert run_blocks(lambda lo, hi: (lo, hi), 0, 2, 4) == []
+
+    def test_block_must_be_positive(self):
+        with pytest.raises(ValueError):
+            run_blocks(lambda lo, hi: None, 10, 1, 0)
+
+    @pytest.mark.skipif(_openblas_threads() is None, reason="no OpenBLAS thread control found")
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_blas_held_at_one_thread_and_restored(self, threads):
+        get, put = _openblas_threads()
+        before = get()
+        put(2)
+        try:
+            inside = run_blocks(lambda lo, hi: get(), 6, threads, 2)
+            assert inside == [1, 1, 1]
+            assert get() == 2
+
+            def boom(lo, hi):
+                raise RuntimeError("trial failed")
+
+            with pytest.raises(RuntimeError):
+                run_blocks(boom, 6, threads, 2)
+            assert get() == 2
+        finally:
+            put(before)
+
+
+class TestLogWeight:
+    def test_singular_tall_design_has_zero_weight(self):
+        # rank 1 at n > d: the shared rank cutoff gives -inf like the other regimes
+        X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+        assert _log_weight(X, 3, 2) == -np.inf
+        assert _log_weight(X[:2], 2, 2) == -np.inf
+        assert _log_weight(X[:2].T, 2, 3) == -np.inf

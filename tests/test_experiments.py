@@ -6,6 +6,7 @@ import pytest
 
 from ddlab.covariance import Spectrum
 from ddlab.designs import MeasureSpec
+from ddlab.parallel import trial_rng
 from ddlab.experiments import (
     DiscrepancyPoint,
     adaptive_trials,
@@ -53,6 +54,10 @@ class TestMseMonteCarlo:
             mse_trial_samples(p, MeasureSpec(p.spectrum), 2, 10, 1)
 
 
+# the percentile levels of a 95 % interval, computed as bootstrap_ci does
+LEVELS = [(1 - 0.95) / 2, 1 - (1 - 0.95) / 2]
+
+
 class TestBootstrap:
     def test_constant_samples_degenerate(self):
         lo, hi = bootstrap_ci(np.full(100, 2.5))
@@ -73,6 +78,28 @@ class TestBootstrap:
             lo, hi = bootstrap_ci(samples, resamples=400, seed=r)
             hits += lo <= 0.0 <= hi
         assert 0.90 <= hits / reps <= 0.99
+
+    @pytest.mark.parametrize("T", [50, 51, 1000])
+    def test_ci_equals_reference_loop(self, T):
+        samples = np.random.default_rng(T).standard_normal(T) ** 2
+        stat = lambda mu: np.abs(mu / 1.5 - 1.0)
+        rng = trial_rng(4, 0xB5)
+        means = np.array([np.mean(samples[rng.integers(T, size=T)]) for _ in range(2000)])
+        for f, ref in ((None, means), (stat, np.array([stat(v) for v in means]))):
+            expected = tuple(float(q) for q in np.quantile(ref, LEVELS))
+            assert bootstrap_ci(samples, seed=4, stat=f) == expected
+
+    @pytest.mark.parametrize("T,d", [(50, 3), (200, 8)])
+    def test_opnorm_matches_reference_loop(self, T, d):
+        stack = np.random.default_rng(d).standard_normal((T, d, d))
+        white = np.linspace(0.5, 2.0, d)
+        transform = lambda M: white[:, None] * M * white[None, :] - np.eye(d)
+        rng = trial_rng(6, 0xB6)
+        norms = [np.linalg.norm(transform(np.mean(stack[rng.integers(T, size=T)], axis=0)), ord=2)
+                 for _ in range(300)]
+        expected = np.quantile(norms, LEVELS)
+        got = bootstrap_opnorm_ci(stack, 300, seed=6, transform=transform)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
@@ -112,6 +139,27 @@ class TestDiscrepancies:
     def test_bias_dim_mismatch(self):
         with pytest.raises(ValueError):
             bias_discrepancy(Spectrum(np.ones(3)), 4, 0.5, 1000, 1)
+
+
+class TestThreadInvariance:
+    # block boundaries do not depend on the worker count, so results are byte-identical
+    def test_mse_trial_samples(self):
+        p = RegressionProblem(Spectrum(np.linspace(0.5, 2.0, 12)), np.ones(12), 0.5)
+        m = MeasureSpec(p.spectrum, "rademacher")
+        for n in (4, 12, 30):
+            a = mse_trial_samples(p, m, n, 300, 3, threads=1)
+            b = mse_trial_samples(p, m, n, 300, 3, threads=3)
+            assert a.tobytes() == b.tobytes()
+
+    def test_variance_discrepancy(self):
+        s = Spectrum(np.linspace(0.5, 2.0, 16))
+        assert variance_discrepancy(s, 16, 0.5, 2000, 4, threads=1) == \
+            variance_discrepancy(s, 16, 0.5, 2000, 4, threads=3)
+
+    def test_bias_discrepancy(self):
+        s = Spectrum(np.linspace(0.5, 2.0, 16))
+        assert bias_discrepancy(s, 16, 0.5, 3000, 5, threads=1) == \
+            bias_discrepancy(s, 16, 0.5, 3000, 5, threads=3)
 
 
 class TestAdaptiveTrials:

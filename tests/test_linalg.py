@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlab.linalg import (
+    _r_factor,
     log_det_gram,
     min_norm_solve,
+    min_norm_stats,
     projection_complement,
+    projection_complement_sum,
     pseudo_determinant,
     pseudo_inverse,
 )
@@ -154,3 +157,66 @@ class TestLogDetGram:
     def test_wide_only(self):
         with pytest.raises(ValueError):
             log_det_gram(np.zeros((3, 2)))
+
+
+def svd_stats(X, w):
+    """Reference for min_norm_stats: one SVD per design."""
+    tr = np.array([np.sum(pseudo_inverse(x) ** 2) for x in X])
+    resid = np.array([np.sum((projection_complement(x) @ w) ** 2) for x in X])
+    return tr, resid
+
+
+def assert_matches_svd(X, w):
+    tr, resid = min_norm_stats(X, w)
+    ref_tr, ref_resid = svd_stats(X, w)
+    np.testing.assert_allclose(tr, ref_tr, rtol=1e-10, atol=0)
+    assert np.max(np.abs(resid - ref_resid), initial=0.0) <= 1e-10 * float(w @ w)
+    S, ref_S = projection_complement_sum(X), sum(projection_complement(x) for x in X)
+    assert np.max(np.abs(S - ref_S)) <= 1e-10 * max(1, len(X))
+
+
+class TestMinNormStats:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 9), st.integers(1, 7))
+    def test_matches_svd_reference(self, seed, B, n, d):
+        # wide, square and tall designs, and the empty n = 0 design
+        rng = rng_for(seed)
+        assert_matches_svd(rng.standard_normal((B, n, d)), rng.standard_normal(d))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 7),
+           st.sampled_from(["gaussian", "rademacher"]))
+    def test_duplicated_row_takes_svd_path(self, seed, n, extra, law):
+        rng = rng_for(seed)
+        d = n + extra
+        X = (rng.standard_normal((2, n, d)) if law == "gaussian"
+             else rng.integers(0, 2, size=(2, n, d)) * 2.0 - 1.0)
+        X[1, -1] = X[1, 0]
+        assert _r_factor(X, None)[3][1]
+        assert_matches_svd(X, rng.standard_normal(d))
+
+    def test_rank_one_tall_design_takes_svd_path(self):
+        X = np.array([[[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]])
+        assert _r_factor(X, None)[3].all()
+        assert_matches_svd(X, np.array([1.0, -0.5]))
+        tr, resid = min_norm_stats(X, np.array([2.0, -1.0]))
+        assert tr[0] == pytest.approx(1.0 / 70.0)
+        assert resid[0] == pytest.approx(5.0)
+
+    def test_zero_design_takes_svd_path(self):
+        tr, resid = min_norm_stats(np.zeros((1, 2, 4)), np.ones(4))
+        assert tr[0] == 0.0 and resid[0] == 4.0
+
+    def test_without_w_residual_is_zero(self):
+        X = rng_for(5).standard_normal((3, 2, 5))
+        tr, resid = min_norm_stats(X)
+        np.testing.assert_array_equal(resid, 0.0)
+        np.testing.assert_allclose(tr, svd_stats(X, np.zeros(5))[0], rtol=1e-10)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            min_norm_stats(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            min_norm_stats(np.full((1, 2, 3), np.nan))
+        with pytest.raises(ValueError):
+            min_norm_stats(np.ones((1, 2, 3)), np.ones(2))
