@@ -5,6 +5,8 @@ the determinant of every square minor. The harness estimates E[det(A_IJ)]
 on one stream of draws and det(E[A_IJ]) on an independent stream (the
 determinant is nonlinear, so sharing samples would correlate the errors),
 then reports z-scores with a Bonferroni-corrected family-wise threshold.
+The standard error of det(E[A_IJ]) comes from the delta method, with the
+cofactor matrix of the mean minor as the gradient of the determinant.
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy import stats
 
 from .designs import MeasureSpec, MonteCarloEstimate, sample_iid
-from .parallel import trial_rng
+from .parallel import trial_rng, trial_streams
 
 __all__ = [
     "MatrixGenerator",
@@ -47,7 +48,7 @@ class MatrixGenerator:
     sample: callable  # rng -> (d, d) ndarray
 
     def draw_stack(self, trials: int, seed: int) -> np.ndarray:
-        return np.stack([self.sample(trial_rng(seed, i)) for i in range(trials)])
+        return np.stack([self.sample(rng) for _, rng in trial_streams(seed, 0, trials)])
 
 
 def fixed_generator(Z) -> MatrixGenerator:
@@ -140,34 +141,74 @@ class DpReport:
                 ])
 
 
+def _unrank_combination(n: int, k: int, rank: int) -> tuple[int, ...]:
+    """The k-subset of range(n) at position ``rank`` in lexicographic order."""
+    out = []
+    c = 0
+    for left in range(k, 0, -1):
+        # subsets that start with c at this position: C(n - c - 1, left - 1)
+        while rank >= (count := math.comb(n - c - 1, left - 1)):
+            rank -= count
+            c += 1
+        out.append(c)
+        c += 1
+    return tuple(out)
+
+
 def _select_minors(d: int, minor_sizes, max_minors: int, seed: int):
-    pairs = []
-    for k in minor_sizes:
+    """(I, J) pairs of the minors to test, in the order sizes as given, then
+    I, then J, each lexicographic; a uniform subset of max_minors of them
+    when there are more. The pairs are counted, not listed, so the cost does
+    not grow with their number, which is C(2d, d) - 1 for every size 1..d."""
+    sizes = list(minor_sizes)
+    for k in sizes:
         if not 1 <= k <= d:
             raise ValueError(f"minor size {k} out of range for d={d}")
-        subs = list(combinations(range(d), k))
-        pairs.extend((I, J) for I in subs for J in subs)
-    if len(pairs) > max_minors:
+    counts = [math.comb(d, k) ** 2 for k in sizes]
+    total = sum(counts)
+    if total > max_minors:
         rng = trial_rng(seed, 0xD5)
-        idx = rng.choice(len(pairs), size=max_minors, replace=False)
-        pairs = [pairs[i] for i in sorted(idx)]
+        picks = sorted(int(i) for i in rng.choice(total, size=max_minors, replace=False))
+    else:
+        picks = range(total)
+    pairs = []
+    offset, block = 0, 0
+    for idx in picks:
+        while idx >= offset + counts[block]:
+            offset += counts[block]
+            block += 1
+        k = sizes[block]
+        i_rank, j_rank = divmod(idx - offset, math.comb(d, k))
+        pairs.append((_unrank_combination(d, k, i_rank), _unrank_combination(d, k, j_rank)))
     return pairs
 
 
-def _bootstrap_det_se(stack: np.ndarray, I, J, resamples: int, rng) -> float:
-    sub = stack[:, list(I)][:, :, list(J)]
-    T = sub.shape[0]
-    dets = np.empty(resamples)
-    for b in range(resamples):
-        pick = rng.integers(T, size=T)
-        dets[b] = np.linalg.det(np.mean(sub[pick], axis=0))
-    return float(np.std(dets, ddof=1))
+def _cofactors(M: np.ndarray) -> np.ndarray:
+    """Cofactor matrix of the square matrix M, the gradient of det at M.
+
+    Each entry is a signed determinant of a (k-1) x (k-1) minor, all taken
+    in one batched call, so singular M (where det * M^{-T} is undefined) is
+    handled like any other."""
+    k = M.shape[0]
+    if k == 1:
+        return np.ones((1, 1))
+    keep = np.array([[j for j in range(k) if j != i] for i in range(k)])
+    minors = M[keep[:, None, :, None], keep[None, :, None, :]]
+    signs = (-1.0) ** np.add.outer(np.arange(k), np.arange(k))
+    return signs * np.linalg.det(minors)
 
 
 def verify_dp(g: MatrixGenerator, minor_sizes, trials: int, seed: int,
-              family_level: float = 0.01, max_minors: int = 200,
-              bootstrap_resamples: int = 200) -> DpReport:
-    """Compare Monte Carlo E[det(minor)] against det(E[minor]) per minor."""
+              family_level: float = 0.01, max_minors: int = 200) -> DpReport:
+    """Compare Monte Carlo E[det(minor)] against det(E[minor]) per minor.
+
+    The z-score of a minor divides the difference by the hypot of two
+    standard errors: that of the mean determinant on the first stream, and
+    the delta-method SE of det(mean) on the second,
+    sd_t(<C, A_t[I, J]>) / sqrt(T) with C the cofactor matrix of the mean
+    minor. The verdict is "violated" when any |z| exceeds the Bonferroni
+    threshold.
+    """
     if trials < 10_000:
         raise ValueError("verify_dp needs at least 10^4 trials")
     d = g.dim
@@ -175,20 +216,22 @@ def verify_dp(g: MatrixGenerator, minor_sizes, trials: int, seed: int,
     stack1 = g.draw_stack(trials, seed)
     stack2 = g.draw_stack(trials, seed + 0x9E3779B9)  # independent stream
     mean2 = np.mean(stack2, axis=0)
-    boot_rng = trial_rng(seed, 0xB007)
     threshold = float(stats.norm.ppf(1.0 - family_level / (2 * len(pairs))))
     records = []
     for I, J in pairs:
-        dets1 = np.linalg.det(stack1[:, list(I)][:, :, list(J)])
+        rows, cols = list(I), list(J)
+        dets1 = np.linalg.det(stack1[:, rows][:, :, cols])
         mc_mean = float(np.mean(dets1))
         mc_se = float(np.std(dets1, ddof=1) / math.sqrt(trials))
-        det2 = float(np.linalg.det(mean2[np.ix_(I, J)]))
-        se2 = _bootstrap_det_se(stack2, I, J, bootstrap_resamples, boot_rng)
+        mean_minor = mean2[np.ix_(I, J)]
+        det2 = float(np.linalg.det(mean_minor))
+        linear = stack2[:, rows][:, :, cols].reshape(trials, -1) @ _cofactors(mean_minor).ravel()
+        se2 = float(np.std(linear, ddof=1) / math.sqrt(trials))
         denom = math.hypot(mc_se, se2)
         diff = mc_mean - det2
         # determinants of structurally singular minors cancel only up to
         # rounding; differences at that scale are numerical noise, not evidence
-        entry_scale = max(1.0, float(np.max(np.abs(mean2[np.ix_(I, J)]))))
+        entry_scale = max(1.0, float(np.max(np.abs(mean_minor))))
         noise_floor = 1e-10 * entry_scale ** len(I)
         z = diff / denom if denom > 0 and abs(diff) > noise_floor else 0.0
         records.append(MinorRecord(I, J, len(I), mc_mean, mc_se, det2, se2, z))
@@ -231,8 +274,7 @@ def verify_normalization(m: MeasureSpec, gamma: float, trials: int,
     """
     d = m.dim
     vals = np.empty(trials)
-    for i in range(trials):
-        rng = trial_rng(seed, i)
+    for i, rng in trial_streams(seed, 0, trials):
         k = int(rng.poisson(gamma))
         if k == 0:
             vals[i] = 1.0  # det of the empty matrix

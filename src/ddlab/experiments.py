@@ -13,7 +13,7 @@ import numpy as np
 from .covariance import Spectrum
 from .designs import MeasureSpec, MonteCarloEstimate, sample_iid
 from .linalg import min_norm_stats, projection_complement_sum
-from .parallel import block_size, run_blocks, trial_rng
+from .parallel import block_size, run_blocks, trial_rng, trial_streams
 from .surrogate import (
     RegressionProblem,
     bias_factors,
@@ -69,7 +69,7 @@ class CurvePoint:
 def _designs(m: MeasureSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """Stack of the i.i.d. designs of trials lo..hi-1, each drawn from its
     trial's own stream."""
-    return np.stack([sample_iid(m, n, trial_rng(seed, i)) for i in range(lo, hi)])
+    return np.stack([sample_iid(m, n, rng) for _, rng in trial_streams(seed, lo, hi)])
 
 
 def mse_trial_samples(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,

@@ -2,7 +2,11 @@
 
 Each trial gets its own counter-based random stream keyed by
 (master seed, trial index), so results are identical for any thread
-count or scheduling order.
+count or scheduling order. ``trial_rng`` builds one such stream;
+``trial_streams`` walks the streams of a run of trials with a single
+Philox generator, re-keyed for each trial, which gives the same draws at a
+fraction of the set-up cost. Every per-trial loop uses ``trial_streams``;
+``trial_rng`` is for single streams (bootstraps, minor selection).
 
 Threads and BLAS: ``run_blocks`` is the one trial engine. It cuts the
 trials into fixed blocks whose size comes from the input shapes, and the
@@ -10,7 +14,8 @@ worker threads run whole blocks in parallel. While it runs, OpenBLAS is
 held at one thread, so the workers' small LAPACK calls neither share nor
 wait for BLAS threads; the previous count is restored afterwards. Block
 boundaries never depend on ``threads``, so the output does not depend on
-``--threads`` either.
+``--threads`` either. Each block walks its own trials with
+``trial_streams``, so no generator is shared between threads.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-__all__ = ["trial_rng", "run_blocks", "run_trials", "block_size", "default_threads"]
+__all__ = [
+    "trial_rng", "trial_streams", "run_blocks", "run_trials", "block_size", "default_threads",
+]
 
 # design data per block, in floats (256 KB): keeps the memory a block holds
 # flat from 10 x 100 to 200 x 100 designs
@@ -37,6 +44,32 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     """Independent stream for one trial, derived from (seed, index)."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def trial_streams(seed: int, lo: int, hi: int):
+    """Yield ``(i, rng)`` for i = lo..hi-1, where ``rng`` draws exactly what
+    ``trial_rng(seed, i)`` would.
+
+    One Philox generator serves every trial: it is re-keyed to (seed, i) with
+    a zero counter and an empty output buffer, the state a fresh generator
+    starts in. The same ``rng`` object is yielded each time, so it is valid
+    only until the next item is requested.
+    """
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # buffer exhausted: the next draw runs the counter
+        "has_uint32": 0,  # no half of a 64-bit draw left over for 32-bit draws
+        "uinteger": 0,
+    }
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    for i in range(lo, hi):
+        key[1] = i
+        bitgen.state = state
+        yield i, rng
 
 
 def default_threads() -> int:
@@ -133,10 +166,12 @@ def run_trials(fn, trials: int, seed: int, threads: int | None = None) -> list:
     """Evaluate ``fn(rng, index)`` for index = 0..trials-1, with ``rng`` the
     trial's own stream, as a per-trial loop inside ``run_blocks``.
 
+    ``rng`` is valid only during the call: the block re-keys the same
+    generator for its next trial, so ``fn`` must not keep it.
     Results are returned in index order; the output is invariant to the
     number of worker threads.
     """
     def block(lo, hi):
-        return [fn(trial_rng(seed, i), i) for i in range(lo, hi)]
+        return [fn(rng, i) for i, rng in trial_streams(seed, lo, hi)]
 
     return [r for part in run_blocks(block, trials, threads, TRIAL_BLOCK) for r in part]

@@ -18,7 +18,7 @@ from ddlab.designs import (
 )
 from ddlab.errors import UnsupportedMeasureError
 from ddlab.linalg import projection_complement
-from ddlab.parallel import _openblas_threads, run_blocks, run_trials, trial_rng
+from ddlab.parallel import _openblas_threads, run_blocks, run_trials, trial_rng, trial_streams
 from ddlab.surrogate import surrogate_size_pmf
 
 
@@ -215,6 +215,39 @@ class TestRunTrials:
     def test_index_order(self):
         out = run_trials(lambda rng, i: i, 20, 0, threads=4)
         assert out == list(range(20))
+
+    def test_matches_per_trial_streams_at_any_thread_count(self):
+        # runs past one block, with a Poisson size and a design per trial
+        m = MeasureSpec(Spectrum(np.array([1.0, 2.0])))
+
+        def f(rng, i):
+            return sample_iid(m, int(rng.poisson(2.0)), rng).sum() + i
+
+        ref = [f(trial_rng(9, i), i) for i in range(70)]
+        assert run_trials(f, 70, 9, threads=1) == ref
+        assert run_trials(f, 70, 9, threads=3) == ref
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("law", ["gaussian", "rademacher", "uniform_pm_sqrt3"])
+    def test_designs_match_trial_rng(self, law):
+        m = MeasureSpec(Spectrum(np.array([1.0, 3.0, 0.5])), law)
+        for i, rng in trial_streams(17, 5, 25):
+            np.testing.assert_array_equal(sample_iid(m, 4, rng), sample_iid(m, 4, trial_rng(17, i)))
+
+    def test_poisson_and_int32_draws_match_trial_rng(self):
+        # an odd count of 32-bit draws leaves half a 64-bit word behind; the
+        # next trial must not start from it
+        seed = 2**63 + 12345
+        draws = (lambda g: g.poisson(3.0, size=3),
+                 lambda g: g.integers(0, 1000, size=3, dtype=np.int32),
+                 lambda g: g.standard_normal(2))
+        for i, rng in trial_streams(seed, 0, 12):
+            ref = trial_rng(seed, i)
+            for draw in draws:
+                np.testing.assert_array_equal(draw(rng), draw(ref))
+        assert [i for i, _ in trial_streams(1, 3, 7)] == [3, 4, 5, 6]
+        assert list(trial_streams(1, 4, 4)) == []
 
 
 class TestRunBlocks:

@@ -1,11 +1,15 @@
 import math
+import time
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from ddlab.covariance import Spectrum
-from ddlab.designs import MeasureSpec
+from ddlab.designs import MeasureSpec, sample_iid
 from ddlab.dpcheck import (
+    _cofactors,
+    _select_minors,
     fixed_generator,
     fixed_k_gram_generator,
     gaussian_entries_generator,
@@ -18,6 +22,7 @@ from ddlab.dpcheck import (
     verify_normalization,
     verify_poisson_identity,
 )
+from ddlab.parallel import trial_rng
 
 TRIALS = 20_000
 
@@ -62,6 +67,84 @@ class TestVerifyDp:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "I,J,size,mc_mean,mc_se,det_of_mean,z"
         assert len(lines) == 1 + len(report.records)
+
+
+class TestSelectMinors:
+    @staticmethod
+    def enumerated(d, sizes, max_minors, seed):
+        # reference: list every (I, J) pair, then subsample
+        pairs = []
+        for k in sizes:
+            subs = list(combinations(range(d), k))
+            pairs.extend((I, J) for I in subs for J in subs)
+        if len(pairs) > max_minors:
+            idx = trial_rng(seed, 0xD5).choice(len(pairs), size=max_minors, replace=False)
+            pairs = [pairs[i] for i in sorted(idx)]
+        return pairs
+
+    @pytest.mark.parametrize("sizes", [range(1, 7), [3, 1], [6]])
+    def test_matches_enumeration(self, sizes):
+        # all sizes at d=6 give C(12, 6) - 1 = 923 pairs, more than the cap
+        for seed in (1, 2):
+            assert _select_minors(6, sizes, 200, seed) == self.enumerated(6, sizes, 200, seed)
+
+    def test_large_d_is_not_enumerated(self):
+        start = time.perf_counter()
+        pairs = _select_minors(16, range(1, 17), 200, 3)
+        assert time.perf_counter() - start < 1.0
+        assert len(pairs) == len(set(pairs)) == 200
+        assert all(len(I) == len(J) and list(I) == sorted(set(I)) for I, J in pairs)
+
+    def test_size_out_of_range(self):
+        with pytest.raises(ValueError):
+            _select_minors(3, [4], 200, 1)
+
+
+class TestDeltaMethodSe:
+    def test_cofactors_of_invertible_matrix(self):
+        M = np.random.default_rng(21).standard_normal((4, 4))
+        np.testing.assert_allclose(_cofactors(M), np.linalg.det(M) * np.linalg.inv(M).T,
+                                   rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_cofactors_are_det_gradient_of_singular_matrix(self, rank):
+        rng = np.random.default_rng(22 + rank)
+        M = rng.standard_normal((3, rank)) @ rng.standard_normal((rank, 3))
+        h = 1e-5
+        grad = np.empty((3, 3))
+        for i in range(3):
+            for j in range(3):
+                E = np.zeros((3, 3))
+                E[i, j] = h
+                grad[i, j] = (np.linalg.det(M + E) - np.linalg.det(M - E)) / (2 * h)
+        np.testing.assert_allclose(_cofactors(M), grad, atol=1e-8)
+
+    def test_scalar_minor(self):
+        assert _cofactors(np.array([[5.0]])).tolist() == [[1.0]]
+
+    def test_se_agrees_with_bootstrap(self):
+        g = gen_sum(fixed_generator(np.diag([1.0, 2.0, 3.0])), gaussian_entries_generator(3))
+        trials, seed = 10_000, 23
+        report = verify_dp(g, [1, 2, 3], trials, seed)
+        # reference: bootstrap SE of det(mean) on the second stream
+        stack2 = g.draw_stack(trials, seed + 0x9E3779B9)
+        rng = np.random.default_rng(24)
+        picks = [rng.integers(trials, size=trials) for _ in range(1000)]
+        for I in [(0,), (0, 1), (0, 1, 2)]:
+            rec = [r for r in report.records if r.rows == r.cols == I][0]
+            sub = stack2[:, list(I)][:, :, list(I)]
+            boot = np.std([np.linalg.det(sub[p].mean(axis=0)) for p in picks], ddof=1)
+            assert rec.det_of_mean_se == pytest.approx(boot, rel=0.15)
+
+
+class TestDrawStack:
+    def test_matches_per_trial_streams(self):
+        m = MeasureSpec(Spectrum(np.array([1.0, 2.0])))
+        Z = np.arange(4.0).reshape(2, 2)
+        for g in (gaussian_entries_generator(2), poisson_gram_generator(m, 2.0),
+                  scaled_fixed_generator(Z, [0.0, 1.0, 2.0])):
+            ref = np.stack([g.sample(trial_rng(31, i)) for i in range(300)])
+            np.testing.assert_array_equal(g.draw_stack(300, 31), ref)
 
 
 class TestClosure:
@@ -136,6 +219,18 @@ class TestNormalization:
         est, target = verify_normalization(m, 1.0, 50_000, 14)
         assert target == pytest.approx(6.0 * math.exp(-1.0))
         assert abs(float(est.z_score(target))) < 4.0
+
+    def test_matches_per_trial_streams(self):
+        m = MeasureSpec(Spectrum(np.array([1.0, 2.0])))
+        vals = []
+        for i in range(2000):
+            rng = trial_rng(16, i)
+            k = int(rng.poisson(1.5))
+            X = sample_iid(m, k, rng)
+            vals.append(1.0 if k == 0 else np.linalg.det(X @ X.T) if k <= 2 else 0.0)
+        est, _ = verify_normalization(m, 1.5, 2000, 16)
+        assert float(est.mean) == float(np.mean(vals))
+        assert float(est.std_error) == float(np.std(vals, ddof=1) / math.sqrt(2000))
 
     def test_small_gamma_limit(self):
         m = MeasureSpec(Spectrum(np.ones(2)))
