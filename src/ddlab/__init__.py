@@ -1,24 +1,18 @@
 """Exact surrogate-design expressions for double descent of the
 minimum-norm least-squares estimator, with Monte Carlo verification."""
 
-from .covariance import Spectrum, elem_sym_polys, make_profile, scale_trace_inverse
+from .covariance import Spectrum, make_profile, scale_trace_inverse
 from .designs import (
     DesignSample,
     MeasureSpec,
     MonteCarloEstimate,
     sample_iid,
     sample_surrogate_over,
-    sample_surrogate_under,
+    sample_surrogate_under_batch,
     surrogate_expectation_oracle,
 )
 from .errors import UnsupportedMeasureError
-from .linalg import (
-    log_det_gram,
-    min_norm_solve,
-    projection_complement,
-    pseudo_determinant,
-    pseudo_inverse,
-)
+from .linalg import log_det_gram, projection_complement, pseudo_inverse
 from .surrogate import (
     RegressionProblem,
     SurrogateParams,

@@ -21,7 +21,13 @@ import numpy as np
 
 from . import dpcheck, experiments, svg
 from .covariance import Spectrum, make_profile, scale_trace_inverse
-from .designs import MeasureSpec, gen_responses, sample_surrogate_over, sample_surrogate_under
+from .designs import (
+    DesignSample,
+    MeasureSpec,
+    gen_responses,
+    sample_surrogate_over,
+    sample_surrogate_under_batch,
+)
 from .errors import UnsupportedMeasureError
 from .parallel import default_threads
 from .surrogate import RegressionProblem
@@ -63,13 +69,18 @@ def _parse_values(text: str) -> list[float]:
     """Comma list '10,20,40' or range 'start:stop:step' (stop inclusive)."""
     if ":" in text:
         start, stop, step = (float(v) for v in text.split(":"))
+        if not step > 0:
+            raise ValueError(f"range {text!r} needs a positive step")
         out = []
         v = start
         while v <= stop + 1e-9:
             out.append(v)
             v += step
-        return out
-    return [float(v) for v in text.split(",") if v.strip()]
+    else:
+        out = [float(v) for v in text.split(",") if v.strip()]
+    if not out:
+        raise ValueError(f"no values in {text!r}")
+    return out
 
 
 def _bool(text: str) -> bool:
@@ -309,7 +320,8 @@ def cmd_sample(args) -> int:
     steps = int(cfg["chain_steps"]) if cfg["chain_steps"] else None
     m = MeasureSpec(_build_spectrum(cfg, d), cfg["entry_law"])
     if n < d:
-        sample = sample_surrogate_under(m, n, steps, seed)
+        (X,), rate = sample_surrogate_under_batch(m, n, 1, steps, seed)
+        sample = DesignSample(X=X, accept_rate=rate)
     else:
         sample = sample_surrogate_over(m, n, steps, seed)
     if cfg["sigma2"] != "":
@@ -317,10 +329,7 @@ def cmd_sample(args) -> int:
         sample.y = gen_responses(sample.X, w, float(cfg["sigma2"]), seed + 1)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sample.csv"
-    body_path = out / "_sample_body.tmp"
-    sample.to_csv(body_path)
-    csv_path.write_text("\n".join(_header(cfg)) + "\n" + body_path.read_text())
-    body_path.unlink()
+    csv_path.write_text("\n".join(_header(cfg)) + "\n" + sample.csv_text())
     summary = [f"realized_k={sample.k}", f"accept_rate={sample.accept_rate!r}"]
     (out / "sample_summary.txt").write_text("\n".join(_header(cfg) + summary) + "\n")
     print(f"wrote {csv_path} (k={sample.k})")

@@ -1,5 +1,5 @@
 """Population covariance spectra: eigenvalue decay profiles, trace-inverse
-rescaling, elementary symmetric polynomials, and square-root application.
+rescaling, and square-root application to stacks of rows.
 
 Formula-level code consumes eigenvalues only; an optional orthogonal basis
 matters solely when sampling rows.
@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Spectrum", "make_profile", "scale_trace_inverse", "elem_sym_polys", "apply_sqrt"]
+__all__ = ["Spectrum", "make_profile", "scale_trace_inverse", "apply_sqrt"]
 
 PROFILE_KINDS = ("diag_linear", "diag_exp", "diag_poly", "diag_poly_2")
 
@@ -63,14 +62,6 @@ class Spectrum:
             return D
         return self.basis @ D @ self.basis.T
 
-    def to_text(self, path) -> None:
-        Path(path).write_text("".join(f"{float(t)!r}\n" for t in self.eigenvalues))
-
-    @classmethod
-    def from_text(cls, path) -> "Spectrum":
-        vals = [float(line) for line in Path(path).read_text().split() if line.strip()]
-        return cls(np.array(vals))
-
 
 def make_profile(kind: str, d: int, lambda_max: float = 1.0, lambda_min: float = 1e-4) -> Spectrum:
     """Named eigenvalue decay profile with pinned endpoint eigenvalues.
@@ -118,27 +109,11 @@ def scale_trace_inverse(s: Spectrum, target: float) -> Spectrum:
     return Spectrum(s.eigenvalues * c, s.basis)
 
 
-def elem_sym_polys(eigs, up_to: int) -> np.ndarray:
-    """Elementary symmetric polynomials e_0..e_{up_to} of the eigenvalues.
-
-    Uses the stable one-value-at-a-time recursion e_k <- e_k + t * e_{k-1}
-    (all terms nonnegative for positive eigenvalues, so no cancellation).
-    """
-    eigs = np.asarray(eigs, dtype=float)
-    if up_to > eigs.size:
-        raise ValueError("up_to cannot exceed the number of eigenvalues")
-    e = np.zeros(up_to + 1)
-    e[0] = 1.0
-    for t in eigs:
-        for k in range(up_to, 0, -1):
-            e[k] += t * e[k - 1]
-    return e
-
-
 def apply_sqrt(s: Spectrum, Z) -> np.ndarray:
-    """Z @ Sigma^{1/2}, using the stored basis when present."""
+    """Z @ Sigma^{1/2} for a row or a (..., d) stack of rows, using the
+    stored basis when present."""
     Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[1] != s.dim:
+    if Z.shape[-1:] != (s.dim,):
         raise ValueError(f"Z must have {s.dim} columns, got shape {Z.shape}")
     root = np.sqrt(s.eigenvalues)
     if s.basis is None:

@@ -6,16 +6,17 @@ Three ways of touching the surrogate design live here:
 * ``surrogate_expectation_oracle`` estimates surrogate expectations by
   self-normalized determinant weighting of Poisson-sized i.i.d. draws
   (an exact identity, so the estimates are unbiased up to normalization),
-* ``sample_surrogate_under`` / ``sample_surrogate_over`` produce actual
-  surrogate samples with a Metropolis row-replacement chain.
+* ``sample_surrogate_under_batch`` / ``sample_surrogate_over`` produce
+  actual surrogate samples from one batched Metropolis row-replacement
+  chain, ``_chain``, which advances many chains in lockstep.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +33,6 @@ __all__ = [
     "sample_iid",
     "gen_responses",
     "surrogate_expectation_oracle",
-    "sample_surrogate_under",
     "sample_surrogate_under_batch",
     "sample_surrogate_over",
 ]
@@ -68,14 +68,15 @@ class DesignSample:
     def k(self) -> int:
         return int(self.X.shape[0])
 
-    def to_csv(self, path) -> None:
-        d = self.X.shape[1]
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow([f"x_{j + 1}" for j in range(d)] + ["y"])
-            for i, row in enumerate(self.X):
-                tail = [repr(float(self.y[i]))] if self.y is not None else [""]
-                wr.writerow([repr(float(v)) for v in row] + tail)
+    def csv_text(self) -> str:
+        """Header x_1..x_d,y and one line per row; y is empty without responses."""
+        buf = io.StringIO()
+        wr = csv.writer(buf, lineterminator="\n")
+        wr.writerow([f"x_{j + 1}" for j in range(self.X.shape[1])] + ["y"])
+        for i, row in enumerate(self.X):
+            tail = [repr(float(self.y[i]))] if self.y is not None else [""]
+            wr.writerow([repr(float(v)) for v in row] + tail)
+        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -92,13 +93,14 @@ class MonteCarloEstimate:
         return (np.asarray(self.mean) - np.asarray(target)) / se
 
 
-def _raw_rows(m: MeasureSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    d = m.dim
+def _raw_rows(m: MeasureSpec, shape, rng: np.random.Generator) -> np.ndarray:
+    """Unit-variance entries of the measure, shape ``shape + (d,)``."""
+    size = (*np.atleast_1d(shape), m.dim)
     if m.entry_law == "gaussian":
-        return rng.standard_normal((n, d))
+        return rng.standard_normal(size)
     if m.entry_law == "rademacher":
-        return rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
-    return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(n, d))
+        return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
+    return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size)
 
 
 def sample_iid(m: MeasureSpec, n: int, seed_or_rng) -> np.ndarray:
@@ -189,83 +191,82 @@ def surrogate_expectation_oracle(f, m: MeasureSpec, n: float, trials: int, seed:
     return MonteCarloEstimate(mean=mean, std_error=se, trials=trials, effective_sample_size=ess)
 
 
-def _chain_init(m: MeasureSpec, k: int, rng, n: float) -> tuple[np.ndarray, float]:
-    d = m.dim
-    for _ in range(1000):
-        X = sample_iid(m, k, rng)
-        lw = _log_weight(X, n, d)
-        if np.isfinite(lw):
-            return X, lw
-    raise RuntimeError("could not initialize a full-rank chain state")
+def _gram_log_weight(X: np.ndarray) -> np.ndarray:
+    """log det(X X^T) of each design in a (..., k, d) stack; -inf unless
+    the Gram determinant is positive."""
+    sign, logdet = np.linalg.slogdet(X @ np.swapaxes(X, -1, -2))
+    return np.where(sign > 0, logdet, -np.inf)
 
 
-def _run_chain(m: MeasureSpec, X: np.ndarray, lw: float, n: float, steps: int, rng):
-    """Metropolis row replacement with stationary density prop. to the
-    determinant weight times the product measure."""
-    d = m.dim
-    k = X.shape[0]
+def _chain(m: MeasureSpec, k: int, num: int, steps: int, rng) -> tuple[np.ndarray, int]:
+    """num Metropolis row-replacement chains over k x d designs, advanced in
+    lockstep from one stream, with stationary density proportional to
+    det(X X^T) times the product measure.
+
+    Each step replaces one uniformly chosen row of every chain by a fresh
+    row from the measure and accepts when log u < log w' - log w. Returns
+    the (num, k, d) final states and the number of accepted proposals.
+    """
+    s = m.spectrum
+    X = apply_sqrt(s, _raw_rows(m, (num, k), rng))
+    lw = _gram_log_weight(X)
+    bad = ~np.isfinite(lw)
+    for _ in range(1000):  # rank-deficient starts have probability zero; redraw defensively
+        if not np.any(bad):
+            break
+        X[bad] = apply_sqrt(s, _raw_rows(m, (int(np.sum(bad)), k), rng))
+        lw[bad] = _gram_log_weight(X[bad])
+        bad = ~np.isfinite(lw)
+    if np.any(bad):
+        raise RuntimeError("could not initialize a full-rank chain state")
+    chains = np.arange(num)
     accepted = 0
     for _ in range(steps):
-        i = int(rng.integers(k))
-        prop = sample_iid(m, 1, rng)[0]
+        rows = rng.integers(k, size=num)
         Xp = X.copy()
-        Xp[i] = prop
-        lwp = _log_weight(Xp, n, d)
-        if lwp - lw >= 0 or math.log(rng.uniform()) < lwp - lw:
-            X, lw = Xp, lwp
-            accepted += 1
-    return X, lw, (accepted / steps if steps > 0 else 0.0)
-
-
-def sample_surrogate_under(m: MeasureSpec, n: int, chain_steps: int | None, seed_or_rng) -> DesignSample:
-    """One surrogate sample for n < d: realized size from the closed-form
-    pmf, then a Metropolis chain over k x d designs. Gaussian measure only
-    (the size pmf requires it)."""
-    if m.entry_law != "gaussian":
-        raise UnsupportedMeasureError("under-determined surrogate sampling requires a Gaussian measure")
-    rng = _resolve_rng(seed_or_rng)
-    pmf = surrogate_size_pmf(m.spectrum, n)
-    k = int(rng.choice(len(pmf), p=pmf))
-    if k == 0:
-        return DesignSample(X=np.zeros((0, m.dim)), accept_rate=0.0)
-    if chain_steps is None:
-        chain_steps = 100 * k  # conservative desk-scale default; no mixing theory available
-    X, lw = _chain_init(m, k, rng, n)
-    X, _, rate = _run_chain(m, X, lw, n, chain_steps, rng)
-    return DesignSample(X=X, accept_rate=rate)
+        # one-row stacks: with a basis, a single (num, d) GEMM rounds
+        # differently, and the chain's output is pinned bit for bit
+        Xp[chains, rows] = apply_sqrt(s, _raw_rows(m, (num, 1), rng))[:, 0]
+        lwp = _gram_log_weight(Xp)
+        acc = np.log(rng.uniform(size=num)) < lwp - lw
+        X[acc] = Xp[acc]
+        lw[acc] = lwp[acc]
+        accepted += int(np.sum(acc))
+    return X, accepted
 
 
 def sample_surrogate_over(m: MeasureSpec, n: float, chain_steps: int | None, seed_or_rng) -> DesignSample:
     """One surrogate sample for n > d: a d x d block with density prop. to
     det(X)^2 times the measure, plus Poisson(n - d) i.i.d. rows, under a
-    uniformly random row permutation."""
+    uniformly random row permutation. ``chain_steps=None`` means 100 d."""
     d = m.dim
     if n < d:
         raise ValueError("sample_surrogate_over needs n >= d")
     rng = _resolve_rng(seed_or_rng)
     if chain_steps is None:
         chain_steps = 100 * d
-    X, lw = _chain_init(m, d, rng, d)
-    X, _, rate = _run_chain(m, X, lw, d, chain_steps, rng)
+    X, accepted = _chain(m, d, 1, chain_steps, rng)
     extra = sample_iid(m, int(rng.poisson(n - d)), rng)
-    full = np.vstack([X, extra])
+    full = np.vstack([X[0], extra])
     perm = rng.permutation(full.shape[0])
+    rate = accepted / chain_steps if chain_steps > 0 else 0.0
     return DesignSample(X=full[perm], accept_rate=rate)
 
 
-def sample_surrogate_under_batch(m: MeasureSpec, n: int, num: int, chain_steps: int,
+def sample_surrogate_under_batch(m: MeasureSpec, n: int, num: int, chain_steps: int | None,
                                  seed: int) -> tuple[list[np.ndarray], float]:
-    """Vectorized batch of under-determined surrogate samples.
+    """num under-determined (n < d) surrogate samples: realized sizes from
+    the closed-form pmf, then one lockstep chain batch per size.
 
-    All chains advance in lockstep from a single seeded stream, which keeps
-    the batch deterministic for a fixed (seed, num, chain_steps) while
-    running orders of magnitude faster than independent chains. Returns the
-    samples and the pooled acceptance rate.
+    All chains draw from a single seeded stream, which keeps the batch
+    deterministic for a fixed (seed, num, chain_steps). ``chain_steps=None``
+    means 100 k for size k (a desk-scale default; no mixing theory is
+    available). Gaussian measure only (the size pmf requires it). Returns
+    the samples and the pooled acceptance rate.
     """
     if m.entry_law != "gaussian":
         raise UnsupportedMeasureError("under-determined surrogate sampling requires a Gaussian measure")
     rng = _resolve_rng(seed)
-    d = m.dim
     pmf = surrogate_size_pmf(m.spectrum, n)
     ks = rng.choice(len(pmf), size=num, p=pmf)
     out: list[np.ndarray | None] = [None] * num
@@ -274,43 +275,13 @@ def sample_surrogate_under_batch(m: MeasureSpec, n: int, num: int, chain_steps: 
     for k in np.unique(ks):
         idx = np.flatnonzero(ks == k)
         if k == 0:
-            for i in idx:
-                out[i] = np.zeros((0, d))
-            continue
-        B = idx.size
-        X = apply_sqrt_batch(m, rng.standard_normal((B, k, d)))
-        sign, ld = np.linalg.slogdet(X @ np.swapaxes(X, 1, 2))
-        lw = np.where(sign > 0, ld, -np.inf)
-        bad = ~np.isfinite(lw)
-        while np.any(bad):  # rank-deficient starts have probability zero; redraw defensively
-            nb = int(np.sum(bad))
-            X[bad] = apply_sqrt_batch(m, rng.standard_normal((nb, k, d)))
-            s2, l2 = np.linalg.slogdet(X[bad] @ np.swapaxes(X[bad], 1, 2))
-            lw[bad] = np.where(s2 > 0, l2, -np.inf)
-            bad = ~np.isfinite(lw)
-        for _ in range(chain_steps):
-            rows = rng.integers(k, size=B)
-            props = apply_sqrt_batch(m, rng.standard_normal((B, 1, d)))[:, 0, :]
-            Xp = X.copy()
-            Xp[np.arange(B), rows] = props
-            sp, lp = np.linalg.slogdet(Xp @ np.swapaxes(Xp, 1, 2))
-            lwp = np.where(sp > 0, lp, -np.inf)
-            u = np.log(rng.uniform(size=B))
-            acc = u < (lwp - lw)
-            X[acc] = Xp[acc]
-            lw[acc] = lwp[acc]
-            accepted += int(np.sum(acc))
-            proposals += B
+            X = np.zeros((idx.size, 0, m.dim))
+        else:
+            steps = 100 * int(k) if chain_steps is None else chain_steps
+            X, acc = _chain(m, int(k), idx.size, steps, rng)
+            accepted += acc
+            proposals += idx.size * steps
         for j, i in enumerate(idx):
             out[i] = X[j]
     rate = accepted / proposals if proposals else 0.0
-    return [o for o in out], rate
-
-
-def apply_sqrt_batch(m: MeasureSpec, Z: np.ndarray) -> np.ndarray:
-    """Sigma^{1/2} applied to a stack of raw designs."""
-    s = m.spectrum
-    root = np.sqrt(s.eigenvalues)
-    if s.basis is None:
-        return Z * root
-    return ((Z @ s.basis) * root) @ s.basis.T
+    return out, rate

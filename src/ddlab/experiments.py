@@ -257,24 +257,21 @@ def loglog_slope(points) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _curve_point(p: RegressionProblem, m: MeasureSpec, n: int, trials: int, seed: int,
-                 threads, with_mc: bool) -> CurvePoint:
+def _curve_point(p: RegressionProblem, n: int, vals=None, seed: int = 0) -> CurvePoint:
+    """Closed-form curve point at n; the Monte Carlo columns are filled from
+    per-trial MSE statistics ``vals`` (bootstrap CI seeded by ``seed``)
+    when given and left empty otherwise."""
     s = p.spectrum
     sp = surrogate_params(s, n)
-    ab = sp.alpha_n if n < s.dim else sp.beta_n
-    norm_mean = float(np.linalg.norm(implicit_reg_mean(p, n)))
-    mse_s = surrogate_mse(p, n)
-    if not with_mc:
-        return CurvePoint(n=n, d=s.dim, mse_surrogate=mse_s, mse_mc=None, mse_mc_se=None,
-                          ci_low=None, ci_high=None, lambda_n=sp.lambda_n,
-                          alpha_or_beta=ab, norm_implicit_mean=norm_mean)
-    vals = mse_trial_samples(p, m, n, trials, seed, threads)
-    lo, hi = bootstrap_ci(vals, seed=seed)
-    return CurvePoint(n=n, d=s.dim, mse_surrogate=mse_s,
-                      mse_mc=float(np.mean(vals)),
-                      mse_mc_se=float(np.std(vals, ddof=1) / math.sqrt(len(vals))),
-                      ci_low=lo, ci_high=hi, lambda_n=sp.lambda_n,
-                      alpha_or_beta=ab, norm_implicit_mean=norm_mean)
+    mse_mc = mse_mc_se = ci_low = ci_high = None
+    if vals is not None:
+        mse_mc = float(np.mean(vals))
+        mse_mc_se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+        ci_low, ci_high = bootstrap_ci(vals, seed=seed)
+    return CurvePoint(n=n, d=s.dim, mse_surrogate=surrogate_mse(p, n), mse_mc=mse_mc,
+                      mse_mc_se=mse_mc_se, ci_low=ci_low, ci_high=ci_high,
+                      lambda_n=sp.lambda_n, alpha_or_beta=sp.alpha_n if n < s.dim else sp.beta_n,
+                      norm_implicit_mean=float(np.linalg.norm(implicit_reg_mean(p, n))))
 
 
 def curve_double_descent(p: RegressionProblem, m: MeasureSpec, n_values, trials: int,
@@ -282,10 +279,12 @@ def curve_double_descent(p: RegressionProblem, m: MeasureSpec, n_values, trials:
                          with_mc: bool = True) -> list[CurvePoint]:
     """Surrogate MSE curve over sample sizes, optionally accompanied by
     i.i.d.-design Monte Carlo estimates with bootstrap CIs."""
-    return [
-        _curve_point(p, m, int(n), trials, seed + 1000 * i, threads, with_mc)
-        for i, n in enumerate(n_values)
-    ]
+    points = []
+    for i, n in enumerate(n_values):
+        n, point_seed = int(n), seed + 1000 * i
+        vals = mse_trial_samples(p, m, n, trials, point_seed, threads) if with_mc else None
+        points.append(_curve_point(p, n, vals, point_seed))
+    return points
 
 
 def curve_dimension_sweep(make_problem, d_values) -> list[CurvePoint]:
@@ -293,14 +292,4 @@ def curve_dimension_sweep(make_problem, d_values) -> list[CurvePoint]:
 
     ``make_problem(d)`` must return (RegressionProblem, n).
     """
-    out = []
-    for d in d_values:
-        p, n = make_problem(int(d))
-        sp = surrogate_params(p.spectrum, n)
-        ab = sp.alpha_n if n < p.spectrum.dim else sp.beta_n
-        out.append(CurvePoint(
-            n=n, d=p.spectrum.dim, mse_surrogate=surrogate_mse(p, n), mse_mc=None,
-            mse_mc_se=None, ci_low=None, ci_high=None, lambda_n=sp.lambda_n,
-            alpha_or_beta=ab, norm_implicit_mean=float(np.linalg.norm(implicit_reg_mean(p, n))),
-        ))
-    return out
+    return [_curve_point(*make_problem(int(d))) for d in d_values]

@@ -1,6 +1,6 @@
-"""Dense linear-algebra kernels: pseudo-inverse, pseudo-determinant,
-minimum-norm solves, projections, log-scale Gram determinants, and the
-stacked per-trial statistics of the minimum-norm estimator.
+"""Dense linear-algebra kernels: pseudo-inverse, projections, log-scale
+Gram determinants, and the stacked per-trial statistics of the
+minimum-norm estimator.
 
 All functions are pure and operate on plain numpy arrays. Rank decisions
 use a shared singular-value cutoff so that the same matrix is never
@@ -15,8 +15,6 @@ from scipy.linalg import lapack
 __all__ = [
     "zero_threshold",
     "pseudo_inverse",
-    "pseudo_determinant",
-    "min_norm_solve",
     "projection_complement",
     "log_det_gram",
     "min_norm_stats",
@@ -55,46 +53,6 @@ def pseudo_inverse(A) -> np.ndarray:
     cut = zero_threshold(s, A.shape)
     inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
     return (Vt.T * inv) @ U.T
-
-
-def pseudo_determinant(A, sym_tol: float = 1e-8) -> float:
-    """Product of nonzero eigenvalues of a symmetric PSD matrix.
-
-    The 0x0 matrix has pseudo-determinant 1 (empty product).
-    """
-    A = _as_matrix(A)
-    n, m = A.shape
-    if n != m:
-        raise ValueError(f"pseudo_determinant needs a square matrix, got {A.shape}")
-    if n == 0:
-        return 1.0
-    scale = float(np.max(np.abs(A)))
-    if scale > 0 and float(np.max(np.abs(A - A.T))) > sym_tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    w = np.linalg.eigvalsh(0.5 * (A + A.T))
-    cut = _EPS * max(float(np.max(np.abs(w))), 0.0) * n
-    nz = w[np.abs(w) > cut]
-    if nz.size == 0:
-        return 1.0
-    return float(np.prod(nz))
-
-
-def min_norm_solve(X, y) -> np.ndarray:
-    """Minimum-norm least-squares solution X^+ y.
-
-    For a wide full-rank X this is the least-norm interpolant; for a tall
-    X it is the ordinary least-squares solution.
-    """
-    X = _as_matrix(X)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("response vector contains non-finite entries")
-    if y.shape[0] != X.shape[0]:
-        raise ValueError(f"dimension mismatch: X has {X.shape[0]} rows, y has {y.shape[0]}")
-    if 0 in X.shape:
-        return np.zeros(X.shape[1])
-    w, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return w
 
 
 def projection_complement(X) -> np.ndarray:

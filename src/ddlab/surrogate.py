@@ -211,8 +211,9 @@ def _log_esp(log_vals: np.ndarray, up_to: int) -> np.ndarray:
     loge = np.full(up_to + 1, -np.inf)
     loge[0] = 0.0
     for lv in log_vals:
-        for k in range(up_to, 0, -1):
-            loge[k] = np.logaddexp(loge[k], lv + loge[k - 1])
+        # the right side is built before the assignment, so every e_k takes
+        # the e_{k-1} from before this value, as the recursion requires
+        loge[1:] = np.logaddexp(loge[1:], lv + loge[:-1])
     return loge
 
 

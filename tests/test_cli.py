@@ -84,6 +84,21 @@ class TestCurveCommand:
         peak = max(rows, key=lambda r: float(r[2]))
         assert peak[1] == "12"
 
+    @pytest.mark.parametrize("flag, values", [
+        ("--n-values", "10:190:0"),
+        ("--n-values", "10:190:-10"),
+        ("--n-values", "190:10:-10"),
+        ("--n-values", "20:10:5"),
+        ("--n-values", ","),
+        ("--d-values", "4:20:0"),
+    ])
+    def test_bad_value_list_exit_1(self, tmp_path, capsys, flag, values):
+        extra = ["--n", "12"] if flag == "--d-values" else ["--d", "20"]
+        rc = run(["curve", "--no-mc", *extra, flag, values, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_reproducible_with_mc(self, tmp_path):
         args = ["curve", "--d", "8", "--n-values", "3,5", "--trials", "40", "--seed", "3"]
         a, b = tmp_path / "a", tmp_path / "b"
@@ -170,6 +185,7 @@ class TestSampleCommand:
         assert len(rows) <= 4
         summary = (out / "sample_summary.txt").read_text()
         assert "realized_k=" in summary and "accept_rate=" in summary
+        assert sorted(p.name for p in out.iterdir()) == ["sample.csv", "sample_summary.txt"]
 
     def test_over_regime_row_count(self, tmp_path):
         out = tmp_path / "o"

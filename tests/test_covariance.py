@@ -9,7 +9,6 @@ from ddlab.covariance import (
     PROFILE_KINDS,
     Spectrum,
     apply_sqrt,
-    elem_sym_polys,
     make_profile,
     scale_trace_inverse,
 )
@@ -41,13 +40,6 @@ class TestSpectrum:
         assert s.dim == 2
         assert s.condition_number == 4.0
         assert s.trace_inverse() == pytest.approx(1.25)
-
-    def test_text_round_trip(self, tmp_path):
-        s = Spectrum(np.array([1.0, 0.123456789012345e-3]))
-        path = tmp_path / "spec.txt"
-        s.to_text(path)
-        back = Spectrum.from_text(path)
-        np.testing.assert_array_equal(back.eigenvalues, s.eigenvalues)
 
 
 class TestMakeProfile:
@@ -114,29 +106,6 @@ class TestScaleTraceInverse:
             scale_trace_inverse(Spectrum(np.ones(3)), 0.0)
 
 
-class TestElemSymPolys:
-    def test_hand_expansion(self):
-        np.testing.assert_allclose(elem_sym_polys([1.0, 2.0, 3.0], 3), [1, 6, 11, 6])
-
-    def test_all_ones_binomial(self):
-        d = 8
-        e = elem_sym_polys(np.ones(d), d)
-        np.testing.assert_allclose(e, [math.comb(d, k) for k in range(d + 1)])
-
-    def test_up_to_bound(self):
-        with pytest.raises(ValueError):
-            elem_sym_polys([1.0, 2.0], 3)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 10.0]))
-    def test_generating_function_identity(self, seed, gamma):
-        eigs = np.random.default_rng(seed).uniform(0.1, 5.0, size=6)
-        e = elem_sym_polys(eigs, 6)
-        series = sum(gamma**k * e[k] for k in range(7))
-        product = np.prod(1.0 + gamma * eigs)
-        assert series == pytest.approx(product, rel=1e-10)
-
-
 class TestApplySqrt:
     def test_identity(self):
         Z = np.random.default_rng(0).standard_normal((5, 3))
@@ -160,3 +129,12 @@ class TestApplySqrt:
         cov = X.T @ X / n
         # entrywise fourth-moment standard errors are O(1/sqrt(n))
         assert np.max(np.abs(cov - s.matrix())) < 3 * 4.0 / math.sqrt(n)
+
+    def test_stack_matches_rows(self):
+        rng = np.random.default_rng(8)
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        for s in (Spectrum(np.array([3.0, 2.0, 1.0])), Spectrum(np.array([3.0, 2.0, 1.0]), basis=Q)):
+            Z = rng.standard_normal((4, 5, 3))
+            rows = np.stack([apply_sqrt(s, z) for z in Z])
+            np.testing.assert_allclose(apply_sqrt(s, Z), rows, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(apply_sqrt(s, Z[0, 0]), rows[0, 0], rtol=0, atol=1e-14)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ddlab.covariance import Spectrum
+from ddlab import designs
+from ddlab.covariance import Spectrum, make_profile
 from ddlab.designs import (
     DesignSample,
     MeasureSpec,
@@ -12,7 +13,6 @@ from ddlab.designs import (
     gen_responses,
     sample_iid,
     sample_surrogate_over,
-    sample_surrogate_under,
     sample_surrogate_under_batch,
     surrogate_expectation_oracle,
 )
@@ -115,16 +115,96 @@ class TestOracle:
         np.testing.assert_array_equal(a.std_error, b.std_error)
 
 
+def lockstep_reference(m, n, num, steps, seed):
+    """Reference stream of the batched chain: every chain of one size
+    advances in lockstep on one stream, rows are standard normals times
+    Sigma^{1/2}, and singular starts are redrawn without bound."""
+    s = m.spectrum
+    root = np.sqrt(s.eigenvalues)
+
+    def sqrt_stack(Z):
+        return Z * root if s.basis is None else ((Z @ s.basis) * root) @ s.basis.T
+
+    rng = trial_rng(seed, 0)
+    d = m.dim
+    pmf = surrogate_size_pmf(s, n)
+    ks = rng.choice(len(pmf), size=num, p=pmf)
+    out = [None] * num
+    accepted = proposals = 0
+    for k in np.unique(ks):
+        idx = np.flatnonzero(ks == k)
+        if k == 0:
+            for i in idx:
+                out[i] = np.zeros((0, d))
+            continue
+        B = idx.size
+        X = sqrt_stack(rng.standard_normal((B, k, d)))
+        sign, ld = np.linalg.slogdet(X @ np.swapaxes(X, 1, 2))
+        lw = np.where(sign > 0, ld, -np.inf)
+        bad = ~np.isfinite(lw)
+        while np.any(bad):
+            X[bad] = sqrt_stack(rng.standard_normal((int(np.sum(bad)), k, d)))
+            s2, l2 = np.linalg.slogdet(X[bad] @ np.swapaxes(X[bad], 1, 2))
+            lw[bad] = np.where(s2 > 0, l2, -np.inf)
+            bad = ~np.isfinite(lw)
+        for _ in range(steps):
+            rows = rng.integers(k, size=B)
+            props = sqrt_stack(rng.standard_normal((B, 1, d)))[:, 0, :]
+            Xp = X.copy()
+            Xp[np.arange(B), rows] = props
+            sp, lp = np.linalg.slogdet(Xp @ np.swapaxes(Xp, 1, 2))
+            lwp = np.where(sp > 0, lp, -np.inf)
+            acc = np.log(rng.uniform(size=B)) < (lwp - lw)
+            X[acc] = Xp[acc]
+            lw[acc] = lwp[acc]
+            accepted += int(np.sum(acc))
+            proposals += B
+        for j, i in enumerate(idx):
+            out[i] = X[j]
+    return out, accepted / proposals
+
+
 class TestSamplerUnder:
     def test_non_gaussian_rejected(self):
         m = MeasureSpec(Spectrum(np.ones(3)), "rademacher")
         with pytest.raises(UnsupportedMeasureError):
-            sample_surrogate_under(m, 1, 10, 1)
+            sample_surrogate_under_batch(m, 1, 1, 10, 1)
 
     def test_size_bounded_by_d(self):
         m = MeasureSpec(Spectrum(np.ones(3)))
-        for seed in range(20):
-            assert sample_surrogate_under(m, 2, 20, seed).k <= 3
+        samples, _ = sample_surrogate_under_batch(m, 2, 20, 20, 1)
+        assert all(X.shape[0] <= 3 for X in samples)
+
+    @pytest.mark.parametrize("s, n, num, steps", [
+        (Spectrum(np.array([1.0, 2.0, 3.0])), 2, 64, 25),
+        (make_profile("diag_exp", 10), 5, 50, 10),
+        (Spectrum(np.array([4.0, 3.0, 2.0, 1.0]),
+                  basis=np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]), 2, 40, 10),
+    ])
+    def test_matches_lockstep_reference_bitwise(self, s, n, num, steps):
+        m = MeasureSpec(s)
+        samples, rate = sample_surrogate_under_batch(m, n, num, steps, 37)
+        ref, ref_rate = lockstep_reference(m, n, num, steps, 37)
+        assert rate == ref_rate
+        for X, R in zip(samples, ref, strict=True):
+            np.testing.assert_array_equal(X, R)
+
+    def test_default_steps_are_100_per_row(self):
+        m = MeasureSpec(Spectrum(np.array([1.0, 2.0, 3.0])))
+        samples, rate = sample_surrogate_under_batch(m, 2, 1, None, 5)
+        k = samples[0].shape[0]
+        explicit = sample_surrogate_under_batch(m, 2, 1, 100 * k, 5)
+        np.testing.assert_array_equal(samples[0], explicit[0][0])
+        assert rate == explicit[1]
+
+    def test_singular_rows_stop_the_chain(self, monkeypatch):
+        monkeypatch.setattr(designs, "_raw_rows",
+                            lambda m, shape, rng: np.zeros((*np.atleast_1d(shape), m.dim)))
+        m = MeasureSpec(Spectrum(np.ones(3)))
+        with pytest.raises(RuntimeError, match="full-rank"):
+            designs._chain(m, 2, 4, 5, trial_rng(1, 0))
+        with pytest.raises(RuntimeError, match="full-rank"):
+            sample_surrogate_over(m, 4.0, 5, 1)
 
     def test_size_frequencies_match_pmf(self):
         m = MeasureSpec(Spectrum(np.array([1.0, 2.0])))
@@ -181,6 +261,13 @@ class TestSamplerOver:
         ks = stats.ks_2samp(first_norms[:750], first_norms[750:])
         assert ks.pvalue > 0.01
 
+    def test_rademacher_entries(self):
+        m = MeasureSpec(Spectrum(np.ones(3)), "rademacher")
+        for seed in range(5):
+            X = sample_surrogate_over(m, 6.0, 40, seed).X
+            assert X.shape[0] >= 3 and X.shape[1] == 3
+            assert set(np.unique(X)) <= {-1.0, 1.0}
+
     def test_rejects_n_below_d(self):
         m = MeasureSpec(Spectrum(np.ones(3)))
         with pytest.raises(ValueError):
@@ -188,21 +275,17 @@ class TestSamplerOver:
 
 
 class TestDesignSample:
-    def test_csv_round_structure(self, tmp_path):
+    def test_csv_round_structure(self):
         X = np.arange(6.0).reshape(2, 3)
         sample = DesignSample(X=X, y=np.array([0.5, -1.5]))
-        path = tmp_path / "s.csv"
-        sample.to_csv(path)
-        lines = path.read_text().strip().splitlines()
+        lines = sample.csv_text().strip().splitlines()
         assert lines[0] == "x_1,x_2,x_3,y"
         assert len(lines) == 3
         assert lines[1].endswith(",0.5")
 
-    def test_csv_without_y(self, tmp_path):
-        sample = DesignSample(X=np.ones((1, 2)))
-        path = tmp_path / "s.csv"
-        sample.to_csv(path)
-        assert path.read_text().strip().splitlines()[1].endswith(",")
+    def test_csv_without_y(self):
+        text = DesignSample(X=np.ones((1, 2))).csv_text()
+        assert text == "x_1,x_2,y\n1.0,1.0,\n"
 
 
 class TestRunTrials:

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from ddlab.linalg import (
     _r_factor,
     log_det_gram,
-    min_norm_solve,
     min_norm_stats,
     projection_complement,
     projection_complement_sum,
-    pseudo_determinant,
     pseudo_inverse,
 )
 
@@ -46,69 +44,6 @@ class TestPseudoInverse:
         scale = max(np.linalg.norm(A), 1.0)
         assert np.max(np.abs(A @ P @ A - A)) <= 1e-10 * scale
         assert np.max(np.abs(P @ A @ P - P)) <= 1e-10 * max(np.linalg.norm(P), 1.0)
-
-
-class TestPseudoDeterminant:
-    def test_diagonal(self):
-        assert pseudo_determinant(np.diag([2.0, 0.0, 3.0])) == pytest.approx(6.0)
-
-    def test_identity(self):
-        assert pseudo_determinant(np.eye(4)) == pytest.approx(1.0)
-
-    def test_empty(self):
-        assert pseudo_determinant(np.zeros((0, 0))) == 1.0
-
-    def test_full_rank_gram_matches_det(self):
-        X = rng_for(1).standard_normal((2, 5))
-        G = X @ X.T
-        assert pseudo_determinant(G) == pytest.approx(np.linalg.det(G), rel=1e-8)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            pseudo_determinant(np.array([[1.0, 5.0], [0.0, 1.0]]))
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_orthogonal_invariance(self, seed):
-        rng = rng_for(seed)
-        A = rng.standard_normal((4, 4))
-        A = A @ A.T
-        Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        assert pseudo_determinant(Q.T @ A @ Q) == pytest.approx(pseudo_determinant(A), rel=1e-8)
-
-
-class TestMinNormSolve:
-    def test_identity(self):
-        np.testing.assert_allclose(min_norm_solve(np.eye(3), [1, 2, 3]), [1, 2, 3], atol=1e-12)
-
-    def test_single_row(self):
-        np.testing.assert_allclose(min_norm_solve(np.array([[1.0, 0, 0]]), [5.0]), [5, 0, 0], atol=1e-12)
-
-    def test_min_norm_property(self):
-        rng = rng_for(2)
-        X = rng.standard_normal((2, 4))
-        y = rng.standard_normal(2)
-        w = min_norm_solve(X, y)
-        np.testing.assert_allclose(X @ w, y, atol=1e-10)
-        # any other solution w' = w + null-space component has larger norm
-        for _ in range(100):
-            z = rng.standard_normal(4)
-            w_alt = w + projection_complement(X) @ z
-            np.testing.assert_allclose(X @ w_alt, y, atol=1e-8)
-            assert np.linalg.norm(w) <= np.linalg.norm(w_alt) + 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            min_norm_solve(np.eye(3), [1.0, 2.0])
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(5, 8))
-    def test_interpolant_norm_bound(self, seed, n, d):
-        rng = rng_for(seed)
-        X = rng.standard_normal((n, d))
-        w0 = rng.standard_normal(d)
-        w = min_norm_solve(X, X @ w0)
-        assert np.linalg.norm(w) <= np.linalg.norm(w0) + 1e-10
 
 
 class TestProjectionComplement:

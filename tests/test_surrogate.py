@@ -9,6 +9,7 @@ from ddlab.covariance import Spectrum, make_profile
 from ddlab.errors import UnsupportedMeasureError
 from ddlab.surrogate import (
     RegressionProblem,
+    _log_esp,
     bias_factors,
     effective_dimension,
     implicit_reg_mean,
@@ -206,6 +207,43 @@ class TestSizePmf:
     def test_integer_n_required(self):
         with pytest.raises(ValueError):
             surrogate_size_pmf(Spectrum(np.ones(3)), 1.5)
+
+
+def esp(eigs, up_to):
+    """e_0..e_{up_to} of positive values, through the log-space recursion."""
+    return np.exp(_log_esp(np.log(np.asarray(eigs, dtype=float)), up_to))
+
+
+class TestLogEsp:
+    def test_hand_expansion(self):
+        np.testing.assert_allclose(esp([1.0, 2.0, 3.0], 3), [1, 6, 11, 6])
+
+    def test_all_ones_binomial(self):
+        d = 8
+        np.testing.assert_allclose(esp(np.ones(d), d), [math.comb(d, k) for k in range(d + 1)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 10.0]))
+    def test_generating_function_identity(self, seed, gamma):
+        eigs = np.random.default_rng(seed).uniform(0.1, 5.0, size=6)
+        e = esp(eigs, 6)
+        series = sum(gamma**k * e[k] for k in range(7))
+        product = np.prod(1.0 + gamma * eigs)
+        assert series == pytest.approx(product, rel=1e-10)
+
+    def test_matches_scalar_recursion_bitwise(self):
+        def reference(log_vals, up_to):
+            loge = np.full(up_to + 1, -np.inf)
+            loge[0] = 0.0
+            for lv in log_vals:
+                for k in range(up_to, 0, -1):
+                    loge[k] = np.logaddexp(loge[k], lv + loge[k - 1])
+            return loge
+
+        s = make_profile("diag_exp", 300)
+        log_vals = np.log(surrogate_params(s, 150).gamma_n * s.eigenvalues)
+        for up_to in (300, 40):
+            np.testing.assert_array_equal(_log_esp(log_vals, up_to), reference(log_vals, up_to))
 
 
 class TestRegressionProblem:
