@@ -214,7 +214,7 @@ def cmd_discrepancy(args) -> int:
             s = _build_spectrum(cfg, d)
             point_seed = seed + 7919 * i + int(1e6 * aspect)
             if kind == "variance":
-                fn = lambda t: experiments.variance_discrepancy(s, d, aspect, t, point_seed, threads)
+                fn = experiments.variance_point(s, d, aspect, point_seed, threads)
             else:
                 fn = lambda t: experiments.bias_discrepancy(s, d, aspect, t, point_seed, threads)
             points.append(experiments.adaptive_trials(fn, target, cap))
@@ -291,9 +291,11 @@ def cmd_dp_verify(args) -> int:
     if scenario == "poisson_gram":
         s = _build_spectrum(cfg, d)
         report = dpcheck.verify_poisson_identity(MeasureSpec(s), gamma, trials, seed)
-        full = [r for r in report.records if r.size == d][0]
+        # past max_minors minors, the d x d minor may be left out of the sample
+        full = [r.mc_mean for r in report.records if r.size == d]
+        estimate = f"estimate {full[0]:.6g}" if full else "full minor not sampled"
         print(f"poisson_gram: full-minor target det(gamma*Sigma) = "
-              f"{float(np.prod(gamma * s.eigenvalues)):.6g}, estimate {full.mc_mean:.6g}")
+              f"{float(np.prod(gamma * s.eigenvalues)):.6g}, {estimate}")
     elif scenario in ("closure_sum", "closure_product"):
         gA, gB = _dp_generators(scenario, d, seed)
         mode = "sum" if scenario == "closure_sum" else "product"

@@ -7,6 +7,12 @@ determinant is nonlinear, so sharing samples would correlate the errors),
 then reports z-scores with a Bonferroni-corrected family-wise threshold.
 The standard error of det(E[A_IJ]) comes from the delta method, with the
 cofactor matrix of the mean minor as the gradient of the determinant.
+
+Matrices are drawn in blocks (``parallel.run_block_streams``): block b of
+a stream seeded ``seed`` draws all of its trials, in batched calls, from
+the Philox stream keyed (seed, 2^63 | b). The block size comes from d
+alone, so reports do not depend on the thread count. Minor selection keeps
+its own stream, keyed (seed, 0xD5).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from scipy import stats
 
 from .designs import MeasureSpec, MonteCarloEstimate, sample_iid
-from .parallel import trial_rng, trial_streams
+from .parallel import block_size, run_block_streams, trial_rng
 
 __all__ = [
     "MatrixGenerator",
@@ -41,49 +47,71 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MatrixGenerator:
-    """Named procedure producing i.i.d. random d x d matrices."""
+    """Named procedure producing i.i.d. random d x d matrices in batches:
+    ``sample(rng, count)`` draws ``count`` of them from ``rng`` as a
+    (count, d, d) stack."""
 
     name: str
     dim: int
-    sample: callable  # rng -> (d, d) ndarray
+    sample: callable  # (rng, count) -> (count, d, d) ndarray
 
     def draw_stack(self, trials: int, seed: int) -> np.ndarray:
-        return np.stack([self.sample(rng) for _, rng in trial_streams(seed, 0, trials)])
+        """``trials`` matrices as one stack: the blocks of
+        ``run_block_streams``, each drawn in one ``sample`` call."""
+        blocks = run_block_streams(self.sample, trials, seed, block_size(self.dim**2))
+        return np.concatenate(blocks)
 
 
 def fixed_generator(Z) -> MatrixGenerator:
     Z = np.asarray(Z, dtype=float)
-    return MatrixGenerator("fixed", Z.shape[0], lambda rng: Z)
+    return MatrixGenerator("fixed", Z.shape[0],
+                           lambda rng, count: np.broadcast_to(Z, (count, *Z.shape)))
 
 
 def gaussian_entries_generator(d: int) -> MatrixGenerator:
-    return MatrixGenerator("gaussian_entries", d, lambda rng: rng.standard_normal((d, d)))
+    return MatrixGenerator("gaussian_entries", d,
+                           lambda rng, count: rng.standard_normal((count, d, d)))
 
 
 def scaled_fixed_generator(Z, scale_values, name: str = "scaled_fixed") -> MatrixGenerator:
     """s * Z with s drawn uniformly from ``scale_values``."""
     Z = np.asarray(Z, dtype=float)
     vals = np.asarray(scale_values, dtype=float)
-    return MatrixGenerator(name, Z.shape[0], lambda rng: vals[rng.integers(vals.size)] * Z)
+
+    def sample(rng, count):
+        return vals[rng.integers(vals.size, size=count)][:, None, None] * Z
+
+    return MatrixGenerator(name, Z.shape[0], sample)
 
 
 def poisson_gram_generator(m: MeasureSpec, gamma: float) -> MatrixGenerator:
-    """X^T X with X an i.i.d. K x d design and K ~ Poisson(gamma)."""
+    """X^T X with X an i.i.d. K x d design and K ~ Poisson(gamma).
 
-    def sample(rng):
-        X = sample_iid(m, int(rng.poisson(gamma)), rng)
-        return X.T @ X
+    A batch draws every K, then all the rows in one call, trial after trial;
+    each Gram entry is the sum of its trial's row products, accumulated in
+    row order (K = 0 gives the zero matrix)."""
+    d = m.dim
 
-    return MatrixGenerator("poisson_gram", m.dim, sample)
+    def sample(rng, count):
+        K = rng.poisson(gamma, size=count)
+        X = sample_iid(m, int(K.sum()), rng)
+        owner = np.repeat(np.arange(count), K)
+        G = np.empty((count, d, d))
+        for j in range(d):
+            for k in range(j, d):
+                G[:, j, k] = G[:, k, j] = np.bincount(owner, X[:, j] * X[:, k], count)
+        return G
+
+    return MatrixGenerator("poisson_gram", d, sample)
 
 
 def fixed_k_gram_generator(m: MeasureSpec, k: int) -> MatrixGenerator:
     """X^T X at fixed sample size k; not d.p. (the Poisson size is what
     corrects the k^d versus k-falling-d factor)."""
 
-    def sample(rng):
-        X = sample_iid(m, k, rng)
-        return X.T @ X
+    def sample(rng, count):
+        X = sample_iid(m, count * k, rng).reshape(count, k, m.dim)
+        return np.swapaxes(X, 1, 2) @ X
 
     return MatrixGenerator("fixed_k_gram", m.dim, sample)
 
@@ -92,8 +120,8 @@ def gen_sum(a: MatrixGenerator, b: MatrixGenerator) -> MatrixGenerator:
     if a.dim != b.dim:
         raise ValueError("summed generators must share a dimension")
 
-    def sample(rng):
-        return a.sample(rng) + b.sample(rng)
+    def sample(rng, count):
+        return a.sample(rng, count) + b.sample(rng, count)
 
     return MatrixGenerator(f"{a.name}+{b.name}", a.dim, sample)
 
@@ -102,8 +130,8 @@ def gen_product(a: MatrixGenerator, b: MatrixGenerator) -> MatrixGenerator:
     if a.dim != b.dim:
         raise ValueError("multiplied generators must share a dimension")
 
-    def sample(rng):
-        return a.sample(rng) @ b.sample(rng)
+    def sample(rng, count):
+        return a.sample(rng, count) @ b.sample(rng, count)
 
     return MatrixGenerator(f"{a.name}*{b.name}", a.dim, sample)
 
@@ -269,18 +297,24 @@ def verify_normalization(m: MeasureSpec, gamma: float, trials: int,
     """MC estimate of E[det(X X^T)] with Poisson sample size against the
     closed-form normalizer e^{-gamma} det(I + gamma Sigma).
 
-    det(X X^T) is the plain determinant of the K x K Gram matrix; it
-    vanishes automatically once K exceeds d.
+    Trials run in the blocks of ``run_block_streams``. A block draws every
+    K, then, for k = 1..d in turn, the rows of the trials with K = k and
+    their k x k Gram determinants in one batched call. det(X X^T) is 1 for
+    the empty matrix and vanishes once K exceeds d, so those trials draw no
+    rows.
     """
     d = m.dim
-    vals = np.empty(trials)
-    for i, rng in trial_streams(seed, 0, trials):
-        k = int(rng.poisson(gamma))
-        if k == 0:
-            vals[i] = 1.0  # det of the empty matrix
-            continue
-        X = sample_iid(m, k, rng)
-        vals[i] = np.linalg.det(X @ X.T) if k <= d else 0.0
+
+    def block(rng, count):
+        K = rng.poisson(gamma, size=count)
+        vals = (K == 0).astype(float)
+        for k in range(1, d + 1):
+            hit = np.flatnonzero(K == k)
+            X = sample_iid(m, hit.size * k, rng).reshape(hit.size, k, d)
+            vals[hit] = np.linalg.det(X @ np.swapaxes(X, 1, 2))
+        return vals
+
+    vals = np.concatenate(run_block_streams(block, trials, seed, block_size(d * d)))
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(trials))
     t = m.spectrum.eigenvalues

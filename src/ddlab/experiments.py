@@ -28,6 +28,7 @@ __all__ = [
     "CurvePoint",
     "mse_monte_carlo_iid",
     "mse_trial_samples",
+    "variance_point",
     "variance_discrepancy",
     "bias_discrepancy",
     "bootstrap_ci",
@@ -159,10 +160,18 @@ def bootstrap_opnorm_ci(matrix_samples, resamples: int = 2000, level: float = 0.
     return float(lo), float(hi)
 
 
-def variance_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
-                         threads: int | None = None, resamples: int = 1000) -> DiscrepancyPoint:
-    """|E[tr((X^T X)^+)] / V(Sigma, n) - 1| for a Gaussian i.i.d. design,
-    with an ordinary bootstrap CI mapped through the discrepancy."""
+def variance_point(s: Spectrum, d: int, aspect: float, seed: int,
+                   threads: int | None = None, resamples: int = 1000):
+    """The variance discrepancy point as a function of the trial count, for
+    ``adaptive_trials``: ``point(trials)`` returns what
+    ``variance_discrepancy(s, d, aspect, trials, seed, threads, resamples)``
+    returns.
+
+    The point keeps the per-trial tr((X^T X)^+) values it has computed and
+    computes only the trials it lacks, so a doubling costs the new trials
+    alone. Trial i still draws from its own stream, so the values do not
+    depend on the order of the calls.
+    """
     if s.dim != d:
         raise ValueError("spectrum dimension does not match d")
     n = round(aspect * d)
@@ -170,15 +179,31 @@ def variance_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: 
         raise ValueError("aspect must give 0 < n < d")
     target = variance_term(s, n)
     m = MeasureSpec(s, "gaussian")
+    vals = np.empty(0)
 
-    def block(lo, hi):
-        return min_norm_stats(_designs(m, n, seed, lo, hi))[0]
+    def point(trials: int) -> DiscrepancyPoint:
+        nonlocal vals
+        done = vals.size
+        if trials > done:
+            def block(lo, hi):
+                return min_norm_stats(_designs(m, n, seed, done + lo, done + hi))[0]
 
-    vals = np.concatenate(run_blocks(block, trials, threads, block_size(n * d)))
-    value = abs(float(np.mean(vals)) / target - 1.0)
-    lo, hi = bootstrap_ci(vals, resamples, seed=seed, stat=lambda mu: abs(mu / target - 1.0))
-    return DiscrepancyPoint(d=d, n=n, aspect=aspect, kind="variance", value=value,
-                            ci_low=lo, ci_high=hi, trials_used=trials)
+            vals = np.concatenate([vals, *run_blocks(block, trials - done, threads,
+                                                     block_size(n * d))])
+        used = vals[:trials]
+        value = abs(float(np.mean(used)) / target - 1.0)
+        lo, hi = bootstrap_ci(used, resamples, seed=seed, stat=lambda mu: abs(mu / target - 1.0))
+        return DiscrepancyPoint(d=d, n=n, aspect=aspect, kind="variance", value=value,
+                                ci_low=lo, ci_high=hi, trials_used=trials)
+
+    return point
+
+
+def variance_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
+                         threads: int | None = None, resamples: int = 1000) -> DiscrepancyPoint:
+    """|E[tr((X^T X)^+)] / V(Sigma, n) - 1| for a Gaussian i.i.d. design,
+    with an ordinary bootstrap CI mapped through the discrepancy."""
+    return variance_point(s, d, aspect, seed, threads, resamples)(trials)
 
 
 def bias_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
@@ -227,7 +252,12 @@ def adaptive_trials(point_fn, target_rel_halfwidth: float = 0.125, cap: int = 10
                     start: int = 100) -> DiscrepancyPoint:
     """Double the trial count until the bootstrap CI half-width is within
     the target fraction of the value; a point that hits the cap first is
-    flagged rather than failed."""
+    flagged rather than failed.
+
+    ``point_fn(trials)`` is called with each trial count in turn. A
+    ``variance_point`` computes each trial once across the doublings; a
+    function that recomputes, such as a ``bias_discrepancy`` call, redoes
+    the smaller counts' trials."""
     trials = min(start, cap)
     while True:
         point = point_fn(trials)

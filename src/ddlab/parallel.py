@@ -1,12 +1,20 @@
 """Deterministic trial execution.
 
-Each trial gets its own counter-based random stream keyed by
-(master seed, trial index), so results are identical for any thread
-count or scheduling order. ``trial_rng`` builds one such stream;
-``trial_streams`` walks the streams of a run of trials with a single
-Philox generator, re-keyed for each trial, which gives the same draws at a
-fraction of the set-up cost. Every per-trial loop uses ``trial_streams``;
-``trial_rng`` is for single streams (bootstraps, minor selection).
+Random streams are counter-based Philox streams keyed by (master seed,
+index), so results are identical for any thread count or scheduling
+order. There are two kinds of key:
+
+- Per-trial streams, keyed (seed, i) for trial i. ``trial_rng`` builds one;
+  ``trial_streams`` walks those of a run of trials with a single Philox
+  generator, re-keyed for each trial, which gives the same draws at a
+  fraction of the set-up cost. ``run_trials`` and the i.i.d. design stacks
+  of ``experiments`` use them; ``trial_rng`` also serves single streams
+  (bootstraps, minor selection).
+- Block streams, keyed (seed, 2^63 | b) for block b of a run.
+  ``run_block_streams`` hands each block its stream, and the block draws
+  all its trials in batched calls. The top bit keeps every block stream
+  apart from every per-trial stream. The determinant-preservation harness
+  draws its matrices this way.
 
 Threads and BLAS: ``run_blocks`` is the one trial engine. It cuts the
 trials into fixed blocks whose size comes from the input shapes, and the
@@ -14,8 +22,8 @@ worker threads run whole blocks in parallel. While it runs, OpenBLAS is
 held at one thread, so the workers' small LAPACK calls neither share nor
 wait for BLAS threads; the previous count is restored afterwards. Block
 boundaries never depend on ``threads``, so the output does not depend on
-``--threads`` either. Each block walks its own trials with
-``trial_streams``, so no generator is shared between threads.
+``--threads`` either. Each block draws from its own stream or streams,
+so no generator is shared between threads.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 __all__ = [
-    "trial_rng", "trial_streams", "run_blocks", "run_trials", "block_size", "default_threads",
+    "trial_rng", "trial_streams", "run_blocks", "run_block_streams", "run_trials", "block_size",
+    "default_threads",
 ]
 
 # design data per block, in floats (256 KB): keeps the memory a block holds
@@ -38,6 +47,8 @@ __all__ = [
 BLOCK_FLOATS = 2**15
 # block size of run_trials, whose per-trial work has no known shape
 TRIAL_BLOCK = 32
+# top bit of the block-stream keys: no trial index reaches it
+BLOCK_KEY = 1 << 63
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -160,6 +171,20 @@ def run_blocks(fn, trials: int, threads: int | None, block: int) -> list:
             return [fn(lo, hi) for lo, hi in bounds]
         with ThreadPoolExecutor(max_workers=min(threads, len(bounds))) as pool:
             return list(pool.map(lambda b: fn(*b), bounds))
+
+
+def run_block_streams(fn, trials: int, seed: int, block: int) -> list:
+    """Evaluate ``fn(rng, count)`` on the blocks of ``run_blocks`` at the
+    default thread count, where ``count`` is the block's number of trials
+    and ``rng`` the block's own stream, ``trial_rng(seed, BLOCK_KEY | b)``
+    for block b; return the block results in index order.
+
+    ``fn`` draws all of its block's trials from ``rng``, so the draws depend
+    on ``block`` (which callers fix from the trial shapes) but never on the
+    thread count.
+    """
+    return run_blocks(lambda lo, hi: fn(trial_rng(seed, BLOCK_KEY | lo // block), hi - lo),
+                      trials, None, block)
 
 
 def run_trials(fn, trials: int, seed: int, threads: int | None = None) -> list:

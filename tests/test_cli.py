@@ -160,6 +160,19 @@ class TestDpVerifyCommand:
         assert rc == 0
         assert "consistent" in capsys.readouterr().out
 
+    def test_poisson_gram_full_minor_left_out(self, tmp_path, capsys):
+        # d = 5 has 251 minors, more than the 200 tested; at seed 1 the
+        # sample leaves out the full 5 x 5 minor
+        out = tmp_path / "o"
+        rc = run(["dp-verify", "--scenario", "poisson_gram", "--d", "5", "--trials", "10000",
+                  "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "full minor not sampled" in text
+        assert "200 minors" in text
+        _, rows = read_rows(out / "dp_report.csv")
+        assert len(rows) == 200 and all(int(r[2]) < 5 for r in rows)
+
     def test_normalization_target(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = run(["dp-verify", "--scenario", "normalization", "--d", "1", "--gamma", "1",

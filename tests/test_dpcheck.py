@@ -137,14 +137,99 @@ class TestDeltaMethodSe:
             assert rec.det_of_mean_se == pytest.approx(boot, rel=0.15)
 
 
+BLOCK_KEY = 2**63
+
+
+def block_rngs(trials, d, seed):
+    """(count, rng) of every block of a run: block b holds up to
+    2^15 // d^2 trials and draws from the stream keyed (seed, 2^63 | b)."""
+    size = 2**15 // (d * d)
+    return [(min(size, trials - lo), trial_rng(seed, BLOCK_KEY | b))
+            for b, lo in enumerate(range(0, trials, size))]
+
+
+def gram_loop(rows, K):
+    """Per-trial sums of row outer products, added in row order."""
+    G = np.zeros((K.size, rows.shape[1], rows.shape[1]))
+    for row, t in zip(rows, np.repeat(np.arange(K.size), K)):
+        G[t] += np.outer(row, row)
+    return G
+
+
 class TestDrawStack:
-    def test_matches_per_trial_streams(self):
-        m = MeasureSpec(Spectrum(np.array([1.0, 2.0])))
-        Z = np.arange(4.0).reshape(2, 2)
-        for g in (gaussian_entries_generator(2), poisson_gram_generator(m, 2.0),
-                  scaled_fixed_generator(Z, [0.0, 1.0, 2.0])):
-            ref = np.stack([g.sample(trial_rng(31, i)) for i in range(300)])
-            np.testing.assert_array_equal(g.draw_stack(300, 31), ref)
+    EIGS = np.array([2.0, 1.0])
+    Z = np.arange(4.0).reshape(2, 2)
+    # trials cross the boundary of the 8192-trial blocks at d = 2
+    TRIALS = 10_000
+
+    @classmethod
+    def cases(cls):
+        m, Z = MeasureSpec(Spectrum(cls.EIGS)), cls.Z
+        root = np.sqrt(m.spectrum.eigenvalues)
+        vals = np.array([0.0, 1.0, 2.0])
+
+        def poisson(rng, c):
+            K = rng.poisson(2.0, size=c)
+            return gram_loop(rng.standard_normal((K.sum(), 2)) * root, K)
+
+        def fixed_k(rng, c):
+            X = rng.standard_normal((c, 3, 2)) * root
+            return np.swapaxes(X, 1, 2) @ X
+
+        # (generator, reference draw of one block)
+        return {
+            "fixed": (fixed_generator(Z), lambda rng, c: np.repeat(Z[None], c, axis=0)),
+            "gaussian_entries": (gaussian_entries_generator(2),
+                                 lambda rng, c: rng.standard_normal((c, 2, 2))),
+            "scaled_fixed": (scaled_fixed_generator(Z, vals),
+                             lambda rng, c: vals[rng.integers(3, size=c)][:, None, None] * Z),
+            "poisson_gram": (poisson_gram_generator(m, 2.0), poisson),
+            "fixed_k_gram": (fixed_k_gram_generator(m, 3), fixed_k),
+            "gen_sum": (gen_sum(fixed_generator(Z), gaussian_entries_generator(2)),
+                        lambda rng, c: Z + rng.standard_normal((c, 2, 2))),
+            "gen_product": (gen_product(gaussian_entries_generator(2),
+                                        gaussian_entries_generator(2)),
+                            lambda rng, c: (rng.standard_normal((c, 2, 2))
+                                            @ rng.standard_normal((c, 2, 2)))),
+        }
+
+    @pytest.mark.parametrize("name", ["fixed", "gaussian_entries", "scaled_fixed", "poisson_gram",
+                                      "fixed_k_gram", "gen_sum", "gen_product"])
+    def test_matches_block_reference(self, name):
+        g, draw = self.cases()[name]
+        ref = np.concatenate([draw(rng, c) for c, rng in block_rngs(self.TRIALS, 2, 31)])
+        np.testing.assert_array_equal(g.draw_stack(self.TRIALS, 31), ref)
+
+    def test_poisson_gram_sums_are_per_trial_grams(self):
+        m = MeasureSpec(Spectrum(np.array([1.0, 2.0, 3.0])))
+        G = poisson_gram_generator(m, 0.8).sample(trial_rng(32, 0), 500)
+        rng = trial_rng(32, 0)
+        K = rng.poisson(0.8, size=500)
+        X = sample_iid(m, int(K.sum()), rng)
+        ends = np.cumsum(K)
+        assert np.any(K == 0) and np.any(K > 1)
+        for t in range(500):
+            Xt = X[ends[t] - K[t]:ends[t]]
+            np.testing.assert_allclose(G[t], Xt.T @ Xt, rtol=1e-13, atol=1e-13)
+        assert not np.any(G[K == 0])
+
+    def test_block_stream_is_apart_from_trial_streams(self):
+        first = gaussian_entries_generator(2).draw_stack(1, 33)[0]
+        np.testing.assert_array_equal(first, trial_rng(33, BLOCK_KEY).standard_normal((2, 2)))
+        for index in (0, 0xD5):
+            assert not np.array_equal(first, trial_rng(33, index).standard_normal((2, 2)))
+
+    def test_reports_do_not_depend_on_threads(self, monkeypatch):
+        # 10^4 trials at d = 3 span three 3640-trial blocks
+        m = MeasureSpec(Spectrum(np.array([1.0, 2.0, 3.0])))
+        g = gen_sum(fixed_generator(np.eye(3)), gaussian_entries_generator(3))
+        runs = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("DDLAB_THREADS", threads)
+            runs.append((verify_dp(g, [1, 2, 3], 10_000, 34),
+                         verify_poisson_identity(m, 2.0, 10_000, 35),
+                         verify_normalization(m, 1.0, 10_000, 36)))
+        assert runs[0] == runs[1]
 
 
 class TestClosure:
@@ -220,17 +305,26 @@ class TestNormalization:
         assert target == pytest.approx(6.0 * math.exp(-1.0))
         assert abs(float(est.z_score(target))) < 4.0
 
-    def test_matches_per_trial_streams(self):
+    def test_matches_block_reference(self):
+        # K = 0 gives 1 and K > d gives 0 without drawing rows; the trials of
+        # each size k draw their rows together, k = 1..d in turn
         m = MeasureSpec(Spectrum(np.array([1.0, 2.0])))
+        root = np.sqrt(m.spectrum.eigenvalues)
         vals = []
-        for i in range(2000):
-            rng = trial_rng(16, i)
-            k = int(rng.poisson(1.5))
-            X = sample_iid(m, k, rng)
-            vals.append(1.0 if k == 0 else np.linalg.det(X @ X.T) if k <= 2 else 0.0)
-        est, _ = verify_normalization(m, 1.5, 2000, 16)
+        for c, rng in block_rngs(10_000, 2, 16):
+            K = rng.poisson(1.5, size=c)
+            v = np.where(K == 0, 1.0, 0.0)
+            for k in (1, 2):
+                hit = np.flatnonzero(K == k)
+                X = rng.standard_normal((hit.size * k, 2)) * root
+                for j, t in enumerate(hit):
+                    Xt = X[j * k:(j + 1) * k]
+                    v[t] = np.linalg.det(Xt @ Xt.T)
+            vals.append(v)
+        vals = np.concatenate(vals)
+        est, _ = verify_normalization(m, 1.5, 10_000, 16)
         assert float(est.mean) == float(np.mean(vals))
-        assert float(est.std_error) == float(np.std(vals, ddof=1) / math.sqrt(2000))
+        assert float(est.std_error) == float(np.std(vals, ddof=1) / math.sqrt(10_000))
 
     def test_small_gamma_limit(self):
         m = MeasureSpec(Spectrum(np.ones(2)))

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddlab.covariance import Spectrum
+from ddlab import experiments
+from ddlab.covariance import Spectrum, make_profile
 from ddlab.designs import MeasureSpec
 from ddlab.parallel import trial_rng
 from ddlab.experiments import (
@@ -19,6 +20,7 @@ from ddlab.experiments import (
     mse_monte_carlo_iid,
     mse_trial_samples,
     variance_discrepancy,
+    variance_point,
 )
 from ddlab.surrogate import RegressionProblem, surrogate_mse, variance_term
 
@@ -197,6 +199,39 @@ class TestAdaptiveTrials:
         point = adaptive_trials(fn, cap=10_000)
         assert point.trials_used <= 10_000
         assert not point.flagged
+
+
+class TestVariancePoint:
+    # diag_exp at d = 10, seed 4 reaches the CI target at 3200 trials: five
+    # doublings from 100, across the 655-trial blocks of n = 5 designs
+    S = make_profile("diag_exp", 10)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("cap,flagged", [(100_000, False), (1000, True)])
+    def test_matches_recomputed_point(self, threads, cap, flagged):
+        point = adaptive_trials(variance_point(self.S, 10, 0.5, 4, threads), cap=cap)
+        ref = adaptive_trials(lambda t: variance_discrepancy(self.S, 10, 0.5, t, 4, threads),
+                              cap=cap)
+        assert point == ref
+        assert point.flagged == flagged
+        assert point.trials_used >= 800
+
+    def test_computes_each_trial_once(self, monkeypatch):
+        drawn = []
+        designs = experiments._designs
+
+        def counting(m, n, seed, lo, hi):
+            drawn.append(hi - lo)
+            return designs(m, n, seed, lo, hi)
+
+        monkeypatch.setattr(experiments, "_designs", counting)
+        point = adaptive_trials(variance_point(self.S, 10, 0.5, 4), cap=100_000)
+        assert sum(drawn) == point.trials_used == 3200
+
+    def test_smaller_count_reuses_first_trials(self):
+        point = variance_point(self.S, 10, 0.5, 4)
+        point(2000)
+        assert point(500) == variance_discrepancy(self.S, 10, 0.5, 500, 4)
 
 
 class TestLoglogSlope:
