@@ -11,7 +11,6 @@ from .designs import (
     sample_surrogate_under_batch,
     surrogate_expectation_oracle,
 )
-from .errors import UnsupportedMeasureError
 from .linalg import log_det_gram, projection_complement, pseudo_inverse
 from .surrogate import (
     RegressionProblem,

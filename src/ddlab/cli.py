@@ -28,7 +28,6 @@ from .designs import (
     sample_surrogate_over,
     sample_surrogate_under_batch,
 )
-from .errors import UnsupportedMeasureError
 from .parallel import default_threads
 from .surrogate import RegressionProblem
 
@@ -387,7 +386,10 @@ def build_parser() -> _Parser:
     s.add_argument("--profile", default=None)
     s.add_argument("--kappa", type=float, default=None)
     s.add_argument("--entry-law", dest="entry_law", default=None)
-    s.add_argument("--chain-steps", dest="chain_steps", type=int, default=None)
+    s.add_argument("--chain-steps", dest="chain_steps", type=int, default=None,
+                   help="Metropolis steps for the rademacher and uniform_pm_sqrt3 entry laws "
+                        "(default 100 per block row); gaussian designs are drawn exactly "
+                        "and ignore it")
     s.add_argument("--sigma2", type=float, default=None)
     return ap
 
@@ -402,7 +404,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, UnsupportedMeasureError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"ddlab: invalid input: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # numerical or internal failure

@@ -7,8 +7,12 @@ Three ways of touching the surrogate design live here:
   self-normalized determinant weighting of Poisson-sized i.i.d. draws
   (an exact identity, so the estimates are unbiased up to normalization),
 * ``sample_surrogate_under_batch`` / ``sample_surrogate_over`` produce
-  actual surrogate samples from one batched Metropolis row-replacement
-  chain, ``_chain``, which advances many chains in lockstep.
+  actual surrogate samples. For the ``gaussian`` law ``_tilted`` draws
+  them exactly, as a mixture over column sets of a determinant-tilted
+  block, batched over samples. For the ``rademacher`` and
+  ``uniform_pm_sqrt3`` laws one batched Metropolis row-replacement chain,
+  ``_chain``, advances many chains in lockstep; its length is a desk-scale
+  default with no mixing theory behind it.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import Spectrum, apply_sqrt
-from .errors import UnsupportedMeasureError
 from .linalg import log_det_gram, zero_threshold
 from .parallel import run_trials, trial_rng
-from .surrogate import surrogate_params, surrogate_size_pmf
+from .surrogate import _log_esp_prefix, surrogate_params, surrogate_size_pmf
 
 __all__ = [
     "MeasureSpec",
@@ -191,13 +194,6 @@ def surrogate_expectation_oracle(f, m: MeasureSpec, n: float, trials: int, seed:
     return MonteCarloEstimate(mean=mean, std_error=se, trials=trials, effective_sample_size=ess)
 
 
-def _gram_log_weight(X: np.ndarray) -> np.ndarray:
-    """log det(X X^T) of each design in a (..., k, d) stack; -inf unless
-    the Gram determinant is positive."""
-    sign, logdet = np.linalg.slogdet(X @ np.swapaxes(X, -1, -2))
-    return np.where(sign > 0, logdet, -np.inf)
-
-
 def _chain(m: MeasureSpec, k: int, num: int, steps: int, rng) -> tuple[np.ndarray, int]:
     """num Metropolis row-replacement chains over k x d designs, advanced in
     lockstep from one stream, with stationary density proportional to
@@ -209,13 +205,13 @@ def _chain(m: MeasureSpec, k: int, num: int, steps: int, rng) -> tuple[np.ndarra
     """
     s = m.spectrum
     X = apply_sqrt(s, _raw_rows(m, (num, k), rng))
-    lw = _gram_log_weight(X)
+    lw = log_det_gram(X)
     bad = ~np.isfinite(lw)
-    for _ in range(1000):  # rank-deficient starts have probability zero; redraw defensively
+    for _ in range(1000):  # rank-deficient starts (sign rows hit them); redraw, boundedly
         if not np.any(bad):
             break
         X[bad] = apply_sqrt(s, _raw_rows(m, (int(np.sum(bad)), k), rng))
-        lw[bad] = _gram_log_weight(X[bad])
+        lw[bad] = log_det_gram(X[bad])
         bad = ~np.isfinite(lw)
     if np.any(bad):
         raise RuntimeError("could not initialize a full-rank chain state")
@@ -227,7 +223,7 @@ def _chain(m: MeasureSpec, k: int, num: int, steps: int, rng) -> tuple[np.ndarra
         # one-row stacks: with a basis, a single (num, d) GEMM rounds
         # differently, and the chain's output is pinned bit for bit
         Xp[chains, rows] = apply_sqrt(s, _raw_rows(m, (num, 1), rng))[:, 0]
-        lwp = _gram_log_weight(Xp)
+        lwp = log_det_gram(Xp)
         acc = np.log(rng.uniform(size=num)) < lwp - lw
         X[acc] = Xp[acc]
         lw[acc] = lwp[acc]
@@ -235,40 +231,101 @@ def _chain(m: MeasureSpec, k: int, num: int, steps: int, rng) -> tuple[np.ndarra
     return X, accepted
 
 
+def _select_columns(log_tau: np.ndarray, k: int, num: int, rng) -> np.ndarray:
+    """num column sets S of size k, drawn with P(S) proportional to
+    prod_{i in S} tau_i, as (num, k) column indices in increasing order.
+
+    Walks i = d..1 with r columns still to choose and takes i with
+    probability tau_i e_{r-1}(tau_1..tau_{i-1}) / e_r(tau_1..tau_i), read
+    off the prefix ESP table (the elementary-DPP step of k-DPP sampling).
+    """
+    d = log_tau.size
+    E = _log_esp_prefix(log_tau, k)
+    logu = np.log(rng.random((num, d)))
+    r = np.full(num, k)
+    take = np.zeros((num, d), dtype=bool)
+    for i in range(d, 0, -1):
+        rr = np.maximum(r, 1)
+        logp = log_tau[i - 1] + E[i - 1, rr - 1] - E[i, rr]
+        take[:, i - 1] = (r >= i) | ((r > 0) & (logu[:, i - 1] < logp))
+        r -= take[:, i - 1]
+    return np.nonzero(take)[1].reshape(num, k)
+
+
+def _tilted(m: MeasureSpec, k: int, num: int, rng) -> np.ndarray:
+    """num exact draws of the k x d Gaussian design with density
+    proportional to det(X X^T) times the measure, as a (num, k, d) stack.
+
+    In eigen coordinates X = Z Lambda^{1/2} V^T with Z i.i.d. N(0, 1), and
+    Cauchy-Binet gives det(X X^T) = sum_{|S|=k} det(Z_S)^2 prod_{i in S}
+    tau_i with E det(Z_S)^2 = k! for every S. So the tilted law is a
+    mixture: S from _select_columns; the k x k block Z_S with density
+    proportional to det(Z_S)^2 times the Gaussian, which is H R with H Haar
+    and R the Bartlett factor of Wishart_k(k + 2, I) (R_ii^2 ~
+    chi^2_{k+3-i}, N(0, 1) above the diagonal); the other columns i.i.d.
+    N(0, 1).
+    """
+    s = m.spectrum
+    d = s.dim
+    cols = _select_columns(np.log(s.eigenvalues), k, num, rng)
+    Z = rng.standard_normal((num, k, d))
+    at = np.broadcast_to(cols[:, None, :], (num, k, k))
+    # H is the Q factor of the Gaussian S block itself, its column signs
+    # fixed by diag(R) so that it is Haar
+    Q, G = np.linalg.qr(np.take_along_axis(Z, at, axis=2))
+    H = Q * np.where(np.diagonal(G, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None, :]
+    R = np.triu(rng.standard_normal((num, k, k)), 1)
+    R[:, np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(np.arange(k + 2, 2, -1), size=(num, k)))
+    np.put_along_axis(Z, at, H @ R, axis=2)
+    X = Z * np.sqrt(s.eigenvalues)
+    return X if s.basis is None else X @ s.basis.T
+
+
 def sample_surrogate_over(m: MeasureSpec, n: float, chain_steps: int | None, seed_or_rng) -> DesignSample:
     """One surrogate sample for n > d: a d x d block with density prop. to
     det(X)^2 times the measure, plus Poisson(n - d) i.i.d. rows, under a
-    uniformly random row permutation. ``chain_steps=None`` means 100 d."""
+    uniformly random row permutation.
+
+    The block is drawn exactly (``_tilted`` with k = d) for the
+    ``gaussian`` law, which reports an acceptance rate of 1.0 and ignores
+    ``chain_steps``. The other laws run ``_chain`` for ``chain_steps``
+    steps; ``None`` means 100 d, a desk-scale default with no mixing
+    theory behind it.
+    """
     d = m.dim
     if n < d:
         raise ValueError("sample_surrogate_over needs n >= d")
     rng = _resolve_rng(seed_or_rng)
-    if chain_steps is None:
-        chain_steps = 100 * d
-    X, accepted = _chain(m, d, 1, chain_steps, rng)
+    if m.entry_law == "gaussian":
+        X, rate = _tilted(m, d, 1, rng), 1.0
+    else:
+        if chain_steps is None:
+            chain_steps = 100 * d
+        X, accepted = _chain(m, d, 1, chain_steps, rng)
+        rate = accepted / chain_steps if chain_steps > 0 else 0.0
     extra = sample_iid(m, int(rng.poisson(n - d)), rng)
     full = np.vstack([X[0], extra])
     perm = rng.permutation(full.shape[0])
-    rate = accepted / chain_steps if chain_steps > 0 else 0.0
     return DesignSample(X=full[perm], accept_rate=rate)
 
 
 def sample_surrogate_under_batch(m: MeasureSpec, n: int, num: int, chain_steps: int | None,
                                  seed: int) -> tuple[list[np.ndarray], float]:
     """num under-determined (n < d) surrogate samples: realized sizes from
-    the closed-form pmf, then one lockstep chain batch per size.
+    the closed-form pmf, then one batch per size.
 
-    All chains draw from a single seeded stream, which keeps the batch
-    deterministic for a fixed (seed, num, chain_steps). ``chain_steps=None``
-    means 100 k for size k (a desk-scale default; no mixing theory is
-    available). Gaussian measure only (the size pmf requires it). Returns
-    the samples and the pooled acceptance rate.
+    For the ``gaussian`` law each batch is an exact draw (``_tilted``), the
+    returned rate is 1.0 and ``chain_steps`` is ignored. The other laws run
+    one lockstep ``_chain`` batch per size; ``chain_steps=None`` means
+    100 k for size k (a desk-scale default; no mixing theory is
+    available), and the rate is the pooled acceptance rate. All draws come
+    from a single seeded stream, which keeps the batch deterministic for a
+    fixed (seed, num, chain_steps).
     """
-    if m.entry_law != "gaussian":
-        raise UnsupportedMeasureError("under-determined surrogate sampling requires a Gaussian measure")
     rng = _resolve_rng(seed)
     pmf = surrogate_size_pmf(m.spectrum, n)
     ks = rng.choice(len(pmf), size=num, p=pmf)
+    exact = m.entry_law == "gaussian"
     out: list[np.ndarray | None] = [None] * num
     accepted = 0
     proposals = 0
@@ -276,6 +333,8 @@ def sample_surrogate_under_batch(m: MeasureSpec, n: int, num: int, chain_steps: 
         idx = np.flatnonzero(ks == k)
         if k == 0:
             X = np.zeros((idx.size, 0, m.dim))
+        elif exact:
+            X = _tilted(m, int(k), idx.size, rng)
         else:
             steps = 100 * int(k) if chain_steps is None else chain_steps
             X, acc = _chain(m, int(k), idx.size, steps, rng)
@@ -283,5 +342,6 @@ def sample_surrogate_under_batch(m: MeasureSpec, n: int, num: int, chain_steps: 
             proposals += idx.size * steps
         for j, i in enumerate(idx):
             out[i] = X[j]
-    rate = accepted / proposals if proposals else 0.0
-    return out, rate
+    if exact:
+        return out, 1.0
+    return out, accepted / proposals if proposals else 0.0

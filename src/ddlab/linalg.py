@@ -33,15 +33,15 @@ def _as_matrix(A, ndim: int = 2) -> np.ndarray:
     return A
 
 
-def zero_threshold(singular_values: np.ndarray, shape: tuple[int, int]) -> float:
+def zero_threshold(singular_values: np.ndarray, shape: tuple[int, int]):
     """Cutoff below which singular values are treated as exactly zero.
 
     sigma <= eps * sigma_max * max(rows, cols), the standard numerically
-    safe rank cutoff.
+    safe rank cutoff; one cutoff per vector of a (..., r) stack.
     """
     if singular_values.size == 0:
         return 0.0
-    return _EPS * float(np.max(singular_values)) * max(shape)
+    return _EPS * np.max(singular_values, axis=-1) * max(shape)
 
 
 def pseudo_inverse(A) -> np.ndarray:
@@ -72,23 +72,27 @@ def projection_complement(X) -> np.ndarray:
     return np.eye(d) - V.T @ V
 
 
-def log_det_gram(X) -> float:
-    """log det(X X^T) for a k x d matrix with k <= d.
+def log_det_gram(X):
+    """log det(X X^T) for a k x d matrix with k <= d, or for each matrix of
+    a (..., k, d) stack.
 
-    Returns -inf when X is rank deficient; the empty 0 x d design gives
+    Returns -inf when X is rank deficient, that is when a singular value
+    falls to the shared zero threshold; the empty 0 x d design gives
     log(1) = 0. Computed from singular values so no Gram matrix is formed.
     """
-    X = _as_matrix(X)
-    k, d = X.shape
+    X = np.asarray(X, dtype=float)
+    X = _as_matrix(X, ndim=max(X.ndim, 2))
+    k, d = X.shape[-2:]
     if k > d:
         raise ValueError(f"log_det_gram needs k <= d, got {k} x {d}")
     if k == 0:
-        return 0.0
-    s = np.linalg.svd(X, compute_uv=False)
-    cut = zero_threshold(s, X.shape)
-    if np.any(s <= cut):
-        return -np.inf
-    return float(2.0 * np.sum(np.log(s)))
+        out = np.zeros(X.shape[:-2])
+    else:
+        s = np.linalg.svd(X, compute_uv=False)
+        with np.errstate(divide="ignore"):
+            logdet = 2.0 * np.sum(np.log(s), axis=-1)
+        out = np.where(np.min(s, axis=-1) > zero_threshold(s, (k, d)), logdet, -np.inf)
+    return float(out) if X.ndim == 2 else out
 
 
 def _r_factor(X: np.ndarray, w: np.ndarray | None):

@@ -4,7 +4,8 @@
 * the derived scalars (gamma_n, lambda_n, alpha_n, beta_n),
 * the exact surrogate MSE and its variance/bias split,
 * the expected minimum-norm estimator (implicit regularization mean),
-* the realized-sample-size distribution for a Gaussian row measure.
+* the realized-sample-size distribution for any row measure with i.i.d.
+  zero-mean, unit-variance entries.
 
 Everything here is evaluated in the eigenbasis of the covariance, so all
 matrix expressions reduce to per-eigenvalue scalar operations.
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import Spectrum
-from .errors import UnsupportedMeasureError
 
 __all__ = [
     "SurrogateParams",
@@ -202,30 +202,34 @@ def implicit_reg_mean(p: RegressionProblem, n: float, v: np.ndarray | None = Non
     return v / t
 
 
-def _log_esp(log_vals: np.ndarray, up_to: int) -> np.ndarray:
-    """log e_0..e_{up_to} of positive values given their logs.
+def _log_esp_prefix(log_vals: np.ndarray, up_to: int) -> np.ndarray:
+    """Table of log e_0..e_{up_to} of the prefixes of positive values given
+    their logs: row i holds those of the first i values.
 
     Log-space version of the standard one-value-at-a-time recursion, so
     the result is finite even when the linear-space e_k overflow.
     """
-    loge = np.full(up_to + 1, -np.inf)
-    loge[0] = 0.0
-    for lv in log_vals:
-        # the right side is built before the assignment, so every e_k takes
-        # the e_{k-1} from before this value, as the recursion requires
-        loge[1:] = np.logaddexp(loge[1:], lv + loge[:-1])
-    return loge
+    table = np.full((len(log_vals) + 1, up_to + 1), -np.inf)
+    table[:, 0] = 0.0
+    for i, lv in enumerate(log_vals):
+        table[i + 1, 1:] = np.logaddexp(table[i, 1:], lv + table[i, :-1])
+    return table
 
 
-def surrogate_size_pmf(s: Spectrum, n: int, entry_law: str = "gaussian") -> np.ndarray:
+def _log_esp(log_vals: np.ndarray, up_to: int) -> np.ndarray:
+    """log e_0..e_{up_to} of positive values given their logs."""
+    return _log_esp_prefix(log_vals, up_to)[-1]
+
+
+def surrogate_size_pmf(s: Spectrum, n: int) -> np.ndarray:
     """P(K = k), k = 0..d, of the realized surrogate sample size for n < d.
 
-    For a Gaussian row measure E[det(X X^T) | K = k] = k! e_k(eigenvalues)
-    exactly, which gives P(k) proportional to gamma_n^k e_k; the normalizer
-    is det(I + gamma_n Sigma). Computed in log space.
+    For rows x = Sigma^{1/2} z with i.i.d. zero-mean, unit-variance entries
+    z, Cauchy-Binet gives E[det(X X^T) | K = k] = k! e_k(eigenvalues)
+    exactly, whatever the entry law, so P(k) is proportional to
+    gamma_n^k e_k; the normalizer is det(I + gamma_n Sigma). Computed in
+    log space.
     """
-    if entry_law != "gaussian":
-        raise UnsupportedMeasureError("the closed-form size pmf requires a Gaussian measure")
     d = s.dim
     if not (isinstance(n, (int, np.integer)) and 0 < n < d):
         raise ValueError("surrogate_size_pmf needs an integer 0 < n < d")

@@ -217,11 +217,14 @@ class TestSampleCommand:
             assert r[-1] != ""
             float(r[-1])
 
-    def test_non_gaussian_under_exit_1(self, tmp_path, capsys):
+    def test_non_gaussian_under_runs_chain(self, tmp_path):
+        out = tmp_path / "o"
         rc = run(["sample", "--d", "4", "--n", "2", "--entry-law", "rademacher",
-                  "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "invalid input" in capsys.readouterr().err
+                  "--out", str(out)])
+        assert rc == 0
+        _, rows = read_rows(out / "sample.csv")
+        assert len(rows) <= 4
+        assert all(float(v) in (-1.0, 1.0) for r in rows for v in r[:-1])
 
     def test_reproducible(self, tmp_path):
         args = ["sample", "--d", "3", "--n", "2", "--chain-steps", "40", "--seed", "8"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,10 +17,9 @@ from ddlab.designs import (
     sample_surrogate_under_batch,
     surrogate_expectation_oracle,
 )
-from ddlab.errors import UnsupportedMeasureError
 from ddlab.linalg import projection_complement
 from ddlab.parallel import _openblas_threads, run_blocks, run_trials, trial_rng, trial_streams
-from ddlab.surrogate import surrogate_size_pmf
+from ddlab.surrogate import surrogate_params, surrogate_size_pmf
 
 
 class TestSampleIid:
@@ -117,13 +117,21 @@ class TestOracle:
 
 def lockstep_reference(m, n, num, steps, seed):
     """Reference stream of the batched chain: every chain of one size
-    advances in lockstep on one stream, rows are standard normals times
-    Sigma^{1/2}, and singular starts are redrawn without bound."""
+    advances in lockstep on one stream, rows are the measure's raw rows
+    times Sigma^{1/2}, the weight is log det(X X^T) from the singular values
+    with the shared rank cutoff, and singular starts are redrawn without
+    bound."""
     s = m.spectrum
     root = np.sqrt(s.eigenvalues)
 
     def sqrt_stack(Z):
         return Z * root if s.basis is None else ((Z @ s.basis) * root) @ s.basis.T
+
+    def weight(X):
+        sv = np.linalg.svd(X, compute_uv=False)
+        full = sv[..., -1] > np.finfo(float).eps * sv[..., 0] * max(X.shape[-2:])
+        with np.errstate(divide="ignore"):
+            return np.where(full, 2.0 * np.sum(np.log(sv), axis=-1), -np.inf)
 
     rng = trial_rng(seed, 0)
     d = m.dim
@@ -138,22 +146,19 @@ def lockstep_reference(m, n, num, steps, seed):
                 out[i] = np.zeros((0, d))
             continue
         B = idx.size
-        X = sqrt_stack(rng.standard_normal((B, k, d)))
-        sign, ld = np.linalg.slogdet(X @ np.swapaxes(X, 1, 2))
-        lw = np.where(sign > 0, ld, -np.inf)
+        X = sqrt_stack(designs._raw_rows(m, (B, k), rng))
+        lw = weight(X)
         bad = ~np.isfinite(lw)
         while np.any(bad):
-            X[bad] = sqrt_stack(rng.standard_normal((int(np.sum(bad)), k, d)))
-            s2, l2 = np.linalg.slogdet(X[bad] @ np.swapaxes(X[bad], 1, 2))
-            lw[bad] = np.where(s2 > 0, l2, -np.inf)
+            X[bad] = sqrt_stack(designs._raw_rows(m, (int(np.sum(bad)), k), rng))
+            lw[bad] = weight(X[bad])
             bad = ~np.isfinite(lw)
         for _ in range(steps):
             rows = rng.integers(k, size=B)
-            props = sqrt_stack(rng.standard_normal((B, 1, d)))[:, 0, :]
+            props = sqrt_stack(designs._raw_rows(m, (B, 1), rng))[:, 0, :]
             Xp = X.copy()
             Xp[np.arange(B), rows] = props
-            sp, lp = np.linalg.slogdet(Xp @ np.swapaxes(Xp, 1, 2))
-            lwp = np.where(sp > 0, lp, -np.inf)
+            lwp = weight(Xp)
             acc = np.log(rng.uniform(size=B)) < (lwp - lw)
             X[acc] = Xp[acc]
             lw[acc] = lwp[acc]
@@ -165,10 +170,15 @@ def lockstep_reference(m, n, num, steps, seed):
 
 
 class TestSamplerUnder:
-    def test_non_gaussian_rejected(self):
+    def test_rademacher_entries_and_sizes(self):
+        # the size pmf holds for every entry law, so other laws run the chain
         m = MeasureSpec(Spectrum(np.ones(3)), "rademacher")
-        with pytest.raises(UnsupportedMeasureError):
-            sample_surrogate_under_batch(m, 1, 1, 10, 1)
+        samples, rate = sample_surrogate_under_batch(m, 1, 3000, 10, 1)
+        assert all(set(np.unique(X)) <= {-1.0, 1.0} for X in samples)
+        counts = np.bincount([X.shape[0] for X in samples], minlength=4)
+        assert counts.size == 4
+        assert stats.chisquare(counts, 3000 * surrogate_size_pmf(m.spectrum, 1)).pvalue > 0.01
+        assert 0 < rate <= 1
 
     def test_size_bounded_by_d(self):
         m = MeasureSpec(Spectrum(np.ones(3)))
@@ -182,15 +192,17 @@ class TestSamplerUnder:
                   basis=np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]), 2, 40, 10),
     ])
     def test_matches_lockstep_reference_bitwise(self, s, n, num, steps):
-        m = MeasureSpec(s)
-        samples, rate = sample_surrogate_under_batch(m, n, num, steps, 37)
-        ref, ref_rate = lockstep_reference(m, n, num, steps, 37)
-        assert rate == ref_rate
-        for X, R in zip(samples, ref, strict=True):
-            np.testing.assert_array_equal(X, R)
+        # the laws that still run the chain; gaussian draws exactly
+        for law in ("rademacher", "uniform_pm_sqrt3"):
+            m = MeasureSpec(s, law)
+            samples, rate = sample_surrogate_under_batch(m, n, num, steps, 37)
+            ref, ref_rate = lockstep_reference(m, n, num, steps, 37)
+            assert rate == ref_rate
+            for X, R in zip(samples, ref, strict=True):
+                np.testing.assert_array_equal(X, R)
 
     def test_default_steps_are_100_per_row(self):
-        m = MeasureSpec(Spectrum(np.array([1.0, 2.0, 3.0])))
+        m = MeasureSpec(Spectrum(np.array([1.0, 2.0, 3.0])), "uniform_pm_sqrt3")
         samples, rate = sample_surrogate_under_batch(m, 2, 1, None, 5)
         k = samples[0].shape[0]
         explicit = sample_surrogate_under_batch(m, 2, 1, 100 * k, 5)
@@ -204,7 +216,7 @@ class TestSamplerUnder:
         with pytest.raises(RuntimeError, match="full-rank"):
             designs._chain(m, 2, 4, 5, trial_rng(1, 0))
         with pytest.raises(RuntimeError, match="full-rank"):
-            sample_surrogate_over(m, 4.0, 5, 1)
+            sample_surrogate_over(MeasureSpec(m.spectrum, "rademacher"), 4.0, 5, 1)
 
     def test_size_frequencies_match_pmf(self):
         m = MeasureSpec(Spectrum(np.array([1.0, 2.0])))
@@ -222,7 +234,94 @@ class TestSamplerUnder:
         se = mats.std(axis=0, ddof=1) / math.sqrt(len(samples))
         target = np.diag(1.0 / (1.0 * np.ones(2) + 1.0))  # gamma = 1 at n=1, d=2
         assert np.max(np.abs((mean - target) / np.where(se > 0, se, np.inf))) < 4.0
+        assert rate == 1.0  # exact draws
+        _, rate = sample_surrogate_under_batch(MeasureSpec(m.spectrum, "uniform_pm_sqrt3"),
+                                               1, 8000, 60, 31)
         assert 0 < rate < 1
+
+
+def projection_diagonals(samples, d):
+    """diag(I - X^+ X) of each sample, from the Q factor of X^T per size."""
+    ks = np.array([X.shape[0] for X in samples])
+    diags = np.ones((len(samples), d))
+    for k in np.unique(ks[ks > 0]):
+        idx = np.flatnonzero(ks == k)
+        Q = np.linalg.qr(np.swapaxes(np.stack([samples[i] for i in idx]), 1, 2))[0]
+        diags[idx] = 1.0 - np.sum(Q**2, axis=2)
+    return diags, ks
+
+
+class TestTiltedDraw:
+    def test_column_sets_match_enumeration(self):
+        tau = np.array([0.3, 1.0, 2.0, 0.5, 4.0])
+        subsets = list(itertools.combinations(range(5), 2))
+        p = np.array([np.prod(tau[list(S)]) for S in subsets])
+        p /= p.sum()  # prod tau_S / e_2(tau)
+        cols = designs._select_columns(np.log(tau), 2, 50_000, trial_rng(4, 0))
+        assert np.all(np.diff(cols, axis=1) > 0)
+        index = {S: i for i, S in enumerate(subsets)}
+        counts = np.bincount([index[tuple(c)] for c in cols], minlength=len(subsets))
+        assert stats.chisquare(counts, 50_000 * p).pvalue > 0.01
+
+    def test_block_second_moment(self):
+        # with k = d every column is in S; E[Z_S^T Z_S] = (k + 2) I
+        k, num = 3, 40_000
+        Z = designs._tilted(MeasureSpec(Spectrum(np.ones(k))), k, num, trial_rng(5, 0))
+        prods = np.einsum("bki,bkj->bij", Z, Z)
+        se = prods.std(axis=0, ddof=1) / math.sqrt(num)
+        assert np.max(np.abs((prods.mean(axis=0) - (k + 2) * np.eye(k)) / se)) < 4.0
+
+    def test_rotated_spectrum(self):
+        basis = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+        s = Spectrum(np.array([4.0, 3.0, 2.0, 1.0]), basis=basis)
+        num = 20_000
+        samples, rate = sample_surrogate_under_batch(MeasureSpec(s), 2, num, None, 43)
+        mats = np.stack([projection_complement(X) for X in samples])
+        lam = surrogate_params(s, 2).lambda_n
+        target = basis @ np.diag(lam / (s.eigenvalues + lam)) @ basis.T
+        se = mats.std(axis=0, ddof=1) / math.sqrt(num)
+        assert np.max(np.abs((mats.mean(axis=0) - target) / se)) < 4.0
+        assert rate == 1.0
+
+    def test_reruns_are_byte_identical(self):
+        m = MeasureSpec(make_profile("diag_exp", 6))
+        a, _ = sample_surrogate_under_batch(m, 3, 200, None, 8)
+        b, _ = sample_surrogate_under_batch(m, 3, 200, 7, 8)  # chain_steps is ignored
+        for X, Y in zip(a, b, strict=True):
+            assert X.tobytes() == Y.tobytes()
+        assert sample_surrogate_over(m, 9.0, None, 8).X.tobytes() == \
+            sample_surrogate_over(m, 9.0, 5, 8).X.tobytes()
+
+    def test_figure_scale_projection_and_sizes(self):
+        # d = 100 at n = 50: the 100 diagonal entries of E[I - X^+ X] and the
+        # size frequencies, each family member at the Bonferroni split of a
+        # single 3-SE test's level
+        s = make_profile("diag_exp", 100)
+        d, n, num = 100, 50, 4000
+        samples, _ = sample_surrogate_under_batch(MeasureSpec(s), n, num, None, 47)
+        diags, ks = projection_diagonals(samples, d)
+        lam = surrogate_params(s, n).lambda_n
+        z = list((diags.mean(axis=0) - lam / (s.eigenvalues + lam))
+                 / (diags.std(axis=0, ddof=1) / math.sqrt(num)))
+        pmf = surrogate_size_pmf(s, n)
+        cells = np.flatnonzero(num * pmf >= 5)
+        freq = np.bincount(ks, minlength=d + 1)[cells] / num
+        z += list((freq - pmf[cells]) / np.sqrt(pmf[cells] * (1 - pmf[cells]) / num))
+        bound = stats.norm.isf(stats.norm.sf(3.0) / len(z))
+        assert np.max(np.abs(z)) < bound
+
+
+class TestChainWeight:
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_singular_sign_blocks_get_zero_weight(self, size):
+        # det of a +-1 matrix is a multiple of 2^(size-1), so |det| < 1 is
+        # exact singularity
+        Z = trial_rng(53, size).integers(0, 2, size=(4000, size, size)) * 2.0 - 1.0
+        singular = np.abs(np.linalg.det(Z)) < 1.0
+        assert 0 < np.sum(singular) < 4000
+        lw = designs.log_det_gram(Z)
+        assert np.all(lw[singular] == -np.inf)
+        assert np.all(np.isfinite(lw[~singular]))
 
 
 class TestSamplerOver:

@@ -92,6 +92,18 @@ class TestLogDetGram:
     def test_wide_only(self):
         with pytest.raises(ValueError):
             log_det_gram(np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            log_det_gram(np.zeros((4, 3, 2)))
+
+    def test_stack_matches_single_designs(self):
+        X = rng_for(6).standard_normal((2, 5, 3, 6))
+        X[1, 2, 1] = X[1, 2, 0]
+        out = log_det_gram(X)
+        assert out.shape == (2, 5)
+        ref = [[log_det_gram(x) for x in row] for row in X]
+        np.testing.assert_array_equal(out, ref)
+        assert out[1, 2] == -np.inf
+        np.testing.assert_array_equal(log_det_gram(np.zeros((4, 0, 3))), np.zeros(4))
 
 
 def svd_stats(X, w):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlab.covariance import Spectrum, make_profile
-from ddlab.errors import UnsupportedMeasureError
 from ddlab.surrogate import (
     RegressionProblem,
     _log_esp,
+    _log_esp_prefix,
     bias_factors,
     effective_dimension,
     implicit_reg_mean,
@@ -200,9 +201,20 @@ class TestSizePmf:
         assert np.all(np.isfinite(pmf))
         assert float(np.sum(pmf)) == pytest.approx(1.0, abs=1e-10)
 
-    def test_non_gaussian_rejected(self):
-        with pytest.raises(UnsupportedMeasureError):
-            surrogate_size_pmf(Spectrum(np.ones(3)), 1, entry_law="rademacher")
+    def test_rademacher_gram_identity_exact(self):
+        # E[det(X X^T) | K = k] = k! e_k(Sigma) needs only i.i.d. zero-mean,
+        # unit-variance entries (Cauchy-Binet), so the pmf holds for every
+        # entry law; enumerate all 2^(k d) sign matrices Z, with X = Z Sigma^{1/2}
+        d = 3
+        basis = np.linalg.qr(np.random.default_rng(11).standard_normal((d, d)))[0]
+        s = Spectrum(np.array([3.0, 1.0, 0.25]), basis=basis)
+        root = basis @ np.diag(np.sqrt(s.eigenvalues)) @ basis.T
+        e = np.exp(_log_esp(np.log(s.eigenvalues), d))
+        for k in (1, 2, 3):
+            signs = np.array(list(itertools.product([-1.0, 1.0], repeat=k * d))).reshape(-1, k, d)
+            X = signs @ root
+            mean = float(np.mean(np.linalg.det(X @ np.swapaxes(X, 1, 2))))
+            assert mean == pytest.approx(math.factorial(k) * e[k], rel=1e-12)
 
     def test_integer_n_required(self):
         with pytest.raises(ValueError):
@@ -244,6 +256,13 @@ class TestLogEsp:
         log_vals = np.log(surrogate_params(s, 150).gamma_n * s.eigenvalues)
         for up_to in (300, 40):
             np.testing.assert_array_equal(_log_esp(log_vals, up_to), reference(log_vals, up_to))
+
+    def test_prefix_rows_are_the_prefix_esps(self):
+        log_vals = np.log(np.random.default_rng(2).uniform(0.1, 5.0, size=7))
+        table = _log_esp_prefix(log_vals, 4)
+        assert table.shape == (8, 5)
+        for i in range(8):
+            np.testing.assert_array_equal(table[i], _log_esp(log_vals[:i], 4))
 
 
 class TestRegressionProblem:
