@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import Spectrum, apply_sqrt
-from .linalg import log_det_gram, zero_threshold
+from .linalg import log_det_gram
 from .parallel import run_trials, trial_rng
 from .surrogate import _log_esp_prefix, surrogate_params, surrogate_size_pmf
 
@@ -136,24 +136,15 @@ def _resolve_rng(seed_or_rng) -> np.random.Generator:
 def _log_weight(X: np.ndarray, n: float, d: int) -> float:
     """Log determinant weight of one i.i.d. draw under the expectation template.
 
-    det(X X^T) for n < d, det(X)^2 for n = d, det(X^T X) for n > d; the
-    weight is zero (log -inf) exactly when the realized size falls outside
-    the regime's valid range.
+    det(X X^T) for n < d, det(X)^2 for n = d, det(X^T X) for n > d, all as
+    ``log_det_gram`` of X or X^T with the shared rank cutoff; the weight is
+    zero (log -inf) exactly when the realized size falls outside the
+    regime's valid range or the draw is rank deficient.
     """
     k = X.shape[0]
-    if n < d:
-        if k > d:
-            return -np.inf
-        return log_det_gram(X)
-    if n == d:
-        sign, logdet = np.linalg.slogdet(X)
-        return -np.inf if sign == 0 else 2.0 * logdet
-    if k < d:
+    if (k > d) if n < d else (k < d):
         return -np.inf
-    s = np.linalg.svd(X, compute_uv=False)
-    if np.any(s <= zero_threshold(s, X.shape)):
-        return -np.inf
-    return float(2.0 * np.sum(np.log(s)))
+    return log_det_gram(X if k <= d else X.T)
 
 
 def surrogate_expectation_oracle(f, m: MeasureSpec, n: float, trials: int, seed: int,

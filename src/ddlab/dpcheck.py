@@ -58,7 +58,8 @@ class MatrixGenerator:
     def draw_stack(self, trials: int, seed: int) -> np.ndarray:
         """``trials`` matrices as one stack: the blocks of
         ``run_block_streams``, each drawn in one ``sample`` call."""
-        blocks = run_block_streams(self.sample, trials, seed, block_size(self.dim**2))
+        blocks = run_block_streams(lambda rng, lo, hi: self.sample(rng, hi - lo), trials, seed,
+                                   block_size(self.dim**2))
         return np.concatenate(blocks)
 
 
@@ -305,8 +306,8 @@ def verify_normalization(m: MeasureSpec, gamma: float, trials: int,
     """
     d = m.dim
 
-    def block(rng, count):
-        K = rng.poisson(gamma, size=count)
+    def block(rng, lo, hi):
+        K = rng.poisson(gamma, size=hi - lo)
         vals = (K == 0).astype(float)
         for k in range(1, d + 1):
             hit = np.flatnonzero(K == k)

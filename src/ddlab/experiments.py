@@ -1,6 +1,14 @@
 """Empirical protocol: i.i.d.-design MSE estimation, variance and bias
 discrepancies against the surrogate closed forms, bootstrap confidence
 intervals, adaptive trial escalation, and log-log slope fits.
+
+The i.i.d. designs come from the block streams of
+``parallel.run_block_streams``: a block of ``count`` trials draws all its
+designs in one ``sample_iid(m, count * n, rng)`` call, reshaped to
+(count, n, d), so a trial's design depends on its block and its place in
+it. The bias discrepancy's batch b draws from the stream of block b. The
+bootstraps keep their own single streams, keyed (seed, 0xB5) and
+(seed, 0xB6), apart from every block stream.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import numpy as np
 from .covariance import Spectrum
 from .designs import MeasureSpec, MonteCarloEstimate, sample_iid
 from .linalg import min_norm_stats, projection_complement_sum
-from .parallel import block_size, run_blocks, trial_rng, trial_streams
+from .parallel import block_size, run_block_streams, trial_rng
 from .surrogate import (
     RegressionProblem,
     bias_factors,
@@ -67,10 +75,9 @@ class CurvePoint:
     norm_implicit_mean: float
 
 
-def _designs(m: MeasureSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Stack of the i.i.d. designs of trials lo..hi-1, each drawn from its
-    trial's own stream."""
-    return np.stack([sample_iid(m, n, rng) for _, rng in trial_streams(seed, lo, hi)])
+def _block_designs(m: MeasureSpec, n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, n, d) stack of i.i.d. designs drawn from ``rng`` in one call."""
+    return sample_iid(m, count * n, rng).reshape(count, n, m.dim)
 
 
 def mse_trial_samples(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
@@ -83,11 +90,11 @@ def mse_trial_samples(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
         raise ValueError("need at least 30 trials")
     w, s2 = p.w_star, p.sigma2
 
-    def block(lo, hi):
-        tr, resid = min_norm_stats(_designs(m, n, seed, lo, hi), w)
+    def block(rng, lo, hi):
+        tr, resid = min_norm_stats(_block_designs(m, n, rng, hi - lo), w)
         return s2 * tr + resid
 
-    return np.concatenate(run_blocks(block, trials, threads, block_size(n * m.dim)))
+    return np.concatenate(run_block_streams(block, trials, seed, block_size(n * m.dim), threads))
 
 
 def mse_monte_carlo_iid(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
@@ -167,10 +174,10 @@ def variance_point(s: Spectrum, d: int, aspect: float, seed: int,
     ``variance_discrepancy(s, d, aspect, trials, seed, threads, resamples)``
     returns.
 
-    The point keeps the per-trial tr((X^T X)^+) values it has computed and
-    computes only the trials it lacks, so a doubling costs the new trials
-    alone. Trial i still draws from its own stream, so the values do not
-    depend on the order of the calls.
+    The point computes whole blocks of trials and keeps their per-trial
+    tr((X^T X)^+) values, so a doubling draws only the blocks it lacks and
+    each block is drawn once. A trial's value depends only on its block, so
+    the values do not depend on the order of the calls.
     """
     if s.dim != d:
         raise ValueError("spectrum dimension does not match d")
@@ -179,17 +186,18 @@ def variance_point(s: Spectrum, d: int, aspect: float, seed: int,
         raise ValueError("aspect must give 0 < n < d")
     target = variance_term(s, n)
     m = MeasureSpec(s, "gaussian")
+    size = block_size(n * d)
     vals = np.empty(0)
+
+    def block(rng, lo, hi):
+        return min_norm_stats(_block_designs(m, n, rng, hi - lo))[0]
 
     def point(trials: int) -> DiscrepancyPoint:
         nonlocal vals
-        done = vals.size
-        if trials > done:
-            def block(lo, hi):
-                return min_norm_stats(_designs(m, n, seed, done + lo, done + hi))[0]
-
-            vals = np.concatenate([vals, *run_blocks(block, trials - done, threads,
-                                                     block_size(n * d))])
+        if trials > vals.size:
+            end = -(-trials // size) * size
+            vals = np.concatenate([vals, *run_block_streams(block, end, seed, size, threads,
+                                                            start=vals.size)])
         used = vals[:trials]
         value = abs(float(np.mean(used)) / target - 1.0)
         lo, hi = bootstrap_ci(used, resamples, seed=seed, stat=lambda mu: abs(mu / target - 1.0))
@@ -213,8 +221,9 @@ def bias_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
     for a Gaussian i.i.d. design, with an operator-norm bootstrap CI.
 
     Trials are aggregated into batch means before bootstrapping so memory
-    stays flat for large trial counts; the engine's blocks are runs of whole
-    batches.
+    stays flat for large trial counts. Each batch is one block of the
+    engine: batch b draws its designs, ``block_size`` of them at a time,
+    from the stream of block b.
     """
     if s.dim != d:
         raise ValueError("spectrum dimension does not match d")
@@ -227,17 +236,12 @@ def bias_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
     bounds = np.linspace(0, trials, batches + 1).astype(int)
     size = block_size(n * d)
 
-    def block(lo, hi):
-        # batch means of batches lo..hi-1, their designs drawn `size` at a time
-        out = np.empty((hi - lo, d, d))
-        for b in range(lo, hi):
-            first, last = bounds[b], bounds[b + 1]
-            out[b - lo] = sum(projection_complement_sum(_designs(m, n, seed, i, min(i + size, last)))
-                              for i in range(first, last, size)) / (last - first)
-        return out
+    def batch_mean(rng, b, _):
+        count = bounds[b + 1] - bounds[b]
+        return sum(projection_complement_sum(_block_designs(m, n, rng, min(size, count - i)))
+                   for i in range(0, count, size)) / count
 
-    batch_means = np.concatenate(
-        run_blocks(block, batches, threads, max(1, size * batches // trials)))
+    batch_means = np.stack(run_block_streams(batch_mean, batches, seed, 1, threads))
 
     def whitened_dev(mean):
         return (white[:, None] * mean * white[None, :]) - np.eye(d)

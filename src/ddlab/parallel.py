@@ -2,19 +2,13 @@
 
 Random streams are counter-based Philox streams keyed by (master seed,
 index), so results are identical for any thread count or scheduling
-order. There are two kinds of key:
-
-- Per-trial streams, keyed (seed, i) for trial i. ``trial_rng`` builds one;
-  ``trial_streams`` walks those of a run of trials with a single Philox
-  generator, re-keyed for each trial, which gives the same draws at a
-  fraction of the set-up cost. ``run_trials`` and the i.i.d. design stacks
-  of ``experiments`` use them; ``trial_rng`` also serves single streams
-  (bootstraps, minor selection).
-- Block streams, keyed (seed, 2^63 | b) for block b of a run.
-  ``run_block_streams`` hands each block its stream, and the block draws
-  all its trials in batched calls. The top bit keeps every block stream
-  apart from every per-trial stream. The determinant-preservation harness
-  draws its matrices this way.
+order. Every Monte Carlo loop draws from block streams: block b of a run
+of trials seeded ``seed`` owns the stream keyed (seed, 2^63 | b), and the
+block draws all of its trials from it in index order, in batched calls
+where it can. ``run_block_streams`` is the one place that builds them.
+``trial_rng`` builds a single stream from a constant index (bootstraps,
+minor selection, seeded samplers); the top bit of the block keys keeps
+every block stream apart from those.
 
 Threads and BLAS: ``run_blocks`` is the one trial engine. It cuts the
 trials into fixed blocks whose size comes from the input shapes, and the
@@ -22,8 +16,7 @@ worker threads run whole blocks in parallel. While it runs, OpenBLAS is
 held at one thread, so the workers' small LAPACK calls neither share nor
 wait for BLAS threads; the previous count is restored afterwards. Block
 boundaries never depend on ``threads``, so the output does not depend on
-``--threads`` either. Each block draws from its own stream or streams,
-so no generator is shared between threads.
+``--threads`` either, and no generator is shared between threads.
 """
 
 from __future__ import annotations
@@ -38,8 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 __all__ = [
-    "trial_rng", "trial_streams", "run_blocks", "run_block_streams", "run_trials", "block_size",
-    "default_threads",
+    "trial_rng", "run_blocks", "run_block_streams", "run_trials", "block_size", "default_threads",
 ]
 
 # design data per block, in floats (256 KB): keeps the memory a block holds
@@ -47,40 +39,14 @@ __all__ = [
 BLOCK_FLOATS = 2**15
 # block size of run_trials, whose per-trial work has no known shape
 TRIAL_BLOCK = 32
-# top bit of the block-stream keys: no trial index reaches it
+# top bit of the block-stream keys: no constant single-stream index reaches it
 BLOCK_KEY = 1 << 63
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one trial, derived from (seed, index)."""
+    """Independent stream derived from (seed, index)."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def trial_streams(seed: int, lo: int, hi: int):
-    """Yield ``(i, rng)`` for i = lo..hi-1, where ``rng`` draws exactly what
-    ``trial_rng(seed, i)`` would.
-
-    One Philox generator serves every trial: it is re-keyed to (seed, i) with
-    a zero counter and an empty output buffer, the state a fresh generator
-    starts in. The same ``rng`` object is yielded each time, so it is valid
-    only until the next item is requested.
-    """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,  # buffer exhausted: the next draw runs the counter
-        "has_uint32": 0,  # no half of a 64-bit draw left over for 32-bit draws
-        "uinteger": 0,
-    }
-    bitgen = np.random.Philox(key=key)
-    rng = np.random.Generator(bitgen)
-    for i in range(lo, hi):
-        key[1] = i
-        bitgen.state = state
-        yield i, rng
 
 
 def default_threads() -> int:
@@ -173,30 +139,40 @@ def run_blocks(fn, trials: int, threads: int | None, block: int) -> list:
             return list(pool.map(lambda b: fn(*b), bounds))
 
 
-def run_block_streams(fn, trials: int, seed: int, block: int) -> list:
-    """Evaluate ``fn(rng, count)`` on the blocks of ``run_blocks`` at the
-    default thread count, where ``count`` is the block's number of trials
-    and ``rng`` the block's own stream, ``trial_rng(seed, BLOCK_KEY | b)``
-    for block b; return the block results in index order.
+def run_block_streams(fn, trials: int, seed: int, block: int, threads: int | None = None,
+                      start: int = 0) -> list:
+    """Evaluate ``fn(rng, lo, hi)`` on the blocks of ``block`` trials
+    covering trials start..trials-1, where ``rng`` is block b's own stream,
+    ``trial_rng(seed, BLOCK_KEY | b)`` for trials [b block, (b + 1) block),
+    and ``start`` is a block boundary; return the block results in index
+    order.
 
     ``fn`` draws all of its block's trials from ``rng``, so the draws depend
-    on ``block`` (which callers fix from the trial shapes) but never on the
-    thread count.
+    on ``block`` (which callers fix from the trial shapes) but never on
+    ``threads``. Blocks run on ``run_blocks``.
     """
-    return run_blocks(lambda lo, hi: fn(trial_rng(seed, BLOCK_KEY | lo // block), hi - lo),
-                      trials, None, block)
+    if start % max(1, block):
+        raise ValueError("start must be a block boundary")
+
+    def one(lo, hi):
+        lo, hi = start + lo, start + hi
+        return fn(trial_rng(seed, BLOCK_KEY | lo // block), lo, hi)
+
+    return run_blocks(one, trials - start, threads, block)
 
 
 def run_trials(fn, trials: int, seed: int, threads: int | None = None) -> list:
-    """Evaluate ``fn(rng, index)`` for index = 0..trials-1, with ``rng`` the
-    trial's own stream, as a per-trial loop inside ``run_blocks``.
+    """Evaluate ``fn(rng, index)`` for index = 0..trials-1 and return the
+    results in index order.
 
-    ``rng`` is valid only during the call: the block re-keys the same
-    generator for its next trial, so ``fn`` must not keep it.
-    Results are returned in index order; the output is invariant to the
-    number of worker threads.
+    The trials run in blocks of TRIAL_BLOCK on ``run_block_streams``: the
+    trials of a block share the block's stream, one after another in index
+    order, so ``rng`` carries on where the previous trial left it and
+    ``fn`` must not keep it. The output is invariant to the number of
+    worker threads.
     """
-    def block(lo, hi):
-        return [fn(rng, i) for i, rng in trial_streams(seed, lo, hi)]
+    def block(rng, lo, hi):
+        return [fn(rng, i) for i in range(lo, hi)]
 
-    return [r for part in run_blocks(block, trials, threads, TRIAL_BLOCK) for r in part]
+    return [r for part in run_block_streams(block, trials, seed, TRIAL_BLOCK, threads)
+            for r in part]

@@ -18,7 +18,15 @@ from ddlab.designs import (
     surrogate_expectation_oracle,
 )
 from ddlab.linalg import projection_complement
-from ddlab.parallel import _openblas_threads, run_blocks, run_trials, trial_rng, trial_streams
+from ddlab.parallel import (
+    BLOCK_KEY,
+    TRIAL_BLOCK,
+    _openblas_threads,
+    run_block_streams,
+    run_blocks,
+    run_trials,
+    trial_rng,
+)
 from ddlab.surrogate import surrogate_params, surrogate_size_pmf
 
 
@@ -332,24 +340,18 @@ class TestSamplerOver:
         assert abs(np.mean(ks) - 5.0) < 3 * se
 
     def test_d1_moment_ratio(self):
-        # block density prop. to x^2 mu(x): second moment E[x^4]/E[x^2] = 3
-        m = MeasureSpec(Spectrum(np.ones(1)))
-        vals = []
-        for seed in range(4000):
-            rng = trial_rng(101, seed)
-            X, lw = np.zeros((1, 1)), -np.inf
-            while not np.isfinite(lw):
-                X = sample_iid(m, 1, rng)
-                lw = 2.0 * math.log(abs(X[0, 0])) if X[0, 0] != 0 else -np.inf
-            for _ in range(60):
-                prop = rng.standard_normal()
-                lwp = 2.0 * math.log(abs(prop)) if prop != 0 else -np.inf
-                if math.log(rng.uniform()) < lwp - lw:
-                    X = np.array([[prop]])
-                    lw = lwp
-            vals.append(X[0, 0] ** 2)
-        se = np.std(vals, ddof=1) / math.sqrt(len(vals))
-        assert abs(np.mean(vals) - 3.0) < 3 * se
+        # at d = n = 1 the sample is the block alone, with density prop. to
+        # x^2 mu(x): its second moment is E[x^4]/E[x^2]. The gaussian law
+        # draws it exactly; for uniform_pm_sqrt3 _chain is an independence
+        # sampler with weights x^2 <= 3 E[x^2], so after 12 steps it is
+        # within (2/3)^12 < 1 % of stationarity in total variation
+        rng = trial_rng(101, 0)
+        for law, second_moment, num, steps in (("gaussian", 3.0, 1000, None),
+                                               ("uniform_pm_sqrt3", 9 / 5, 600, 12)):
+            m = MeasureSpec(Spectrum(np.ones(1)), law)
+            vals = [sample_surrogate_over(m, 1.0, steps, rng).X[0, 0] ** 2 for _ in range(num)]
+            se = np.std(vals, ddof=1) / math.sqrt(num)
+            assert abs(np.mean(vals) - second_moment) < 3 * se, law
 
     def test_permutation_exchangeability(self):
         m = MeasureSpec(Spectrum(np.ones(2)))
@@ -398,38 +400,39 @@ class TestRunTrials:
         out = run_trials(lambda rng, i: i, 20, 0, threads=4)
         assert out == list(range(20))
 
-    def test_matches_per_trial_streams_at_any_thread_count(self):
-        # runs past one block, with a Poisson size and a design per trial
+    def test_matches_block_streams_at_any_thread_count(self):
+        # runs past one block, with a Poisson size and a design per trial;
+        # the trials of block b share stream (seed, 2^63 | b) in index order
         m = MeasureSpec(Spectrum(np.array([1.0, 2.0])))
 
         def f(rng, i):
             return sample_iid(m, int(rng.poisson(2.0)), rng).sum() + i
 
-        ref = [f(trial_rng(9, i), i) for i in range(70)]
+        ref = []
+        for lo in range(0, 70, TRIAL_BLOCK):
+            rng = trial_rng(9, BLOCK_KEY | lo // TRIAL_BLOCK)
+            ref += [f(rng, i) for i in range(lo, min(lo + TRIAL_BLOCK, 70))]
         assert run_trials(f, 70, 9, threads=1) == ref
         assert run_trials(f, 70, 9, threads=3) == ref
 
 
-class TestTrialStreams:
-    @pytest.mark.parametrize("law", ["gaussian", "rademacher", "uniform_pm_sqrt3"])
-    def test_designs_match_trial_rng(self, law):
-        m = MeasureSpec(Spectrum(np.array([1.0, 3.0, 0.5])), law)
-        for i, rng in trial_streams(17, 5, 25):
-            np.testing.assert_array_equal(sample_iid(m, 4, rng), sample_iid(m, 4, trial_rng(17, i)))
+class TestRunBlockStreams:
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_resumes_at_a_block_boundary(self, threads):
+        def draw(rng, lo, hi):
+            return lo, hi, rng.standard_normal(hi - lo)
 
-    def test_poisson_and_int32_draws_match_trial_rng(self):
-        # an odd count of 32-bit draws leaves half a 64-bit word behind; the
-        # next trial must not start from it
-        seed = 2**63 + 12345
-        draws = (lambda g: g.poisson(3.0, size=3),
-                 lambda g: g.integers(0, 1000, size=3, dtype=np.int32),
-                 lambda g: g.standard_normal(2))
-        for i, rng in trial_streams(seed, 0, 12):
-            ref = trial_rng(seed, i)
-            for draw in draws:
-                np.testing.assert_array_equal(draw(rng), draw(ref))
-        assert [i for i, _ in trial_streams(1, 3, 7)] == [3, 4, 5, 6]
-        assert list(trial_streams(1, 4, 4)) == []
+        full = run_block_streams(draw, 10, 3, 4, threads)
+        assert [(lo, hi) for lo, hi, _ in full] == [(0, 4), (4, 8), (8, 10)]
+        np.testing.assert_array_equal(full[1][2], trial_rng(3, BLOCK_KEY | 1).standard_normal(4))
+        tail = run_block_streams(draw, 10, 3, 4, threads, start=4)
+        assert [(lo, hi) for lo, hi, _ in tail] == [(4, 8), (8, 10)]
+        for a, b in zip(full[1:], tail, strict=True):
+            np.testing.assert_array_equal(a[2], b[2])
+
+    def test_start_must_be_a_block_boundary(self):
+        with pytest.raises(ValueError):
+            run_block_streams(lambda rng, lo, hi: None, 10, 3, 4, 1, start=2)
 
 
 class TestRunBlocks:
@@ -471,3 +474,19 @@ class TestLogWeight:
         assert _log_weight(X, 3, 2) == -np.inf
         assert _log_weight(X[:2], 2, 2) == -np.inf
         assert _log_weight(X[:2].T, 2, 3) == -np.inf
+
+    def test_singular_sign_matrix_at_n_equals_d(self):
+        # det = 0 exactly (a multiple of 2^5 below 1 in magnitude), which
+        # slogdet alone rounded to a finite weight
+        X = np.array([[1, -1, -1, 1, -1, -1], [-1, -1, 1, -1, -1, -1], [1, 1, -1, -1, -1, -1],
+                      [-1, 1, -1, 1, -1, -1], [1, -1, 1, -1, -1, -1], [-1, -1, -1, -1, 1, 1]],
+                     dtype=float)
+        assert abs(np.linalg.det(X)) < 1.0
+        assert _log_weight(X, 6, 6) == -np.inf
+
+    def test_regimes_are_log_det_gram(self):
+        X = trial_rng(61, 0).standard_normal((5, 3))
+        assert _log_weight(X[:2], 2.5, 3) == designs.log_det_gram(X[:2])
+        assert _log_weight(X[:3], 3, 3) == designs.log_det_gram(X[:3])
+        assert _log_weight(X, 4.5, 3) == designs.log_det_gram(X.T)
+        assert _log_weight(X[:4], 2.5, 3) == _log_weight(X[:2], 4.5, 3) == -np.inf

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddlab import experiments
+from ddlab import experiments, parallel
 from ddlab.covariance import Spectrum, make_profile
-from ddlab.designs import MeasureSpec
-from ddlab.parallel import trial_rng
+from ddlab.designs import MeasureSpec, sample_iid
+from ddlab.linalg import min_norm_stats
+from ddlab.parallel import BLOCK_KEY, block_size, trial_rng
 from ddlab.experiments import (
     DiscrepancyPoint,
     adaptive_trials,
@@ -27,6 +28,20 @@ from ddlab.surrogate import RegressionProblem, surrogate_mse, variance_term
 
 def iso_problem(d, sigma2=1.0):
     return RegressionProblem(Spectrum(np.ones(d)), np.full(d, 1 / math.sqrt(d)), sigma2)
+
+
+def record_stream_keys(monkeypatch, *modules):
+    """List that collects the (seed, index) of every trial_rng call made
+    through the given modules."""
+    keys = []
+
+    def recording(seed, index):
+        keys.append((seed, index))
+        return trial_rng(seed, index)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "trial_rng", recording)
+    return keys
 
 
 class TestMseMonteCarlo:
@@ -54,6 +69,26 @@ class TestMseMonteCarlo:
         p = iso_problem(4)
         with pytest.raises(ValueError):
             mse_trial_samples(p, MeasureSpec(p.spectrum), 2, 10, 1)
+
+    @pytest.mark.parametrize("law", ["gaussian", "rademacher", "uniform_pm_sqrt3"])
+    def test_matches_block_stream_reference(self, law):
+        # 700 trials of 4 x 12 designs cross the 682-trial block boundary;
+        # block b's designs are consecutive runs of n rows of one draw from
+        # stream (seed, 2^63 | b), each design's statistic computed alone
+        p = RegressionProblem(Spectrum(np.linspace(0.5, 2.0, 12)), np.linspace(-1, 1, 12), 0.5)
+        m = MeasureSpec(p.spectrum, law)
+        n, trials, seed = 4, 700, 21
+        size = block_size(n * 12)
+        assert size < trials < 2 * size
+        ref = []
+        for lo in range(0, trials, size):
+            count = min(size, trials - lo)
+            rows = sample_iid(m, count * n, trial_rng(seed, BLOCK_KEY | lo // size))
+            for j in range(count):
+                tr, resid = min_norm_stats(rows[None, j * n:(j + 1) * n], p.w_star)
+                ref.append(p.sigma2 * tr[0] + resid[0])
+        got = mse_trial_samples(p, m, n, trials, seed, threads=3)
+        assert got.tobytes() == np.array(ref).tobytes()
 
 
 # the percentile levels of a 95 % interval, computed as bootstrap_ci does
@@ -217,16 +252,11 @@ class TestVariancePoint:
         assert point.trials_used >= 800
 
     def test_computes_each_trial_once(self, monkeypatch):
-        drawn = []
-        designs = experiments._designs
-
-        def counting(m, n, seed, lo, hi):
-            drawn.append(hi - lo)
-            return designs(m, n, seed, lo, hi)
-
-        monkeypatch.setattr(experiments, "_designs", counting)
+        # whole blocks: 3200 trials are the first 5 blocks of 655, each drawn once
+        keys = record_stream_keys(monkeypatch, parallel)
         point = adaptive_trials(variance_point(self.S, 10, 0.5, 4), cap=100_000)
-        assert sum(drawn) == point.trials_used == 3200
+        assert point.trials_used == 3200
+        assert keys == [(4, BLOCK_KEY | b) for b in range(5)]
 
     def test_smaller_count_reuses_first_trials(self):
         point = variance_point(self.S, 10, 0.5, 4)
@@ -280,6 +310,20 @@ class TestCurves:
         points = curve_double_descent(p, m, [2, 3], 60, 5)
         for pt in points:
             assert pt.mse_mc is not None and pt.ci_low <= pt.mse_mc <= pt.ci_high
+
+    def test_bootstrap_streams_apart_from_block_streams(self, monkeypatch):
+        # the point's 400 trials run in 8 blocks of 54; its bootstrap keys
+        # (seed, 0xB5) and (seed, 0xB6) must name streams none of them uses
+        keys = record_stream_keys(monkeypatch, parallel, experiments)
+        p = iso_problem(20)
+        curve_double_descent(p, MeasureSpec(p.spectrum), [30], 400, 9)
+        blocks = [k for k in keys if k[1] & BLOCK_KEY]
+        assert blocks == [(9, BLOCK_KEY | b) for b in range(8)]
+        assert (9, 0xB5) in keys
+        first = lambda key: trial_rng(*key).integers(2**63, size=4).tolist()
+        block_draws = [first(k) for k in blocks]
+        for boot in ((9, 0xB5), (9, 0xB6)):
+            assert boot not in blocks and first(boot) not in block_draws
 
     def test_dimension_sweep_peaks_at_n(self):
         n = 12
