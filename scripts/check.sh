@@ -2,7 +2,8 @@
 # The test suite, then the benchmark harness's own tests: those pin names in
 # ddlab's namespaces (for example designs.log_det_gram) that a deletion can
 # break while the suite stays green. The first line printed is the
-# environment the run's timings belong to.
+# environment the run's timings belong to. -rP prints the captured output of
+# passed tests too, so every ACCEPTANCE criterion line shows.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 python - <<'PY'
@@ -14,5 +15,5 @@ print(f"env nproc={len(os.sched_getaffinity(0))} python={platform.python_version
       f"numpy={numpy.__version__} scipy={scipy.__version__} "
       f"blas={blas.get('name')} {blas.get('version')} {threads}", flush=True)
 PY
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors "$@"
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -rP --continue-on-collection-errors "$@"
 python3 -m pytest -p no:cacheprovider perfbench

@@ -25,7 +25,6 @@ from .designs import (
     DesignSample,
     MeasureSpec,
     gen_responses,
-    sample_surrogate_over,
     sample_surrogate_under_batch,
 )
 from .parallel import default_threads
@@ -320,11 +319,8 @@ def cmd_sample(args) -> int:
     out = Path(cfg["out"])
     steps = int(cfg["chain_steps"]) if cfg["chain_steps"] else None
     m = MeasureSpec(_build_spectrum(cfg, d), cfg["entry_law"])
-    if n < d:
-        (X,), rate = sample_surrogate_under_batch(m, n, 1, steps, seed)
-        sample = DesignSample(X=X, accept_rate=rate)
-    else:
-        sample = sample_surrogate_over(m, n, steps, seed)
+    (X,), rate = sample_surrogate_under_batch(m, n, 1, steps, seed)
+    sample = DesignSample(X=X, accept_rate=rate)
     if cfg["sigma2"] != "":
         w = _build_w_star(cfg, d)
         sample.y = gen_responses(sample.X, w, float(cfg["sigma2"]), seed + 1)

@@ -4,8 +4,8 @@ Three ways of touching the surrogate design live here:
 
 * ``sample_iid`` draws the standard i.i.d. sub-Gaussian design,
 * ``surrogate_expectation_oracle`` estimates surrogate expectations by
-  self-normalized determinant weighting of Poisson-sized i.i.d. draws
-  (an exact identity, so the estimates are unbiased up to normalization),
+  self-normalized determinant weighting of i.i.d. blocks, each weighted
+  by det(X X^T) / (k! e_k(Sigma)), which has mean 1,
 * ``sample_surrogate_under_batch`` / ``sample_surrogate_over`` produce
   actual surrogate samples. For the ``gaussian`` law ``_tilted`` draws
   them exactly, as a mixture over column sets of a determinant-tilted
@@ -13,6 +13,8 @@ Three ways of touching the surrogate design live here:
   ``uniform_pm_sqrt3`` laws one batched Metropolis row-replacement chain,
   ``_chain``, advances many chains in lockstep; its length is a desk-scale
   default with no mixing theory behind it.
+
+All three draw surrogate sizes through ``_by_size``, one batch per size.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 
 from .covariance import Spectrum, apply_sqrt
 from .linalg import log_det_gram
-from .parallel import run_trials, trial_rng
-from .surrogate import _log_esp_prefix, surrogate_params, surrogate_size_pmf
+from .parallel import block_size, run_block_streams, trial_rng
+from .surrogate import _log_esp, _log_esp_prefix, surrogate_size_pmf
 
 __all__ = [
     "MeasureSpec",
@@ -92,8 +94,11 @@ class MonteCarloEstimate:
     effective_sample_size: float = field(default=0.0)
 
     def z_score(self, target) -> np.ndarray:
-        se = np.where(np.asarray(self.std_error) > 0, self.std_error, np.inf)
-        return (np.asarray(self.mean) - np.asarray(target)) / se
+        """(mean - target) / SE; a zero SE scores 0 if the error is 0 and inf otherwise."""
+        err = np.asarray(self.mean, dtype=float) - np.asarray(target, dtype=float)
+        se = np.broadcast_to(np.asarray(self.std_error, dtype=float), err.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(se > 0, err / se, np.where(err == 0, 0.0, np.inf))
 
 
 def _raw_rows(m: MeasureSpec, shape, rng: np.random.Generator) -> np.ndarray:
@@ -133,44 +138,37 @@ def _resolve_rng(seed_or_rng) -> np.random.Generator:
     return trial_rng(int(seed_or_rng), 0)
 
 
-def _log_weight(X: np.ndarray, n: float, d: int) -> float:
-    """Log determinant weight of one i.i.d. draw under the expectation template.
-
-    det(X X^T) for n < d, det(X)^2 for n = d, det(X^T X) for n > d, all as
-    ``log_det_gram`` of X or X^T with the shared rank cutoff; the weight is
-    zero (log -inf) exactly when the realized size falls outside the
-    regime's valid range or the draw is rank deficient.
-    """
-    k = X.shape[0]
-    if (k > d) if n < d else (k < d):
-        return -np.inf
-    return log_det_gram(X if k <= d else X.T)
-
-
 def surrogate_expectation_oracle(f, m: MeasureSpec, n: float, trials: int, seed: int,
                                  threads: int | None = None) -> MonteCarloEstimate:
     """Self-normalized importance-weighted estimate of E[f(X)] under the
     surrogate design with expected size n.
 
-    Draws K ~ Poisson(gamma_n) (K = d exactly when n = d), samples an
-    i.i.d. K x d design, and weights f by the appropriate determinant,
-    accumulated in log space. Standard errors come from the delta method
-    for ratio estimators; the effective sample size (sum w)^2 / sum w^2 is
-    reported so weight degeneracy is visible.
+    The designs come from ``_by_size`` with i.i.d. k x d blocks, each
+    weighted by det(X X^T) / (k! e_k(Sigma)): the weight has mean 1 for
+    every entry law (Cauchy-Binet), and it tilts the block to the
+    surrogate's law. Trials run in fixed blocks on ``run_block_streams``, so
+    the estimate does not depend on ``threads``. Standard errors come from
+    the delta method for ratio estimators; the effective sample size
+    (sum w)^2 / sum w^2 is reported so weight degeneracy is visible.
     """
     if trials < 100:
         raise ValueError("fewer than 100 trials makes the weighted estimate meaningless")
     d = m.dim
-    gamma = surrogate_params(m.spectrum, n).gamma_n
+    log_norm = _log_esp(np.log(m.spectrum.eigenvalues), d) + [math.lgamma(k + 1) for k in range(d + 1)]
 
-    def one(rng, _idx):
-        k = d if n == d else int(rng.poisson(gamma))
-        X = sample_iid(m, k, rng)
-        return _log_weight(X, n, d), np.asarray(f(X), dtype=float)
+    def block(rng, lo, hi):
+        logw = np.zeros(hi - lo)  # the empty block's weight is 1
 
-    results = run_trials(one, trials, seed, threads)
-    logw = np.array([r[0] for r in results])
-    vals = np.stack([r[1] for r in results])
+        def draw(k, idx):
+            X = sample_iid(m, idx.size * k, rng).reshape(idx.size, k, d)
+            logw[idx] = log_det_gram(X) - log_norm[k]
+            return X
+
+        designs = _by_size(m, n, hi - lo, rng, draw)
+        return logw, np.stack([np.asarray(f(X), dtype=float) for X in designs])
+
+    parts = run_block_streams(block, trials, seed, block_size(d * math.ceil(max(n, d))), threads)
+    logw, vals = (np.concatenate(c) for c in zip(*parts))
     mx = np.max(logw)
     if not np.isfinite(mx):
         raise RuntimeError("all determinant weights vanished; no usable trials")
@@ -272,38 +270,46 @@ def _tilted(m: MeasureSpec, k: int, num: int, rng) -> np.ndarray:
     return X if s.basis is None else X @ s.basis.T
 
 
-def sample_surrogate_over(m: MeasureSpec, n: float, chain_steps: int | None, seed_or_rng) -> DesignSample:
-    """One surrogate sample for n > d: a d x d block with density prop. to
-    det(X)^2 times the measure, plus Poisson(n - d) i.i.d. rows, under a
-    uniformly random row permutation.
+def _by_size(m: MeasureSpec, n: float, num: int, rng, draw) -> list[np.ndarray]:
+    """num designs with the surrogate's size law at expected size n, in
+    draw order.
 
-    The block is drawn exactly (``_tilted`` with k = d) for the
-    ``gaussian`` law, which reports an acceptance rate of 1.0 and ignores
-    ``chain_steps``. The other laws run ``_chain`` for ``chain_steps``
-    steps; ``None`` means 100 d, a desk-scale default with no mixing
-    theory behind it.
+    Block sizes k come from ``surrogate_size_pmf`` for n < d; for n >= d
+    every block has k = d rows. ``draw(k, idx)`` returns the (idx.size, k, d)
+    blocks of the draws ``idx`` of size k; it is called once per realized
+    size k > 0, in increasing k. For n >= d each block then gets Poisson(n - d)
+    i.i.d. rows and a uniformly random row permutation: the volume-rescaled
+    decomposition of the surrogate design (Derezinski, Warmuth and Hsu, 2019).
     """
     d = m.dim
+    ks = rng.choice(d + 1, size=num, p=surrogate_size_pmf(m.spectrum, n)) if n < d else np.full(num, d)
+    out: list[np.ndarray | None] = [None] * num
+    for k in np.unique(ks):
+        idx = np.flatnonzero(ks == k)
+        for i, X in zip(idx, draw(int(k), idx) if k else np.zeros((idx.size, 0, d))):
+            out[i] = X
     if n < d:
+        return out
+    extra = rng.poisson(n - d, size=num)
+    rows = np.split(sample_iid(m, int(np.sum(extra)), rng), np.cumsum(extra)[:-1])
+    return [np.vstack([X, R])[rng.permutation(d + R.shape[0])] for X, R in zip(out, rows)]
+
+
+def sample_surrogate_over(m: MeasureSpec, n: float, chain_steps: int | None, seed_or_rng) -> DesignSample:
+    """One surrogate sample for n >= d: the one draw of
+    ``sample_surrogate_under_batch(m, n, 1, chain_steps, seed_or_rng)``."""
+    if n < m.dim:
         raise ValueError("sample_surrogate_over needs n >= d")
-    rng = _resolve_rng(seed_or_rng)
-    if m.entry_law == "gaussian":
-        X, rate = _tilted(m, d, 1, rng), 1.0
-    else:
-        if chain_steps is None:
-            chain_steps = 100 * d
-        X, accepted = _chain(m, d, 1, chain_steps, rng)
-        rate = accepted / chain_steps if chain_steps > 0 else 0.0
-    extra = sample_iid(m, int(rng.poisson(n - d)), rng)
-    full = np.vstack([X[0], extra])
-    perm = rng.permutation(full.shape[0])
-    return DesignSample(X=full[perm], accept_rate=rate)
+    (X,), rate = sample_surrogate_under_batch(m, n, 1, chain_steps, seed_or_rng)
+    return DesignSample(X=X, accept_rate=rate)
 
 
-def sample_surrogate_under_batch(m: MeasureSpec, n: int, num: int, chain_steps: int | None,
-                                 seed: int) -> tuple[list[np.ndarray], float]:
-    """num under-determined (n < d) surrogate samples: realized sizes from
-    the closed-form pmf, then one batch per size.
+def sample_surrogate_under_batch(m: MeasureSpec, n: float, num: int, chain_steps: int | None,
+                                 seed) -> tuple[list[np.ndarray], float]:
+    """num surrogate samples at expected size n, drawn by ``_by_size``: for
+    n < d realized sizes from the closed-form pmf, for n >= d a d-row block
+    plus Poisson(n - d) i.i.d. rows; the blocks are drawn in one batch per
+    size.
 
     For the ``gaussian`` law each batch is an exact draw (``_tilted``), the
     returned rate is 1.0 and ``chain_steps`` is ignored. The other laws run
@@ -314,25 +320,17 @@ def sample_surrogate_under_batch(m: MeasureSpec, n: int, num: int, chain_steps: 
     fixed (seed, num, chain_steps).
     """
     rng = _resolve_rng(seed)
-    pmf = surrogate_size_pmf(m.spectrum, n)
-    ks = rng.choice(len(pmf), size=num, p=pmf)
-    exact = m.entry_law == "gaussian"
-    out: list[np.ndarray | None] = [None] * num
-    accepted = 0
-    proposals = 0
-    for k in np.unique(ks):
-        idx = np.flatnonzero(ks == k)
-        if k == 0:
-            X = np.zeros((idx.size, 0, m.dim))
-        elif exact:
-            X = _tilted(m, int(k), idx.size, rng)
-        else:
-            steps = 100 * int(k) if chain_steps is None else chain_steps
-            X, acc = _chain(m, int(k), idx.size, steps, rng)
-            accepted += acc
-            proposals += idx.size * steps
-        for j, i in enumerate(idx):
-            out[i] = X[j]
-    if exact:
-        return out, 1.0
+    if m.entry_law == "gaussian":
+        return _by_size(m, n, num, rng, lambda k, idx: _tilted(m, k, idx.size, rng)), 1.0
+    accepted = proposals = 0
+
+    def draw(k, idx):
+        nonlocal accepted, proposals
+        steps = 100 * k if chain_steps is None else chain_steps
+        X, acc = _chain(m, k, idx.size, steps, rng)
+        accepted += acc
+        proposals += idx.size * steps
+        return X
+
+    out = _by_size(m, n, num, rng, draw)
     return out, accepted / proposals if proposals else 0.0

@@ -43,8 +43,9 @@ def effective_dimension(s: Spectrum, lam: float) -> float:
 def solve_lambda(s: Spectrum, n: float, rel_tol: float = 1e-12) -> float:
     """The unique lam >= 0 with effective dimension equal to n, for 0 < n < d.
 
-    The effective dimension is strictly decreasing and convex in lam, so a
-    bracketed bisection refined by guarded Newton steps converges globally.
+    Solved as d - n = sum lam / (tau_i + lam), exact as n -> d; the right
+    side is increasing and concave in lam, so a bracketed bisection refined
+    by guarded Newton steps converges globally.
     """
     d = s.dim
     if not (0 < n < d):
@@ -52,19 +53,19 @@ def solve_lambda(s: Spectrum, n: float, rel_tol: float = 1e-12) -> float:
     t = s.eigenvalues
 
     def f(lam):
-        return float(np.sum(t / (t + lam))) - n
+        return float(np.sum(lam / (t + lam))) - (d - n)
 
     def fprime(lam):
-        return -float(np.sum(t / (t + lam) ** 2))
+        return float(np.sum(t / (t + lam) ** 2))
 
     lo = 0.0
     hi = d * float(t[0]) / n  # effective dimension there is strictly below n
-    while f(hi) > 0:  # defensive; the bound above already guarantees f(hi) < 0
+    while f(hi) < 0:  # defensive; the bound above already guarantees f(hi) > 0
         hi *= 2.0
     lam = 0.5 * hi
     for _ in range(200):
         flam = f(lam)
-        if flam > 0:
+        if flam < 0:
             lo = lam
         else:
             hi = lam
@@ -100,8 +101,8 @@ class SurrogateParams:
 
 
 def _log_alpha(s: Spectrum, lam: float) -> float:
-    t = s.eigenvalues
-    return float(np.sum(np.log(t) - np.log(t + lam)))
+    """log det(Sigma (Sigma + lam I)^{-1}), exact as lam -> 0."""
+    return -float(np.sum(np.log1p(lam / s.eigenvalues)))
 
 
 def surrogate_params(s: Spectrum, n: float) -> SurrogateParams:
@@ -149,7 +150,7 @@ def variance_term(s: Spectrum, n: float) -> float:
     p = surrogate_params(s, n)
     if not n < s.dim:
         raise ValueError("variance_term is defined for n < d")
-    return (1.0 - p.alpha_n) / p.lambda_n
+    return -math.expm1(p.log_alpha_n) / p.lambda_n
 
 
 def bias_factors(s: Spectrum, n: float) -> np.ndarray:
@@ -173,7 +174,7 @@ def surrogate_mse(p: RegressionProblem, n: float) -> float:
     if n < d:
         sp = surrogate_params(s, n)
         bias = float(np.sum(bias_factors(s, n) * p.w_star**2))
-        return p.sigma2 * (1.0 - sp.alpha_n) / sp.lambda_n + bias
+        return p.sigma2 * -math.expm1(sp.log_alpha_n) / sp.lambda_n + bias
     tr_inv = s.trace_inverse()
     if n == d:
         return p.sigma2 * tr_inv
@@ -221,8 +222,8 @@ def _log_esp(log_vals: np.ndarray, up_to: int) -> np.ndarray:
     return _log_esp_prefix(log_vals, up_to)[-1]
 
 
-def surrogate_size_pmf(s: Spectrum, n: int) -> np.ndarray:
-    """P(K = k), k = 0..d, of the realized surrogate sample size for n < d.
+def surrogate_size_pmf(s: Spectrum, n: float) -> np.ndarray:
+    """P(K = k), k = 0..d, of the realized surrogate sample size for 0 < n < d.
 
     For rows x = Sigma^{1/2} z with i.i.d. zero-mean, unit-variance entries
     z, Cauchy-Binet gives E[det(X X^T) | K = k] = k! e_k(eigenvalues)
@@ -231,9 +232,9 @@ def surrogate_size_pmf(s: Spectrum, n: int) -> np.ndarray:
     log space.
     """
     d = s.dim
-    if not (isinstance(n, (int, np.integer)) and 0 < n < d):
-        raise ValueError("surrogate_size_pmf needs an integer 0 < n < d")
-    gamma = surrogate_params(s, n).gamma_n
+    if not 0 < n < d:
+        raise ValueError("surrogate_size_pmf needs 0 < n < d")
+    gamma = 1.0 / solve_lambda(s, n)
     log_scaled = np.log(gamma) + np.log(s.eigenvalues)
     loge = _log_esp(log_scaled, d)
     log_norm = float(np.sum(np.log1p(gamma * s.eigenvalues)))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -10,14 +11,14 @@ from ddlab.covariance import Spectrum, make_profile
 from ddlab.designs import (
     DesignSample,
     MeasureSpec,
-    _log_weight,
+    MonteCarloEstimate,
     gen_responses,
     sample_iid,
     sample_surrogate_over,
     sample_surrogate_under_batch,
     surrogate_expectation_oracle,
 )
-from ddlab.linalg import projection_complement
+from ddlab.linalg import projection_complement, pseudo_inverse
 from ddlab.parallel import (
     BLOCK_KEY,
     TRIAL_BLOCK,
@@ -122,6 +123,43 @@ class TestOracle:
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.std_error, b.std_error)
 
+    @pytest.mark.parametrize("s, law, n, trials, seed", [
+        *[(make_profile("diag_exp", d), "gaussian", n, 1500, 5)
+          for d, n in ((10, 5), (10, 11), (10, 12), (30, 60))],
+        (Spectrum(np.array([0.5, 1.0, 2.0, 4.0])), "rademacher", 2, 4000, 7),
+        (Spectrum(np.array([0.5, 1.0, 2.0, 4.0])), "rademacher", 6, 4000, 7),
+        (Spectrum(np.array([1.0, 2.0, 3.0])), "gaussian", 2.5, 4000, 9),
+        (Spectrum(np.array([1.0, 2.0, 3.0])), "gaussian", 3.5, 4000, 9),
+    ])
+    def test_expected_size(self, s, law, n, trials, seed):
+        # on diag_exp gamma_n is far from n (100 at d=10, n=5), so sizes drawn
+        # from Poisson(gamma_n) would leave almost every trial outside the regime
+        m = MeasureSpec(s, law)
+        est = surrogate_expectation_oracle(lambda X: float(X.shape[0]), m, n, trials, seed)
+        assert abs(float(est.z_score(n))) < 4.0
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_thread_and_rerun_invariance_over_blocks(self, n):
+        # d=10 gives 3-4 blocks of trials at either n
+        m = MeasureSpec(make_profile("diag_exp", 10))
+
+        def f(X):
+            return np.array([X.shape[0], float(np.trace(pseudo_inverse(X.T @ X)))])
+
+        a = surrogate_expectation_oracle(f, m, n, 1000, 29, threads=1)
+        for threads in (1, 3):
+            b = surrogate_expectation_oracle(f, m, n, 1000, 29, threads=threads)
+            assert a.mean.tobytes() == b.mean.tobytes()
+            assert a.std_error.tobytes() == b.std_error.tobytes()
+            assert a.effective_sample_size == b.effective_sample_size
+
+
+class TestMonteCarloEstimate:
+    def test_zero_se_z_score(self):
+        est = MonteCarloEstimate(np.array([5.0, 2.0, 3.0]), np.array([0.0, 0.0, 0.5]), 100)
+        np.testing.assert_array_equal(est.z_score(2.0), [np.inf, 0.0, 2.0])
+        assert float(MonteCarloEstimate(np.array(5.0), np.array(0.0), 100).z_score(2.0)) == np.inf
+
 
 def lockstep_reference(m, n, num, steps, seed):
     """Reference stream of the batched chain: every chain of one size
@@ -208,6 +246,22 @@ class TestSamplerUnder:
             assert rate == ref_rate
             for X, R in zip(samples, ref, strict=True):
                 np.testing.assert_array_equal(X, R)
+
+    @pytest.mark.parametrize("law, digest, rate", [
+        ("gaussian", "1d3b1f8bd5b7b6b0", 1.0),
+        ("rademacher", "61172636083cf385", 0.5575),
+        ("uniform_pm_sqrt3", "3a32830ef476ae10", 0.50125),
+    ])
+    def test_pinned_output(self, law, digest, rate):
+        # sha256 of the sizes and bytes of one batch: the size draw and the
+        # per-size draw order are part of the sampler's stream
+        m = MeasureSpec(make_profile("diag_exp", 6), law)
+        samples, r = sample_surrogate_under_batch(m, 3, 40, 20, 41)
+        h = hashlib.sha256()
+        for X in samples:
+            h.update(np.int64(X.shape[0]).tobytes())
+            h.update(np.ascontiguousarray(X).tobytes())
+        assert (h.hexdigest()[:16], r) == (digest, rate)
 
     def test_default_steps_are_100_per_row(self):
         m = MeasureSpec(Spectrum(np.array([1.0, 2.0, 3.0])), "uniform_pm_sqrt3")
@@ -465,28 +519,3 @@ class TestRunBlocks:
             assert get() == 2
         finally:
             put(before)
-
-
-class TestLogWeight:
-    def test_singular_tall_design_has_zero_weight(self):
-        # rank 1 at n > d: the shared rank cutoff gives -inf like the other regimes
-        X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-        assert _log_weight(X, 3, 2) == -np.inf
-        assert _log_weight(X[:2], 2, 2) == -np.inf
-        assert _log_weight(X[:2].T, 2, 3) == -np.inf
-
-    def test_singular_sign_matrix_at_n_equals_d(self):
-        # det = 0 exactly (a multiple of 2^5 below 1 in magnitude), which
-        # slogdet alone rounded to a finite weight
-        X = np.array([[1, -1, -1, 1, -1, -1], [-1, -1, 1, -1, -1, -1], [1, 1, -1, -1, -1, -1],
-                      [-1, 1, -1, 1, -1, -1], [1, -1, 1, -1, -1, -1], [-1, -1, -1, -1, 1, 1]],
-                     dtype=float)
-        assert abs(np.linalg.det(X)) < 1.0
-        assert _log_weight(X, 6, 6) == -np.inf
-
-    def test_regimes_are_log_det_gram(self):
-        X = trial_rng(61, 0).standard_normal((5, 3))
-        assert _log_weight(X[:2], 2.5, 3) == designs.log_det_gram(X[:2])
-        assert _log_weight(X[:3], 3, 3) == designs.log_det_gram(X[:3])
-        assert _log_weight(X, 4.5, 3) == designs.log_det_gram(X.T)
-        assert _log_weight(X[:4], 2.5, 3) == _log_weight(X[:2], 4.5, 3) == -np.inf

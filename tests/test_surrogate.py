@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlab.covariance import Spectrum, make_profile
+from ddlab.covariance import Spectrum, make_profile, scale_trace_inverse
 from ddlab.surrogate import (
     RegressionProblem,
     _log_esp,
@@ -116,6 +116,16 @@ class TestVarianceBiasSplit:
         assert variance_term(s, 50) == pytest.approx(1.0 - 0.5**100, rel=1e-12)
         np.testing.assert_allclose(bias_factors(s, 50), np.full(100, 0.5), atol=1e-10)
 
+    @pytest.mark.parametrize("kind", ["diag_exp", "diag_linear"])
+    def test_exact_as_n_approaches_d(self, kind):
+        # lambda_n ~ 1e-14 here: the variance factor and the MSE must meet
+        # their n = d values, tr(Sigma^{-1}) and sigma^2 tr(Sigma^{-1})
+        d = 100
+        s = scale_trace_inverse(make_profile(kind, d, 1.0, 1e-4), float(d))
+        p = RegressionProblem(s, np.full(d, 0.1), 1.0)
+        assert variance_term(s, d - 1e-12) == pytest.approx(s.trace_inverse(), rel=1e-10)
+        assert surrogate_mse(p, d - 1e-12) == pytest.approx(surrogate_mse(p, d), rel=1e-10)
+
     def test_near_boundary_positive(self):
         s = Spectrum(np.ones(100))
         v = variance_term(s, 99)
@@ -216,9 +226,13 @@ class TestSizePmf:
             mean = float(np.mean(np.linalg.det(X @ np.swapaxes(X, 1, 2))))
             assert mean == pytest.approx(math.factorial(k) * e[k], rel=1e-12)
 
-    def test_integer_n_required(self):
-        with pytest.raises(ValueError):
-            surrogate_size_pmf(Spectrum(np.ones(3)), 1.5)
+    def test_real_n_in_range(self):
+        pmf = surrogate_size_pmf(random_spectrum(6, d=3), 1.5)
+        assert float(np.sum(pmf)) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(np.arange(4) * pmf)) == pytest.approx(1.5, abs=1e-10)
+        for n in (0, 3, 3.5):
+            with pytest.raises(ValueError):
+                surrogate_size_pmf(Spectrum(np.ones(3)), n)
 
 
 def esp(eigs, up_to):
