@@ -3,11 +3,9 @@ minimum-norm least-squares estimator, with Monte Carlo verification."""
 
 from .covariance import Spectrum, make_profile, scale_trace_inverse
 from .designs import (
-    DesignSample,
     MeasureSpec,
     MonteCarloEstimate,
     sample_iid,
-    sample_surrogate_over,
     sample_surrogate_under_batch,
     surrogate_expectation_oracle,
 )

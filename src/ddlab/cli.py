@@ -1,10 +1,16 @@
-"""Command-line entry point.
+"""Command-line entry point: a thin shell over the library.
 
 Commands: curve | discrepancy | dp-verify | sample. Parameters come from
 an optional plain-text config file (``key = value`` lines with optional
 ``[section]`` grouping) overridden by flags; every output file embeds the
 fully resolved configuration in ``#`` header comments so any run can be
-reproduced byte-for-byte from its own output.
+reproduced byte-for-byte from its own output. Every CSV goes through
+``_write_csv``: the sorted ``# key=value`` header, the column line, then
+one LF-ended line per row.
+
+``dp-verify`` runs ``dpcheck.verify_normalization`` for the
+``normalization`` scenario and ``dpcheck.verify_dp`` on
+``dpcheck.scenario_generator`` for every other one.
 
 Exit codes: 0 success (including flagged results), 1 invalid input,
 2 internal numerical failure.
@@ -21,26 +27,13 @@ import numpy as np
 
 from . import dpcheck, experiments, svg
 from .covariance import Spectrum, make_profile, scale_trace_inverse
-from .designs import (
-    DesignSample,
-    MeasureSpec,
-    gen_responses,
-    sample_surrogate_under_batch,
-)
+from .designs import MeasureSpec, gen_responses, sample_surrogate_under_batch
 from .parallel import default_threads
 from .surrogate import RegressionProblem
 
 __all__ = ["main"]
 
-DP_SCENARIOS = (
-    "gaussian_entries",
-    "rank1_scaled",
-    "rank2_scaled_counterexample",
-    "poisson_gram",
-    "normalization",
-    "closure_sum",
-    "closure_product",
-)
+DP_COLUMNS = ["I", "J", "size", "mc_mean", "mc_se", "det_of_mean", "z"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,16 +118,14 @@ def _header(cfg: dict[str, str]) -> list[str]:
 
 
 def _write_csv(path: Path, cfg: dict[str, str], columns: list[str], rows: list[list]) -> None:
+    """The config header, the column line and one line per row, LF-ended;
+    floats are written as repr(float(v)) and None as an empty field."""
     lines = _header(cfg) + [",".join(columns)]
     for row in rows:
-        lines.append(",".join("" if v is None else (repr(v) if isinstance(v, float) else str(v))
-                              for v in row))
+        lines.append(",".join("" if v is None else repr(float(v)) if isinstance(v, float)
+                              else str(v) for v in row))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
-
-
-def _fmt(v: float | None) -> str:
-    return "" if v is None else repr(float(v))
 
 
 def cmd_curve(args) -> int:
@@ -206,6 +197,8 @@ def cmd_discrepancy(args) -> int:
     target = float(cfg["target_halfwidth"])
     aspects = _parse_values(cfg["aspect"])
     d_values = [int(v) for v in _parse_values(cfg["d_values"])]
+    if len(set(d_values)) < 3:
+        raise ValueError("need at least 3 distinct d-values for the log-log slope fit")
     points = []
     for aspect in aspects:
         for i, d in enumerate(d_values):
@@ -239,26 +232,6 @@ def cmd_discrepancy(args) -> int:
     return 0
 
 
-def _dp_generators(scenario: str, d: int, seed: int):
-    fixed_rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xF1], dtype=np.uint64)))
-    if scenario == "gaussian_entries":
-        return dpcheck.gaussian_entries_generator(d)
-    if scenario == "rank1_scaled":
-        u, v = fixed_rng.standard_normal(d), fixed_rng.standard_normal(d)
-        return dpcheck.scaled_fixed_generator(np.outer(u, v), [0.0, 2.0], "rank1_scaled")
-    if scenario == "rank2_scaled_counterexample":
-        U = fixed_rng.standard_normal((d, 2))
-        V = fixed_rng.standard_normal((2, d))
-        return dpcheck.scaled_fixed_generator(U @ V, [0.0, 2.0], "rank2_scaled")
-    if scenario == "closure_sum":
-        u, v = fixed_rng.standard_normal(d), fixed_rng.standard_normal(d)
-        return (dpcheck.scaled_fixed_generator(np.outer(u, v), [0.0, 2.0], "rank1_scaled"),
-                dpcheck.gaussian_entries_generator(d))
-    if scenario == "closure_product":
-        return (dpcheck.gaussian_entries_generator(d), dpcheck.gaussian_entries_generator(d))
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
 def cmd_dp_verify(args) -> int:
     cfg = _resolve(args, {
         "scenario": "gaussian_entries", "d": "3", "gamma": "1", "sigma2": "1",
@@ -266,42 +239,34 @@ def cmd_dp_verify(args) -> int:
         "normalize_trace_inv": "false",
     })
     scenario = cfg["scenario"]
-    if scenario not in DP_SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; expected one of {DP_SCENARIOS}")
     d = int(cfg["d"])
     gamma = float(cfg["gamma"])
     trials = int(cfg["trials"])
     seed = int(cfg["seed"])
     out = Path(cfg["out"])
-    sizes = list(range(1, d + 1))
     if scenario == "normalization":
         sigma2 = float(cfg["sigma2"])
         s = Spectrum(np.full(d, sigma2)) if d == 1 else _build_spectrum(cfg, d)
         est, target = dpcheck.verify_normalization(MeasureSpec(s), gamma, trials, seed)
         z = float(est.z_score(target))
         verdict = "consistent" if abs(z) <= 3 else "violated"
-        _write_csv(out / "dp_report.csv", cfg,
-                   ["I", "J", "size", "mc_mean", "mc_se", "det_of_mean", "z"],
+        _write_csv(out / "dp_report.csv", cfg, DP_COLUMNS,
                    [["-", "-", d, float(est.mean), float(est.std_error), target, z]])
         print(f"normalization: estimate {float(est.mean):.6g} +- {float(est.std_error):.2g}, "
               f"target {target:.6g}, z {z:.2f} -> {verdict}")
         return 0
+    s = _build_spectrum(cfg, d)
+    g = dpcheck.scenario_generator(scenario, MeasureSpec(s), gamma, seed)
+    report = dpcheck.verify_dp(g, range(1, d + 1), trials, seed)
     if scenario == "poisson_gram":
-        s = _build_spectrum(cfg, d)
-        report = dpcheck.verify_poisson_identity(MeasureSpec(s), gamma, trials, seed)
         # past max_minors minors, the d x d minor may be left out of the sample
         full = [r.mc_mean for r in report.records if r.size == d]
         estimate = f"estimate {full[0]:.6g}" if full else "full minor not sampled"
         print(f"poisson_gram: full-minor target det(gamma*Sigma) = "
               f"{float(np.prod(gamma * s.eigenvalues)):.6g}, {estimate}")
-    elif scenario in ("closure_sum", "closure_product"):
-        gA, gB = _dp_generators(scenario, d, seed)
-        mode = "sum" if scenario == "closure_sum" else "product"
-        report = dpcheck.verify_closure(gA, gB, mode, sizes, trials, seed)
-    else:
-        report = dpcheck.verify_dp(_dp_generators(scenario, d, seed), sizes, trials, seed)
-    out.mkdir(parents=True, exist_ok=True)
-    report.to_csv(out / "dp_report.csv")
+    _write_csv(out / "dp_report.csv", cfg, DP_COLUMNS,
+               [[" ".join(map(str, r.rows)), " ".join(map(str, r.cols)), r.size, r.mc_mean,
+                 r.mc_se, r.det_of_mean, r.z] for r in report.records])
     print(f"{scenario}: verdict {report.verdict} (max |z| {report.max_abs_z:.2f}, "
           f"threshold {report.z_threshold:.2f}, {len(report.records)} minors)")
     return 0
@@ -320,16 +285,16 @@ def cmd_sample(args) -> int:
     steps = int(cfg["chain_steps"]) if cfg["chain_steps"] else None
     m = MeasureSpec(_build_spectrum(cfg, d), cfg["entry_law"])
     (X,), rate = sample_surrogate_under_batch(m, n, 1, steps, seed)
-    sample = DesignSample(X=X, accept_rate=rate)
+    k = X.shape[0]
+    y = [None] * k
     if cfg["sigma2"] != "":
-        w = _build_w_star(cfg, d)
-        sample.y = gen_responses(sample.X, w, float(cfg["sigma2"]), seed + 1)
-    out.mkdir(parents=True, exist_ok=True)
+        y = gen_responses(X, _build_w_star(cfg, d), float(cfg["sigma2"]), seed + 1).tolist()
     csv_path = out / "sample.csv"
-    csv_path.write_text("\n".join(_header(cfg)) + "\n" + sample.csv_text())
-    summary = [f"realized_k={sample.k}", f"accept_rate={sample.accept_rate!r}"]
+    _write_csv(csv_path, cfg, [f"x_{j + 1}" for j in range(d)] + ["y"],
+               [row + [yi] for row, yi in zip(X.tolist(), y)])
+    summary = [f"realized_k={k}", f"accept_rate={rate!r}"]
     (out / "sample_summary.txt").write_text("\n".join(_header(cfg) + summary) + "\n")
-    print(f"wrote {csv_path} (k={sample.k})")
+    print(f"wrote {csv_path} (k={k})")
     return 0
 
 

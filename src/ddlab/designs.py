@@ -6,10 +6,10 @@ Three ways of touching the surrogate design live here:
 * ``surrogate_expectation_oracle`` estimates surrogate expectations by
   self-normalized determinant weighting of i.i.d. blocks, each weighted
   by det(X X^T) / (k! e_k(Sigma)), which has mean 1,
-* ``sample_surrogate_under_batch`` / ``sample_surrogate_over`` produce
-  actual surrogate samples. For the ``gaussian`` law ``_tilted`` draws
-  them exactly, as a mixture over column sets of a determinant-tilted
-  block, batched over samples. For the ``rademacher`` and
+* ``sample_surrogate_under_batch`` produces actual surrogate samples at
+  any n. For the ``gaussian`` law ``_tilted`` draws them exactly, as a
+  mixture over column sets of a determinant-tilted block, batched over
+  samples. For the ``rademacher`` and
   ``uniform_pm_sqrt3`` laws one batched Metropolis row-replacement chain,
   ``_chain``, advances many chains in lockstep; its length is a desk-scale
   default with no mixing theory behind it.
@@ -19,8 +19,6 @@ All three draw surrogate sizes through ``_by_size``, one batch per size.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -33,13 +31,11 @@ from .surrogate import _log_esp, _log_esp_prefix, surrogate_size_pmf
 
 __all__ = [
     "MeasureSpec",
-    "DesignSample",
     "MonteCarloEstimate",
     "sample_iid",
     "gen_responses",
     "surrogate_expectation_oracle",
     "sample_surrogate_under_batch",
-    "sample_surrogate_over",
 ]
 
 ENTRY_LAWS = ("gaussian", "rademacher", "uniform_pm_sqrt3")
@@ -59,29 +55,6 @@ class MeasureSpec:
     @property
     def dim(self) -> int:
         return self.spectrum.dim
-
-
-@dataclass
-class DesignSample:
-    """A sampled design with optional responses."""
-
-    X: np.ndarray
-    y: np.ndarray | None = None
-    accept_rate: float | None = None
-
-    @property
-    def k(self) -> int:
-        return int(self.X.shape[0])
-
-    def csv_text(self) -> str:
-        """Header x_1..x_d,y and one line per row; y is empty without responses."""
-        buf = io.StringIO()
-        wr = csv.writer(buf, lineterminator="\n")
-        wr.writerow([f"x_{j + 1}" for j in range(self.X.shape[1])] + ["y"])
-        for i, row in enumerate(self.X):
-            tail = [repr(float(self.y[i]))] if self.y is not None else [""]
-            wr.writerow([repr(float(v)) for v in row] + tail)
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -293,15 +266,6 @@ def _by_size(m: MeasureSpec, n: float, num: int, rng, draw) -> list[np.ndarray]:
     extra = rng.poisson(n - d, size=num)
     rows = np.split(sample_iid(m, int(np.sum(extra)), rng), np.cumsum(extra)[:-1])
     return [np.vstack([X, R])[rng.permutation(d + R.shape[0])] for X, R in zip(out, rows)]
-
-
-def sample_surrogate_over(m: MeasureSpec, n: float, chain_steps: int | None, seed_or_rng) -> DesignSample:
-    """One surrogate sample for n >= d: the one draw of
-    ``sample_surrogate_under_batch(m, n, 1, chain_steps, seed_or_rng)``."""
-    if n < m.dim:
-        raise ValueError("sample_surrogate_over needs n >= d")
-    (X,), rate = sample_surrogate_under_batch(m, n, 1, chain_steps, seed_or_rng)
-    return DesignSample(X=X, accept_rate=rate)
 
 
 def sample_surrogate_under_batch(m: MeasureSpec, n: float, num: int, chain_steps: int | None,

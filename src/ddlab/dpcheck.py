@@ -13,11 +13,14 @@ a stream seeded ``seed`` draws all of its trials, in batched calls, from
 the Philox stream keyed (seed, 2^63 | b). The block size comes from d
 alone, so reports do not depend on the thread count. Minor selection keeps
 its own stream, keyed (seed, 0xD5).
+
+``scenario_generator`` builds the named scenarios of ``ddlab dp-verify``;
+the fixed matrices of the scenarios that have one come from the stream
+keyed (seed, 0xF1).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -38,11 +41,13 @@ __all__ = [
     "fixed_k_gram_generator",
     "gen_sum",
     "gen_product",
+    "scenario_generator",
     "verify_dp",
-    "verify_closure",
-    "verify_poisson_identity",
     "verify_normalization",
 ]
+
+# family-wise level of the Bonferroni-corrected z threshold
+FAMILY_LEVEL = 0.01
 
 
 @dataclass(frozen=True)
@@ -86,11 +91,14 @@ def scaled_fixed_generator(Z, scale_values, name: str = "scaled_fixed") -> Matri
 
 
 def poisson_gram_generator(m: MeasureSpec, gamma: float) -> MatrixGenerator:
-    """X^T X with X an i.i.d. K x d design and K ~ Poisson(gamma).
+    """X^T X with X an i.i.d. K x d design and K ~ Poisson(gamma); it is
+    d.p., and its full-minor expectation is det(gamma Sigma).
 
     A batch draws every K, then all the rows in one call, trial after trial;
     each Gram entry is the sum of its trial's row products, accumulated in
     row order (K = 0 gives the zero matrix)."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
     d = m.dim
 
     def sample(rng, count):
@@ -137,6 +145,35 @@ def gen_product(a: MatrixGenerator, b: MatrixGenerator) -> MatrixGenerator:
     return MatrixGenerator(f"{a.name}*{b.name}", a.dim, sample)
 
 
+def _scaled_low_rank(d: int, rank: int, rng, name: str) -> MatrixGenerator:
+    """s * U V with U (d x rank), V (rank x d) drawn once from ``rng`` and s
+    uniform on {0, 2}: d.p. at rank 1, not at rank 2 and above."""
+    U, V = rng.standard_normal((d, rank)), rng.standard_normal((rank, d))
+    return scaled_fixed_generator(U @ V, [0.0, 2.0], name)
+
+
+# name -> (m, gamma, rng) -> generator; rng draws the fixed matrices
+_SCENARIOS = {
+    "gaussian_entries": lambda m, gamma, rng: gaussian_entries_generator(m.dim),
+    "rank1_scaled": lambda m, gamma, rng: _scaled_low_rank(m.dim, 1, rng, "rank1_scaled"),
+    "rank2_scaled_counterexample":
+        lambda m, gamma, rng: _scaled_low_rank(m.dim, 2, rng, "rank2_scaled"),
+    "closure_sum": lambda m, gamma, rng: gen_sum(_scaled_low_rank(m.dim, 1, rng, "rank1_scaled"),
+                                                 gaussian_entries_generator(m.dim)),
+    "closure_product": lambda m, gamma, rng: gen_product(gaussian_entries_generator(m.dim),
+                                                         gaussian_entries_generator(m.dim)),
+    "poisson_gram": lambda m, gamma, rng: poisson_gram_generator(m, gamma),
+}
+
+
+def scenario_generator(name: str, m: MeasureSpec, gamma: float, seed: int) -> MatrixGenerator:
+    """The generator of the ``dp-verify`` scenario ``name`` at dimension
+    m.dim. Only ``poisson_gram`` reads the row measure and ``gamma``."""
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; expected one of {tuple(_SCENARIOS)}")
+    return _SCENARIOS[name](m, gamma, trial_rng(seed, 0xF1))
+
+
 @dataclass(frozen=True)
 class MinorRecord:
     rows: tuple[int, ...]
@@ -158,16 +195,6 @@ class DpReport:
     @property
     def max_abs_z(self) -> float:
         return max((abs(r.z) for r in self.records), default=0.0)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["I", "J", "size", "mc_mean", "mc_se", "det_of_mean", "z"])
-            for r in self.records:
-                wr.writerow([
-                    " ".join(map(str, r.rows)), " ".join(map(str, r.cols)), r.size,
-                    repr(r.mc_mean), repr(r.mc_se), repr(r.det_of_mean), repr(r.z),
-                ])
 
 
 def _unrank_combination(n: int, k: int, rank: int) -> tuple[int, ...]:
@@ -228,7 +255,7 @@ def _cofactors(M: np.ndarray) -> np.ndarray:
 
 
 def verify_dp(g: MatrixGenerator, minor_sizes, trials: int, seed: int,
-              family_level: float = 0.01, max_minors: int = 200) -> DpReport:
+              max_minors: int = 200) -> DpReport:
     """Compare Monte Carlo E[det(minor)] against det(E[minor]) per minor.
 
     The z-score of a minor divides the difference by the hypot of two
@@ -236,16 +263,18 @@ def verify_dp(g: MatrixGenerator, minor_sizes, trials: int, seed: int,
     the delta-method SE of det(mean) on the second,
     sd_t(<C, A_t[I, J]>) / sqrt(T) with C the cofactor matrix of the mean
     minor. The verdict is "violated" when any |z| exceeds the Bonferroni
-    threshold.
+    threshold at family level FAMILY_LEVEL.
     """
     if trials < 10_000:
         raise ValueError("verify_dp needs at least 10^4 trials")
     d = g.dim
     pairs = _select_minors(d, minor_sizes, max_minors, seed)
+    if not pairs:
+        raise ValueError("verify_dp needs at least one minor size")
     stack1 = g.draw_stack(trials, seed)
     stack2 = g.draw_stack(trials, seed + 0x9E3779B9)  # independent stream
     mean2 = np.mean(stack2, axis=0)
-    threshold = float(stats.norm.ppf(1.0 - family_level / (2 * len(pairs))))
+    threshold = float(stats.norm.ppf(1.0 - FAMILY_LEVEL / (2 * len(pairs))))
     records = []
     for I, J in pairs:
         rows, cols = list(I), list(J)
@@ -266,31 +295,6 @@ def verify_dp(g: MatrixGenerator, minor_sizes, trials: int, seed: int,
         records.append(MinorRecord(I, J, len(I), mc_mean, mc_se, det2, se2, z))
     verdict = "violated" if any(abs(r.z) > threshold for r in records) else "consistent"
     return DpReport(tuple(records), threshold, verdict)
-
-
-def verify_closure(gA: MatrixGenerator, gB: MatrixGenerator, mode: str,
-                   minor_sizes, trials: int, seed: int, **kw) -> DpReport:
-    """Spot-check that a sum or product of two independently seeded d.p.
-    generators is itself d.p."""
-    if mode == "sum":
-        g = gen_sum(gA, gB)
-    elif mode == "product":
-        g = gen_product(gA, gB)
-    else:
-        raise ValueError("mode must be 'sum' or 'product'")
-    return verify_dp(g, minor_sizes, trials, seed, **kw)
-
-
-def verify_poisson_identity(m: MeasureSpec, gamma: float, trials: int, seed: int,
-                            minor_sizes=None, **kw) -> DpReport:
-    """Check that the Poisson-sized Gram matrix X^T X commutes with
-    determinants across minors; its full-minor expectation is det(gamma Sigma)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    d = m.dim
-    if minor_sizes is None:
-        minor_sizes = list(range(1, d + 1))
-    return verify_dp(poisson_gram_generator(m, gamma), minor_sizes, trials, seed, **kw)
 
 
 def verify_normalization(m: MeasureSpec, gamma: float, trials: int,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .covariance import Spectrum
-from .designs import MeasureSpec, MonteCarloEstimate, sample_iid
+from .designs import MeasureSpec, sample_iid
 from .linalg import min_norm_stats, projection_complement_sum
 from .parallel import block_size, run_block_streams, trial_rng
 from .surrogate import (
@@ -34,7 +34,6 @@ from .surrogate import (
 __all__ = [
     "DiscrepancyPoint",
     "CurvePoint",
-    "mse_monte_carlo_iid",
     "mse_trial_samples",
     "variance_point",
     "variance_discrepancy",
@@ -97,21 +96,15 @@ def mse_trial_samples(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
     return np.concatenate(run_block_streams(block, trials, seed, block_size(n * m.dim), threads))
 
 
-def mse_monte_carlo_iid(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
-                        seed: int, threads: int | None = None) -> MonteCarloEstimate:
-    """Mean and SE of the MSE statistic; heavy-tailed near n = d, so the
-    mean is reported as-is and callers near the peak should also look at
-    the per-trial samples (median, trimmed mean) from mse_trial_samples."""
-    vals = mse_trial_samples(p, m, n, trials, seed, threads)
-    return MonteCarloEstimate(
-        mean=np.asarray(float(np.mean(vals))),
-        std_error=np.asarray(float(np.std(vals, ddof=1) / math.sqrt(trials))),
-        trials=trials,
-    )
-
-
 # bootstrap indices drawn at once: keeps memory flat at large trial counts
 _RESAMPLE_CHUNK = 2**17
+# coverage of the percentile bootstrap CIs
+CI_LEVEL = 0.95
+# bootstrap resamples of a variance discrepancy point
+VARIANCE_RESAMPLES = 1000
+# batch means of a bias discrepancy point, and their bootstrap resamples
+BIAS_BATCHES = 200
+BIAS_RESAMPLES = 500
 
 
 def _resample_chunks(rng: np.random.Generator, T: int, resamples: int, width: int):
@@ -123,10 +116,9 @@ def _resample_chunks(rng: np.random.Generator, T: int, resamples: int, width: in
         yield rng.integers(T, size=(min(rows, resamples - start), T))
 
 
-def bootstrap_ci(samples, resamples: int = 2000, level: float = 0.95,
-                 seed: int = 0, stat=None) -> tuple[float, float]:
-    """Percentile bootstrap CI of the sample mean (or of ``stat`` applied
-    to the array of resampled means)."""
+def bootstrap_ci(samples, resamples: int = 2000, seed: int = 0, stat=None) -> tuple[float, float]:
+    """Percentile bootstrap CI, at level CI_LEVEL, of the sample mean (or of
+    ``stat`` applied to the array of resampled means)."""
     samples = np.asarray(samples, dtype=float)
     T = samples.shape[0]
     if T < 30:
@@ -136,15 +128,15 @@ def bootstrap_ci(samples, resamples: int = 2000, level: float = 0.95,
                             for idx in _resample_chunks(rng, T, resamples, T)])
     if stat is not None:
         means = stat(means)
-    lo, hi = np.quantile(means, [(1 - level) / 2, 1 - (1 - level) / 2])
+    lo, hi = np.quantile(means, [(1 - CI_LEVEL) / 2, 1 - (1 - CI_LEVEL) / 2])
     return float(lo), float(hi)
 
 
-def bootstrap_opnorm_ci(matrix_samples, resamples: int = 2000, level: float = 0.95,
-                        seed: int = 0, transform=None) -> tuple[float, float]:
-    """Percentile bootstrap over resampled matrix means, with the spectral
-    norm (optionally of a transformed mean) computed per resample.
-    ``transform`` is applied to a stack of means at once.
+def bootstrap_opnorm_ci(matrix_samples, resamples: int = 2000, seed: int = 0,
+                        transform=None) -> tuple[float, float]:
+    """Percentile bootstrap, at level CI_LEVEL, over resampled matrix means,
+    with the spectral norm (optionally of a transformed mean) computed per
+    resample. ``transform`` is applied to a stack of means at once.
 
     Each chunk's means are one product of resample counts and the flattened
     samples, and their norms one batched SVD."""
@@ -163,16 +155,14 @@ def bootstrap_opnorm_ci(matrix_samples, resamples: int = 2000, level: float = 0.
         if transform is not None:
             means = transform(means)
         norms.append(np.linalg.norm(means, ord=2, axis=(1, 2)))
-    lo, hi = np.quantile(np.concatenate(norms), [(1 - level) / 2, 1 - (1 - level) / 2])
+    lo, hi = np.quantile(np.concatenate(norms), [(1 - CI_LEVEL) / 2, 1 - (1 - CI_LEVEL) / 2])
     return float(lo), float(hi)
 
 
-def variance_point(s: Spectrum, d: int, aspect: float, seed: int,
-                   threads: int | None = None, resamples: int = 1000):
+def variance_point(s: Spectrum, d: int, aspect: float, seed: int, threads: int | None = None):
     """The variance discrepancy point as a function of the trial count, for
     ``adaptive_trials``: ``point(trials)`` returns what
-    ``variance_discrepancy(s, d, aspect, trials, seed, threads, resamples)``
-    returns.
+    ``variance_discrepancy(s, d, aspect, trials, seed, threads)`` returns.
 
     The point computes whole blocks of trials and keeps their per-trial
     tr((X^T X)^+) values, so a doubling draws only the blocks it lacks and
@@ -200,7 +190,8 @@ def variance_point(s: Spectrum, d: int, aspect: float, seed: int,
                                                             start=vals.size)])
         used = vals[:trials]
         value = abs(float(np.mean(used)) / target - 1.0)
-        lo, hi = bootstrap_ci(used, resamples, seed=seed, stat=lambda mu: abs(mu / target - 1.0))
+        lo, hi = bootstrap_ci(used, VARIANCE_RESAMPLES, seed=seed,
+                              stat=lambda mu: abs(mu / target - 1.0))
         return DiscrepancyPoint(d=d, n=n, aspect=aspect, kind="variance", value=value,
                                 ci_low=lo, ci_high=hi, trials_used=trials)
 
@@ -208,20 +199,19 @@ def variance_point(s: Spectrum, d: int, aspect: float, seed: int,
 
 
 def variance_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
-                         threads: int | None = None, resamples: int = 1000) -> DiscrepancyPoint:
+                         threads: int | None = None) -> DiscrepancyPoint:
     """|E[tr((X^T X)^+)] / V(Sigma, n) - 1| for a Gaussian i.i.d. design,
     with an ordinary bootstrap CI mapped through the discrepancy."""
-    return variance_point(s, d, aspect, seed, threads, resamples)(trials)
+    return variance_point(s, d, aspect, seed, threads)(trials)
 
 
 def bias_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
-                     threads: int | None = None, resamples: int = 500,
-                     batches: int = 200) -> DiscrepancyPoint:
+                     threads: int | None = None) -> DiscrepancyPoint:
     """Spectral-norm bias discrepancy ||B^{-1/2} E[I - X^+X] B^{-1/2} - I||
     for a Gaussian i.i.d. design, with an operator-norm bootstrap CI.
 
-    Trials are aggregated into batch means before bootstrapping so memory
-    stays flat for large trial counts. Each batch is one block of the
+    Trials are aggregated into BIAS_BATCHES batch means before
+    bootstrapping so memory stays flat for large trial counts. Each batch is one block of the
     engine: batch b draws its designs, ``block_size`` of them at a time,
     from the stream of block b.
     """
@@ -232,7 +222,7 @@ def bias_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
         raise ValueError("aspect must give 0 < n < d")
     m = MeasureSpec(s, "gaussian")
     white = 1.0 / np.sqrt(bias_factors(s, n))
-    batches = min(batches, trials)
+    batches = min(BIAS_BATCHES, trials)
     bounds = np.linspace(0, trials, batches + 1).astype(int)
     size = block_size(n * d)
 
@@ -247,7 +237,7 @@ def bias_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
         return (white[:, None] * mean * white[None, :]) - np.eye(d)
 
     value = float(np.linalg.norm(whitened_dev(np.mean(batch_means, axis=0)), ord=2))
-    lo, hi = bootstrap_opnorm_ci(batch_means, resamples, seed=seed, transform=whitened_dev)
+    lo, hi = bootstrap_opnorm_ci(batch_means, BIAS_RESAMPLES, seed=seed, transform=whitened_dev)
     return DiscrepancyPoint(d=d, n=n, aspect=aspect, kind="bias", value=value,
                             ci_low=lo, ci_high=hi, trials_used=trials)
 

@@ -6,9 +6,10 @@ order. Every Monte Carlo loop draws from block streams: block b of a run
 of trials seeded ``seed`` owns the stream keyed (seed, 2^63 | b), and the
 block draws all of its trials from it in index order, in batched calls
 where it can. ``run_block_streams`` is the one place that builds them.
-``trial_rng`` builds a single stream from a constant index (bootstraps,
-minor selection, seeded samplers); the top bit of the block keys keeps
-every block stream apart from those.
+``trial_rng`` builds a single stream from a constant index: 0 for the
+seeded samplers, 0xB5 and 0xB6 for the bootstraps, 0xD5 for minor
+selection and 0xF1 for the fixed matrices of the dp-verify scenarios. The
+top bit of the block keys keeps every block stream apart from those.
 
 Threads and BLAS: ``run_blocks`` is the one trial engine. It cuts the
 trials into fixed blocks whose size comes from the input shapes, and the

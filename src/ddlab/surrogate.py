@@ -33,6 +33,9 @@ __all__ = [
     "surrogate_size_pmf",
 ]
 
+# relative step at which solve_lambda's Newton iteration stops
+_LAMBDA_REL_TOL = 1e-12
+
 
 def effective_dimension(s: Spectrum, lam: float) -> float:
     """Ridge effective degrees of freedom tr(Sigma (Sigma + lam I)^{-1})."""
@@ -40,7 +43,7 @@ def effective_dimension(s: Spectrum, lam: float) -> float:
     return float(np.sum(t / (t + lam)))
 
 
-def solve_lambda(s: Spectrum, n: float, rel_tol: float = 1e-12) -> float:
+def solve_lambda(s: Spectrum, n: float) -> float:
     """The unique lam >= 0 with effective dimension equal to n, for 0 < n < d.
 
     Solved as d - n = sum lam / (tau_i + lam), exact as n -> d; the right
@@ -73,7 +76,7 @@ def solve_lambda(s: Spectrum, n: float, rel_tol: float = 1e-12) -> float:
         nxt = lam - step
         if not (lo < nxt < hi):
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - lam) <= rel_tol * max(nxt, 1e-300):
+        if abs(nxt - lam) <= _LAMBDA_REL_TOL * max(nxt, 1e-300):
             lam = nxt
             break
         lam = nxt

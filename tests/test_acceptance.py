@@ -20,10 +20,10 @@ from ddlab.designs import (
 )
 from ddlab.dpcheck import (
     fixed_k_gram_generator,
+    poisson_gram_generator,
     scaled_fixed_generator,
     verify_dp,
     verify_normalization,
-    verify_poisson_identity,
 )
 from ddlab.experiments import (
     adaptive_trials,
@@ -245,7 +245,7 @@ def test_criterion_6_dp_verify_suite():
 
     # Poisson Gram: full-minor expectation equals det(gamma * Sigma)
     s = Spectrum(np.array([1.0, 2.0]))
-    rep = verify_poisson_identity(MeasureSpec(s), 3.0, 100_000, 37)
+    rep = verify_dp(poisson_gram_generator(MeasureSpec(s), 3.0), [1, 2], 100_000, 37)
     full = [r for r in rep.records if r.size == 2 and r.rows == r.cols == (0, 1)][0]
     det_target = float(np.prod(3.0 * s.eigenvalues))
     z_gram = (full.mc_mean - det_target) / full.mc_se

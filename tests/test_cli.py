@@ -1,11 +1,20 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from ddlab.cli import main, parse_config
 
+DP_SCENARIOS = ("gaussian_entries", "rank1_scaled", "rank2_scaled_counterexample",
+                "closure_sum", "closure_product", "poisson_gram", "normalization")
+
 
 def run(args):
     return main(args)
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def read_rows(path):
@@ -134,12 +143,20 @@ class TestDiscrepancyCommand:
         rc = run(["discrepancy", "--kind", "skew", "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("d_values", ["10,20", "10,10,20"])
+    def test_too_few_d_values_exit_1_before_the_grid(self, tmp_path, capsys, d_values):
+        out = tmp_path / "o"
+        rc = run(["discrepancy", "--d-values", d_values, "--trials", "200", "--out", str(out)])
+        assert rc == 1
+        assert "at least 3 distinct d-values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reproducible(self, tmp_path):
-        args = ["discrepancy", "--kind", "variance", "--d-values", "8,12",
+        args = ["discrepancy", "--kind", "variance", "--d-values", "8,10,12",
                 "--aspect", "0.5", "--trials", "1000", "--seed", "4"]
         a, b = tmp_path / "a", tmp_path / "b"
-        run(args + ["--out", str(a)])
-        run(args + ["--out", str(b)])
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--out", str(b)]) == 0
         assert (a / "discrepancy.csv").read_text().replace(str(a), "OUT") == \
             (b / "discrepancy.csv").read_text().replace(str(b), "OUT")
 
@@ -187,6 +204,48 @@ class TestDpVerifyCommand:
         rc = run(["dp-verify", "--scenario", "mystery", "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_no_minors_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = run(["dp-verify", "--scenario", "gaussian_entries", "--d", "0", "--out", str(out)])
+        assert rc == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_columns_and_rows(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        run(["dp-verify", "--scenario", "rank1_scaled", "--d", "2", "--trials", "10000",
+             "--out", str(out)])
+        cols, rows = read_rows(out / "dp_report.csv")
+        assert cols == ["I", "J", "size", "mc_mean", "mc_se", "det_of_mean", "z"]
+        # 4 minors of size 1 and 1 of size 2, the I and J index lists space-separated
+        assert "5 minors" in capsys.readouterr().out
+        assert len(rows) == 5 and rows[-1][:3] == ["0 1", "0 1", "2"]
+
+    # sha256 prefixes of stdout and of the dp_report.csv data rows (header
+    # lines and any CR dropped) at --trials 10000 --seed 5, recorded when the
+    # CLI still built the scenarios itself; a change is a change of random
+    # stream or of output format
+    PINNED = {
+        "gaussian_entries": (["--d", "3"], "41530ea310a244d7", "5a2549a89815cc1f"),
+        "rank1_scaled": (["--d", "3"], "4fde5a15832455c0", "bd63c80550c9c887"),
+        "rank2_scaled_counterexample": (["--d", "3"], "3a13571cf9c38a14", "2f6a09ab7652ccd1"),
+        "closure_sum": (["--d", "3"], "736d7ed7e4efcb49", "3dc9aad1185bc379"),
+        "closure_product": (["--d", "3"], "65bf312103cc5103", "27f6246e43bebd2e"),
+        "poisson_gram": (["--d", "2", "--gamma", "3"], "3f3e38852a5f7421", "55aa3435ea87c014"),
+        "normalization": (["--d", "2"], "36ca2a6aa67ec7dc", "5c599be6495e250f"),
+    }
+
+    @pytest.mark.parametrize("scenario", DP_SCENARIOS)
+    def test_pinned_output(self, tmp_path, capsys, scenario):
+        extra, stdout_digest, rows_digest = self.PINNED[scenario]
+        out = tmp_path / "o"
+        rc = run(["dp-verify", "--scenario", scenario, *extra, "--trials", "10000",
+                  "--seed", "5", "--out", str(out)])
+        assert rc == 0
+        assert digest(capsys.readouterr().out) == stdout_digest
+        lines = (out / "dp_report.csv").read_text().splitlines()
+        assert digest("\n".join(ln for ln in lines if not ln.startswith("#"))) == rows_digest
+
 
 class TestSampleCommand:
     def test_under_regime(self, tmp_path):
@@ -213,9 +272,40 @@ class TestSampleCommand:
              "--seed", "7", "--out", str(out)])
         cols, rows = read_rows(out / "sample.csv")
         assert cols == ["x_1", "x_2", "x_3", "y"]
+        assert f"realized_k={len(rows)}" in (out / "sample_summary.txt").read_text()
         for r in rows:
             assert r[-1] != ""
             float(r[-1])
+
+    def test_rows_without_responses(self, tmp_path):
+        out = tmp_path / "o"
+        run(["sample", "--d", "3", "--n", "5", "--seed", "7", "--out", str(out)])
+        _, rows = read_rows(out / "sample.csv")
+        assert rows
+        for r in rows:
+            # d values written as repr(float), then an empty y field
+            assert len(r) == 4 and r[-1] == ""
+            assert all(repr(float(v)) == v for v in r[:-1])
+
+    # sha256 prefixes of stdout, sample.csv and sample_summary.txt, the output
+    # directory written as OUT, recorded when sample.csv had its own writer
+    PINNED = {
+        "gaussian_under_y": (["--d", "5", "--n", "3", "--profile", "diag_exp", "--kappa", "10",
+                              "--sigma2", "0.5", "--seed", "11"],
+                             "b9c4c0131b598bb5", "76b40817dc593cea", "ff2afe55017b5af7"),
+        "rademacher_over": (["--d", "3", "--n", "6", "--entry-law", "rademacher",
+                             "--chain-steps", "20", "--seed", "12"],
+                            "1be7aae5a024ca8f", "4cfe9cc52dcfc56e", "20d68af329d6e405"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_output(self, tmp_path, capsys, case):
+        argv, *digests = self.PINNED[case]
+        out = tmp_path / "o"
+        assert run(["sample", *argv, "--out", str(out)]) == 0
+        texts = [capsys.readouterr().out, (out / "sample.csv").read_text(),
+                 (out / "sample_summary.txt").read_text()]
+        assert [digest(t.replace(str(out), "OUT")) for t in texts] == digests
 
     def test_non_gaussian_under_runs_chain(self, tmp_path):
         out = tmp_path / "o"
@@ -233,6 +323,31 @@ class TestSampleCommand:
         run(args + ["--out", str(b)])
         assert (a / "sample.csv").read_text().replace(str(a), "OUT") == \
             (b / "sample.csv").read_text().replace(str(b), "OUT")
+
+
+OUTPUT_CSVS = {
+    "curve": (["curve", "--no-mc", "--d", "6", "--n-values", "2,4"], "curve.csv"),
+    "discrepancy": (["discrepancy", "--d-values", "8,10,12", "--trials", "200"],
+                    "discrepancy.csv"),
+    "sample": (["sample", "--d", "3", "--n", "2"], "sample.csv"),
+    **{f"dp-verify {s}": (["dp-verify", "--scenario", s, "--d", "2", "--trials", "10000"],
+                          "dp_report.csv") for s in DP_SCENARIOS},
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_CSVS)
+def test_every_csv_starts_with_config_header(tmp_path, case):
+    argv, name = OUTPUT_CSVS[case]
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 0
+    raw = (out / name).read_bytes()
+    assert b"\r" not in raw
+    lines = raw.decode().splitlines()
+    header = [ln for ln in lines if ln.startswith("#")]
+    # the header comes first, one sorted "# key=value" line per resolved key
+    assert lines[:len(header)] == header == sorted(header)
+    assert all("=" in ln and ln.startswith("# ") for ln in header)
+    assert f"# out={out}" in header and "# seed=1" in header
 
 
 class TestMeanRealizedSize:

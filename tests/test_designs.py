@@ -9,12 +9,10 @@ from scipy import stats
 from ddlab import designs
 from ddlab.covariance import Spectrum, make_profile
 from ddlab.designs import (
-    DesignSample,
     MeasureSpec,
     MonteCarloEstimate,
     gen_responses,
     sample_iid,
-    sample_surrogate_over,
     sample_surrogate_under_batch,
     surrogate_expectation_oracle,
 )
@@ -29,6 +27,12 @@ from ddlab.parallel import (
     trial_rng,
 )
 from ddlab.surrogate import surrogate_params, surrogate_size_pmf
+
+
+def one_draw(m, n, chain_steps, seed_or_rng):
+    """The one surrogate sample of a batch of one."""
+    (X,), _ = sample_surrogate_under_batch(m, n, 1, chain_steps, seed_or_rng)
+    return X
 
 
 class TestSampleIid:
@@ -278,7 +282,7 @@ class TestSamplerUnder:
         with pytest.raises(RuntimeError, match="full-rank"):
             designs._chain(m, 2, 4, 5, trial_rng(1, 0))
         with pytest.raises(RuntimeError, match="full-rank"):
-            sample_surrogate_over(MeasureSpec(m.spectrum, "rademacher"), 4.0, 5, 1)
+            one_draw(MeasureSpec(m.spectrum, "rademacher"), 4.0, 5, 1)
 
     def test_size_frequencies_match_pmf(self):
         m = MeasureSpec(Spectrum(np.array([1.0, 2.0])))
@@ -351,8 +355,7 @@ class TestTiltedDraw:
         b, _ = sample_surrogate_under_batch(m, 3, 200, 7, 8)  # chain_steps is ignored
         for X, Y in zip(a, b, strict=True):
             assert X.tobytes() == Y.tobytes()
-        assert sample_surrogate_over(m, 9.0, None, 8).X.tobytes() == \
-            sample_surrogate_over(m, 9.0, 5, 8).X.tobytes()
+        assert one_draw(m, 9.0, None, 8).tobytes() == one_draw(m, 9.0, 5, 8).tobytes()
 
     def test_figure_scale_projection_and_sizes(self):
         # d = 100 at n = 50: the 100 diagonal entries of E[I - X^+ X] and the
@@ -389,7 +392,7 @@ class TestChainWeight:
 class TestSamplerOver:
     def test_expected_total_rows(self):
         m = MeasureSpec(Spectrum(np.ones(2)))
-        ks = [sample_surrogate_over(m, 5.0, 30, seed).k for seed in range(3000)]
+        ks = [one_draw(m, 5.0, 30, seed).shape[0] for seed in range(3000)]
         se = np.std(ks, ddof=1) / math.sqrt(len(ks))
         assert abs(np.mean(ks) - 5.0) < 3 * se
 
@@ -403,14 +406,13 @@ class TestSamplerOver:
         for law, second_moment, num, steps in (("gaussian", 3.0, 1000, None),
                                                ("uniform_pm_sqrt3", 9 / 5, 600, 12)):
             m = MeasureSpec(Spectrum(np.ones(1)), law)
-            vals = [sample_surrogate_over(m, 1.0, steps, rng).X[0, 0] ** 2 for _ in range(num)]
+            vals = [one_draw(m, 1.0, steps, rng)[0, 0] ** 2 for _ in range(num)]
             se = np.std(vals, ddof=1) / math.sqrt(num)
             assert abs(np.mean(vals) - second_moment) < 3 * se, law
 
     def test_permutation_exchangeability(self):
         m = MeasureSpec(Spectrum(np.ones(2)))
-        first_norms = [np.linalg.norm(sample_surrogate_over(m, 4.0, 40, s).X[0])
-                       for s in range(1500)]
+        first_norms = [np.linalg.norm(one_draw(m, 4.0, 40, s)[0]) for s in range(1500)]
         # the appended rows are plain iid; under exchangeability the first row
         # must be indistinguishable from fresh iid norms mixed with block rows
         ks = stats.ks_2samp(first_norms[:750], first_norms[750:])
@@ -419,28 +421,9 @@ class TestSamplerOver:
     def test_rademacher_entries(self):
         m = MeasureSpec(Spectrum(np.ones(3)), "rademacher")
         for seed in range(5):
-            X = sample_surrogate_over(m, 6.0, 40, seed).X
+            X = one_draw(m, 6.0, 40, seed)
             assert X.shape[0] >= 3 and X.shape[1] == 3
             assert set(np.unique(X)) <= {-1.0, 1.0}
-
-    def test_rejects_n_below_d(self):
-        m = MeasureSpec(Spectrum(np.ones(3)))
-        with pytest.raises(ValueError):
-            sample_surrogate_over(m, 2, 10, 1)
-
-
-class TestDesignSample:
-    def test_csv_round_structure(self):
-        X = np.arange(6.0).reshape(2, 3)
-        sample = DesignSample(X=X, y=np.array([0.5, -1.5]))
-        lines = sample.csv_text().strip().splitlines()
-        assert lines[0] == "x_1,x_2,x_3,y"
-        assert len(lines) == 3
-        assert lines[1].endswith(",0.5")
-
-    def test_csv_without_y(self):
-        text = DesignSample(X=np.ones((1, 2))).csv_text()
-        assert text == "x_1,x_2,y\n1.0,1.0,\n"
 
 
 class TestRunTrials:

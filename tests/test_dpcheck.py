@@ -17,10 +17,9 @@ from ddlab.dpcheck import (
     gen_sum,
     poisson_gram_generator,
     scaled_fixed_generator,
-    verify_closure,
+    scenario_generator,
     verify_dp,
     verify_normalization,
-    verify_poisson_identity,
 )
 from ddlab.parallel import trial_rng
 
@@ -56,17 +55,13 @@ class TestVerifyDp:
         with pytest.raises(ValueError):
             verify_dp(gaussian_entries_generator(2), [1], 100, 1)
 
+    def test_no_minor_sizes_rejected(self):
+        with pytest.raises(ValueError, match="minor size"):
+            verify_dp(gaussian_entries_generator(2), [], 10_000, 1)
+
     def test_minor_subsampling_cap(self):
         report = verify_dp(fixed_generator(np.eye(4)), [1, 2, 3, 4], 10_000, 5, max_minors=10)
         assert len(report.records) == 10
-
-    def test_csv_schema(self, tmp_path):
-        report = verify_dp(fixed_generator(np.eye(2)), [1, 2], 10_000, 6)
-        path = tmp_path / "r.csv"
-        report.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "I,J,size,mc_mean,mc_se,det_of_mean,z"
-        assert len(lines) == 1 + len(report.records)
 
 
 class TestSelectMinors:
@@ -227,34 +222,28 @@ class TestDrawStack:
         for threads in ("1", "3"):
             monkeypatch.setenv("DDLAB_THREADS", threads)
             runs.append((verify_dp(g, [1, 2, 3], 10_000, 34),
-                         verify_poisson_identity(m, 2.0, 10_000, 35),
+                         verify_dp(poisson_gram_generator(m, 2.0), [1, 2, 3], 10_000, 35),
                          verify_normalization(m, 1.0, 10_000, 36)))
         assert runs[0] == runs[1]
 
 
 class TestClosure:
     def test_fixed_plus_fixed(self):
-        report = verify_closure(fixed_generator(np.eye(2)), fixed_generator(2 * np.eye(2)),
-                                "sum", [1, 2], 10_000, 7)
+        g = gen_sum(fixed_generator(np.eye(2)), fixed_generator(2 * np.eye(2)))
+        report = verify_dp(g, [1, 2], 10_000, 7)
         assert report.verdict == "consistent"
 
     def test_rank1_plus_gaussian(self):
         rng = np.random.default_rng(8)
         Z = np.outer(rng.standard_normal(3), rng.standard_normal(3))
-        gA = scaled_fixed_generator(Z, [0.0, 2.0])
-        gB = gaussian_entries_generator(3)
-        report = verify_closure(gA, gB, "sum", [1, 2, 3], TRIALS, 8)
+        g = gen_sum(scaled_fixed_generator(Z, [0.0, 2.0]), gaussian_entries_generator(3))
+        report = verify_dp(g, [1, 2, 3], TRIALS, 8)
         assert report.verdict == "consistent"
 
     def test_gaussian_product(self):
-        report = verify_closure(gaussian_entries_generator(2), gaussian_entries_generator(2),
-                                "product", [1, 2], TRIALS, 9)
+        g = gen_product(gaussian_entries_generator(2), gaussian_entries_generator(2))
+        report = verify_dp(g, [1, 2], TRIALS, 9)
         assert report.verdict == "consistent"
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            verify_closure(fixed_generator(np.eye(2)), fixed_generator(np.eye(2)),
-                           "kronecker", [1], 10_000, 1)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -266,7 +255,7 @@ class TestClosure:
 class TestPoissonIdentity:
     def test_scalar_case(self):
         m = MeasureSpec(Spectrum(np.ones(1)))
-        report = verify_poisson_identity(m, 2.0, TRIALS, 10)
+        report = verify_dp(poisson_gram_generator(m, 2.0), [1], TRIALS, 10)
         assert report.verdict == "consistent"
         # full minor expectation is det(gamma Sigma) = 2
         full = report.records[0]
@@ -274,7 +263,7 @@ class TestPoissonIdentity:
 
     def test_d2_gram_target(self):
         m = MeasureSpec(Spectrum(np.ones(2)))
-        report = verify_poisson_identity(m, 3.0, 50_000, 11)
+        report = verify_dp(poisson_gram_generator(m, 3.0), [1, 2], 50_000, 11)
         assert report.verdict == "consistent"
         full = [r for r in report.records if r.size == 2 and r.rows == r.cols][0]
         assert abs(full.mc_mean - 9.0) < 4 * full.mc_se
@@ -289,7 +278,35 @@ class TestPoissonIdentity:
 
     def test_bad_gamma(self):
         with pytest.raises(ValueError):
-            verify_poisson_identity(MeasureSpec(Spectrum(np.ones(2))), 0.0, 10_000, 1)
+            poisson_gram_generator(MeasureSpec(Spectrum(np.ones(2))), 0.0)
+
+
+class TestScenarioGenerator:
+    M = MeasureSpec(Spectrum(np.array([3.0, 2.0, 1.0])))
+
+    @pytest.mark.parametrize("name, reference", [
+        ("gaussian_entries", lambda m, rng: gaussian_entries_generator(3)),
+        ("rank1_scaled", lambda m, rng: scaled_fixed_generator(
+            np.outer(rng.standard_normal(3), rng.standard_normal(3)), [0.0, 2.0])),
+        ("rank2_scaled_counterexample", lambda m, rng: scaled_fixed_generator(
+            rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3)), [0.0, 2.0])),
+        ("closure_sum", lambda m, rng: gen_sum(scaled_fixed_generator(
+            np.outer(rng.standard_normal(3), rng.standard_normal(3)), [0.0, 2.0]),
+            gaussian_entries_generator(3))),
+        ("closure_product", lambda m, rng: gen_product(gaussian_entries_generator(3),
+                                                       gaussian_entries_generator(3))),
+        ("poisson_gram", lambda m, rng: poisson_gram_generator(m, 1.5)),
+    ])
+    def test_matches_reference(self, name, reference):
+        # fixed matrices come from the stream keyed (seed, 0xF1)
+        g = scenario_generator(name, self.M, 1.5, 17)
+        ref = reference(self.M, trial_rng(17, 0xF1))
+        assert g.dim == 3
+        np.testing.assert_array_equal(g.draw_stack(50, 18), ref.draw_stack(50, 18))
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown scenario"):
+            scenario_generator("normalization", self.M, 1.0, 1)
 
 
 class TestNormalization:

@@ -18,7 +18,6 @@ from ddlab.experiments import (
     curve_dimension_sweep,
     curve_double_descent,
     loglog_slope,
-    mse_monte_carlo_iid,
     mse_trial_samples,
     variance_discrepancy,
     variance_point,
@@ -44,26 +43,31 @@ def record_stream_keys(monkeypatch, *modules):
     return keys
 
 
+def mean_and_se(vals):
+    """Mean and standard error of per-trial statistics, as ``_curve_point`` takes them."""
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+
+
 class TestMseMonteCarlo:
     def test_noiseless_overdetermined_zero(self):
         p = iso_problem(3, sigma2=0.0)
         m = MeasureSpec(p.spectrum)
-        est = mse_monte_carlo_iid(p, m, 10, 50, 1)
-        assert float(est.mean) == pytest.approx(0.0, abs=1e-12)
+        mean, _ = mean_and_se(mse_trial_samples(p, m, 10, 50, 1))
+        assert mean == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_surrogate_at_d100(self):
         p = iso_problem(100)
         m = MeasureSpec(p.spectrum)
-        est = mse_monte_carlo_iid(p, m, 50, 1000, 2)
+        mean, se = mean_and_se(mse_trial_samples(p, m, 50, 1000, 2))
         target = surrogate_mse(p, 50)
-        assert abs(float(est.mean) - target) < max(3 * float(est.std_error), 0.05 * target)
+        assert abs(mean - target) < max(3 * se, 0.05 * target)
 
     def test_peak_completes_with_finite_mean(self):
         p = iso_problem(20)
         m = MeasureSpec(p.spectrum)
-        est = mse_monte_carlo_iid(p, m, 20, 100, 3)
-        assert np.isfinite(float(est.mean))
-        assert float(est.std_error) > 0
+        mean, se = mean_and_se(mse_trial_samples(p, m, 20, 100, 3))
+        assert np.isfinite(mean)
+        assert se > 0
 
     def test_too_few_trials(self):
         p = iso_problem(4)
