@@ -272,10 +272,23 @@ class TestSampleCommand:
              "--seed", "7", "--out", str(out)])
         cols, rows = read_rows(out / "sample.csv")
         assert cols == ["x_1", "x_2", "x_3", "y"]
-        assert f"realized_k={len(rows)}" in (out / "sample_summary.txt").read_text()
         for r in rows:
             assert r[-1] != ""
             float(r[-1])
+
+    def test_columns_and_row_count_with_responses(self, tmp_path):
+        out = tmp_path / "o"
+        run(["sample", "--d", "3", "--n", "6", "--chain-steps", "30", "--sigma2", "1",
+             "--seed", "9", "--out", str(out)])
+        lines = [ln for ln in (out / "sample.csv").read_text().splitlines()
+                 if not ln.startswith("#")]
+        assert lines[0] == "x_1,x_2,x_3,y"
+        # one line per realized row, each with d values and a y
+        assert f"realized_k={len(lines) - 1}" in (out / "sample_summary.txt").read_text()
+        assert len(lines) - 1 >= 3
+        for ln in lines[1:]:
+            fields = ln.split(",")
+            assert len(fields) == 4 and all(repr(float(v)) == v for v in fields)
 
     def test_rows_without_responses(self, tmp_path):
         out = tmp_path / "o"
