@@ -1,12 +1,16 @@
 """Command-line entry point: a thin shell over the library.
 
-Commands: curve | discrepancy | dp-verify | sample. Parameters come from
-an optional plain-text config file (``key = value`` lines with optional
-``[section]`` grouping) overridden by flags; every output file embeds the
-fully resolved configuration in ``#`` header comments so any run can be
-reproduced byte-for-byte from its own output. Every CSV goes through
-``_write_csv``: the sorted ``# key=value`` header, the column line, then
-one LF-ended line per row.
+Commands: curve | discrepancy | dp-verify | sample. ``OPTIONS`` declares
+each command's keys and their defaults once. Every key is both a flag,
+``--key`` with ``-`` for ``_`` (``mc`` is set by ``--no-mc`` and ``svg``
+by ``--svg``), and a key of the optional plain-text config file given by
+``--config`` (``key = value`` lines with optional ``[section]``
+grouping). Flags override the file, and a file key that the command does
+not have is invalid input. Every output file embeds the fully resolved
+configuration in ``#`` header comments so any run can be reproduced
+byte-for-byte from its own output. Every CSV goes through ``_write_csv``:
+the sorted ``# key=value`` header, the column line, then one LF-ended
+line per row.
 
 ``dp-verify`` runs ``dpcheck.verify_normalization`` for the
 ``normalization`` scenario and ``dpcheck.verify_dp`` on
@@ -19,6 +23,7 @@ Exit codes: 0 success (including flagged results), 1 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -34,6 +39,40 @@ from .surrogate import RegressionProblem
 __all__ = ["main"]
 
 DP_COLUMNS = ["I", "J", "size", "mc_mean", "mc_se", "det_of_mean", "z"]
+
+# command -> key -> default, kept as the string the header records. A None
+# default keeps the key out of the header until it is set; a callable one
+# is called when the command runs.
+OPTIONS = {
+    "curve": {
+        "d": "100", "n_values": None, "d_values": None, "n": None, "snr": None, "sigma2": "1",
+        "profile": "identity", "kappa": "1", "normalize_trace_inv": "true", "w_star": "uniform",
+        "entry_law": None, "mc": "true", "trials": "1000", "seed": "1",
+        "threads": default_threads, "out": "out", "svg": "false",
+    },
+    "discrepancy": {
+        "kind": "variance", "profile": "identity", "kappa": "1", "aspect": "0.5",
+        "d_values": "10,20,40,80,160", "normalize_trace_inv": "false",
+        "target_halfwidth": "0.125", "trials": "100000", "seed": "1",
+        "threads": default_threads, "out": "out", "svg": "false",
+    },
+    "dp-verify": {
+        "scenario": "gaussian_entries", "d": "3", "gamma": "1", "sigma2": "1",
+        "profile": "identity", "kappa": "1", "normalize_trace_inv": "false",
+        "trials": "100000", "seed": "1", "out": "out",
+    },
+    "sample": {
+        "d": "4", "n": "2", "profile": "identity", "kappa": "1", "normalize_trace_inv": "false",
+        "entry_law": "gaussian", "chain_steps": "", "sigma2": "", "w_star": "uniform",
+        "seed": "1", "out": "out",
+    },
+}
+# flag value types; every other key is taken as text
+_TYPES = {"d": int, "n": int, "trials": int, "seed": int, "threads": int, "chain_steps": int,
+          "kappa": float, "sigma2": float, "snr": float, "gamma": float,
+          "target_halfwidth": float}
+# keys set by a flag that takes no value: key -> (flag, value it sets)
+_SWITCHES = {"mc": ("--no-mc", "false"), "svg": ("--svg", "true")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,32 +121,34 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _resolve(args, defaults: dict[str, str]) -> dict[str, str]:
+def _resolve(args) -> dict[str, str]:
     """defaults < config file < explicit flags; all values kept as strings."""
-    cfg = dict(defaults)
+    table = OPTIONS[args.command]
+    cfg = {k: str(v() if callable(v) else v) for k, v in table.items() if v is not None}
     if args.config:
-        cfg.update(parse_config(args.config))
-    for key, val in vars(args).items():
-        if key in ("command", "config") or val is None:
-            continue
-        cfg[key] = str(val)
+        given = parse_config(args.config)
+        unknown = sorted(set(given) - set(table))
+        if unknown:
+            raise ValueError(f"unknown {args.command} key in {args.config}: {', '.join(unknown)}")
+        cfg.update(given)
+    cfg.update((k, str(v)) for k, v in vars(args).items() if k in table and v is not None)
     return cfg
 
 
 def _build_spectrum(cfg: dict[str, str], d: int) -> Spectrum:
-    kind = cfg.get("profile", "identity")
-    kappa = float(cfg.get("kappa", "1"))
+    kind = cfg["profile"]
+    kappa = float(cfg["kappa"])
     if kind == "identity" or kappa == 1.0:
         s = Spectrum(np.ones(d))
     else:
         s = make_profile(kind, d, lambda_max=1.0, lambda_min=1.0 / kappa)
-    if _bool(cfg.get("normalize_trace_inv", "true")):
+    if _bool(cfg["normalize_trace_inv"]):
         s = scale_trace_inverse(s, float(d))
     return s
 
 
 def _build_w_star(cfg: dict[str, str], d: int) -> np.ndarray:
-    spec = cfg.get("w_star", "uniform")
+    spec = cfg["w_star"]
     if spec == "uniform":
         return np.full(d, 1.0 / math.sqrt(d))
     return np.array([float(v) for v in spec.split(",")])
@@ -128,12 +169,7 @@ def _write_csv(path: Path, cfg: dict[str, str], columns: list[str], rows: list[l
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_curve(args) -> int:
-    cfg = _resolve(args, {
-        "d": "100", "sigma2": "1", "trials": "1000", "seed": "1", "profile": "identity",
-        "kappa": "1", "normalize_trace_inv": "true", "w_star": "uniform", "mc": "true",
-        "out": "out", "svg": "false", "threads": str(default_threads()),
-    })
+def cmd_curve(cfg: dict[str, str]) -> int:
     out = Path(cfg["out"])
     trials = int(cfg["trials"])
     seed = int(cfg["seed"])
@@ -173,20 +209,14 @@ def cmd_curve(args) -> int:
         if points[0].mse_mc is not None:
             series.append(svg.Series(xs, [pt.mse_mc for pt in points], "iid MC (3 SE)",
                                      err=[3 * pt.mse_mc_se for pt in points], marker=True))
-        null_mse = float(np.dot(_build_w_star(cfg, points[0].d), _build_w_star(cfg, points[0].d)))
+        w0 = _build_w_star(cfg, points[0].d)
         svg.line_chart(out / "curve.svg", series, title="MSE of the minimum-norm estimator",
-                       xlabel=xlabel, ylabel="MSE", hline=null_mse, logy=True)
+                       xlabel=xlabel, ylabel="MSE", hline=float(np.dot(w0, w0)), logy=True)
     print(f"wrote {out / 'curve.csv'} ({len(points)} points)")
     return 0
 
 
-def cmd_discrepancy(args) -> int:
-    cfg = _resolve(args, {
-        "kind": "variance", "profile": "identity", "kappa": "1", "aspect": "0.5",
-        "d_values": "10,20,40,80,160", "normalize_trace_inv": "false",
-        "target_halfwidth": "0.125", "trials": "100000", "seed": "1",
-        "out": "out", "svg": "false", "threads": str(default_threads()),
-    })
+def cmd_discrepancy(cfg: dict[str, str]) -> int:
     kind = cfg["kind"]
     if kind not in ("variance", "bias"):
         raise ValueError(f"unknown discrepancy kind {kind!r}")
@@ -232,21 +262,16 @@ def cmd_discrepancy(args) -> int:
     return 0
 
 
-def cmd_dp_verify(args) -> int:
-    cfg = _resolve(args, {
-        "scenario": "gaussian_entries", "d": "3", "gamma": "1", "sigma2": "1",
-        "trials": "100000", "seed": "1", "out": "out", "kappa": "1", "profile": "identity",
-        "normalize_trace_inv": "false",
-    })
+def cmd_dp_verify(cfg: dict[str, str]) -> int:
     scenario = cfg["scenario"]
     d = int(cfg["d"])
     gamma = float(cfg["gamma"])
     trials = int(cfg["trials"])
     seed = int(cfg["seed"])
     out = Path(cfg["out"])
+    # sigma2 scales the row covariance, which normalization and poisson_gram read
+    s = Spectrum(_build_spectrum(cfg, d).eigenvalues * float(cfg["sigma2"]))
     if scenario == "normalization":
-        sigma2 = float(cfg["sigma2"])
-        s = Spectrum(np.full(d, sigma2)) if d == 1 else _build_spectrum(cfg, d)
         est, target = dpcheck.verify_normalization(MeasureSpec(s), gamma, trials, seed)
         z = float(est.z_score(target))
         verdict = "consistent" if abs(z) <= 3 else "violated"
@@ -255,7 +280,6 @@ def cmd_dp_verify(args) -> int:
         print(f"normalization: estimate {float(est.mean):.6g} +- {float(est.std_error):.2g}, "
               f"target {target:.6g}, z {z:.2f} -> {verdict}")
         return 0
-    s = _build_spectrum(cfg, d)
     g = dpcheck.scenario_generator(scenario, MeasureSpec(s), gamma, seed)
     report = dpcheck.verify_dp(g, range(1, d + 1), trials, seed)
     if scenario == "poisson_gram":
@@ -272,12 +296,7 @@ def cmd_dp_verify(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    cfg = _resolve(args, {
-        "d": "4", "n": "2", "profile": "identity", "kappa": "1", "entry_law": "gaussian",
-        "normalize_trace_inv": "false", "chain_steps": "", "seed": "1", "out": "out",
-        "sigma2": "", "w_star": "uniform",
-    })
+def cmd_sample(cfg: dict[str, str]) -> int:
     d = int(cfg["d"])
     n = int(cfg["n"])
     seed = int(cfg["seed"])
@@ -298,60 +317,20 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _add_common(sp):
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--svg", action="store_const", const="true", default=None)
-
-
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built from OPTIONS once per process."""
     ap = _Parser(prog="ddlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("curve")
-    _add_common(c)
-    c.add_argument("--d", type=int, default=None)
-    c.add_argument("--n-values", dest="n_values", default=None)
-    c.add_argument("--d-values", dest="d_values", default=None)
-    c.add_argument("--n", type=int, default=None)
-    c.add_argument("--snr", type=float, default=None)
-    c.add_argument("--profile", default=None)
-    c.add_argument("--kappa", type=float, default=None)
-    c.add_argument("--sigma2", type=float, default=None)
-    c.add_argument("--w-star", dest="w_star", default=None)
-    c.add_argument("--no-mc", dest="mc", action="store_const", const="false", default=None)
-
-    g = sub.add_parser("discrepancy")
-    _add_common(g)
-    g.add_argument("--kind", default=None)
-    g.add_argument("--profile", default=None)
-    g.add_argument("--kappa", type=float, default=None)
-    g.add_argument("--aspect", default=None)
-    g.add_argument("--d-values", dest="d_values", default=None)
-    g.add_argument("--target-halfwidth", dest="target_halfwidth", type=float, default=None)
-
-    v = sub.add_parser("dp-verify")
-    _add_common(v)
-    v.add_argument("--scenario", default=None)
-    v.add_argument("--d", type=int, default=None)
-    v.add_argument("--gamma", type=float, default=None)
-    v.add_argument("--sigma2", type=float, default=None)
-
-    s = sub.add_parser("sample")
-    _add_common(s)
-    s.add_argument("--d", type=int, default=None)
-    s.add_argument("--n", type=int, default=None)
-    s.add_argument("--profile", default=None)
-    s.add_argument("--kappa", type=float, default=None)
-    s.add_argument("--entry-law", dest="entry_law", default=None)
-    s.add_argument("--chain-steps", dest="chain_steps", type=int, default=None,
-                   help="Metropolis steps for the rademacher and uniform_pm_sqrt3 entry laws "
-                        "(default 100 per block row); gaussian designs are drawn exactly "
-                        "and ignore it")
-    s.add_argument("--sigma2", type=float, default=None)
+    for command, table in OPTIONS.items():
+        sp = sub.add_parser(command)
+        sp.add_argument("--config")
+        for key in table:
+            if key in _SWITCHES:
+                flag, const = _SWITCHES[key]
+                sp.add_argument(flag, dest=key, action="store_const", const=const)
+            else:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key, type=_TYPES.get(key))
     return ap
 
 
@@ -364,7 +343,7 @@ def main(argv=None) -> int:
         "sample": cmd_sample,
     }
     try:
-        return handlers[args.command](args)
+        return handlers[args.command](_resolve(args))
     except (ValueError, FileNotFoundError) as exc:
         print(f"ddlab: invalid input: {exc}", file=sys.stderr)
         return 1

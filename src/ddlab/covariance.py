@@ -49,10 +49,6 @@ class Spectrum:
     def dim(self) -> int:
         return int(self.eigenvalues.size)
 
-    @property
-    def condition_number(self) -> float:
-        return float(self.eigenvalues[0] / self.eigenvalues[-1])
-
     def trace_inverse(self) -> float:
         return float(np.sum(1.0 / self.eigenvalues))
 

@@ -52,11 +52,10 @@ FAMILY_LEVEL = 0.01
 
 @dataclass(frozen=True)
 class MatrixGenerator:
-    """Named procedure producing i.i.d. random d x d matrices in batches:
+    """Procedure producing i.i.d. random d x d matrices in batches:
     ``sample(rng, count)`` draws ``count`` of them from ``rng`` as a
     (count, d, d) stack."""
 
-    name: str
     dim: int
     sample: callable  # (rng, count) -> (count, d, d) ndarray
 
@@ -70,16 +69,14 @@ class MatrixGenerator:
 
 def fixed_generator(Z) -> MatrixGenerator:
     Z = np.asarray(Z, dtype=float)
-    return MatrixGenerator("fixed", Z.shape[0],
-                           lambda rng, count: np.broadcast_to(Z, (count, *Z.shape)))
+    return MatrixGenerator(Z.shape[0], lambda rng, count: np.broadcast_to(Z, (count, *Z.shape)))
 
 
 def gaussian_entries_generator(d: int) -> MatrixGenerator:
-    return MatrixGenerator("gaussian_entries", d,
-                           lambda rng, count: rng.standard_normal((count, d, d)))
+    return MatrixGenerator(d, lambda rng, count: rng.standard_normal((count, d, d)))
 
 
-def scaled_fixed_generator(Z, scale_values, name: str = "scaled_fixed") -> MatrixGenerator:
+def scaled_fixed_generator(Z, scale_values) -> MatrixGenerator:
     """s * Z with s drawn uniformly from ``scale_values``."""
     Z = np.asarray(Z, dtype=float)
     vals = np.asarray(scale_values, dtype=float)
@@ -87,7 +84,7 @@ def scaled_fixed_generator(Z, scale_values, name: str = "scaled_fixed") -> Matri
     def sample(rng, count):
         return vals[rng.integers(vals.size, size=count)][:, None, None] * Z
 
-    return MatrixGenerator(name, Z.shape[0], sample)
+    return MatrixGenerator(Z.shape[0], sample)
 
 
 def poisson_gram_generator(m: MeasureSpec, gamma: float) -> MatrixGenerator:
@@ -111,7 +108,7 @@ def poisson_gram_generator(m: MeasureSpec, gamma: float) -> MatrixGenerator:
                 G[:, j, k] = G[:, k, j] = np.bincount(owner, X[:, j] * X[:, k], count)
         return G
 
-    return MatrixGenerator("poisson_gram", d, sample)
+    return MatrixGenerator(d, sample)
 
 
 def fixed_k_gram_generator(m: MeasureSpec, k: int) -> MatrixGenerator:
@@ -122,7 +119,7 @@ def fixed_k_gram_generator(m: MeasureSpec, k: int) -> MatrixGenerator:
         X = sample_iid(m, count * k, rng).reshape(count, k, m.dim)
         return np.swapaxes(X, 1, 2) @ X
 
-    return MatrixGenerator("fixed_k_gram", m.dim, sample)
+    return MatrixGenerator(m.dim, sample)
 
 
 def gen_sum(a: MatrixGenerator, b: MatrixGenerator) -> MatrixGenerator:
@@ -132,7 +129,7 @@ def gen_sum(a: MatrixGenerator, b: MatrixGenerator) -> MatrixGenerator:
     def sample(rng, count):
         return a.sample(rng, count) + b.sample(rng, count)
 
-    return MatrixGenerator(f"{a.name}+{b.name}", a.dim, sample)
+    return MatrixGenerator(a.dim, sample)
 
 
 def gen_product(a: MatrixGenerator, b: MatrixGenerator) -> MatrixGenerator:
@@ -142,23 +139,22 @@ def gen_product(a: MatrixGenerator, b: MatrixGenerator) -> MatrixGenerator:
     def sample(rng, count):
         return a.sample(rng, count) @ b.sample(rng, count)
 
-    return MatrixGenerator(f"{a.name}*{b.name}", a.dim, sample)
+    return MatrixGenerator(a.dim, sample)
 
 
-def _scaled_low_rank(d: int, rank: int, rng, name: str) -> MatrixGenerator:
+def _scaled_low_rank(d: int, rank: int, rng) -> MatrixGenerator:
     """s * U V with U (d x rank), V (rank x d) drawn once from ``rng`` and s
     uniform on {0, 2}: d.p. at rank 1, not at rank 2 and above."""
     U, V = rng.standard_normal((d, rank)), rng.standard_normal((rank, d))
-    return scaled_fixed_generator(U @ V, [0.0, 2.0], name)
+    return scaled_fixed_generator(U @ V, [0.0, 2.0])
 
 
 # name -> (m, gamma, rng) -> generator; rng draws the fixed matrices
 _SCENARIOS = {
     "gaussian_entries": lambda m, gamma, rng: gaussian_entries_generator(m.dim),
-    "rank1_scaled": lambda m, gamma, rng: _scaled_low_rank(m.dim, 1, rng, "rank1_scaled"),
-    "rank2_scaled_counterexample":
-        lambda m, gamma, rng: _scaled_low_rank(m.dim, 2, rng, "rank2_scaled"),
-    "closure_sum": lambda m, gamma, rng: gen_sum(_scaled_low_rank(m.dim, 1, rng, "rank1_scaled"),
+    "rank1_scaled": lambda m, gamma, rng: _scaled_low_rank(m.dim, 1, rng),
+    "rank2_scaled_counterexample": lambda m, gamma, rng: _scaled_low_rank(m.dim, 2, rng),
+    "closure_sum": lambda m, gamma, rng: gen_sum(_scaled_low_rank(m.dim, 1, rng),
                                                  gaussian_entries_generator(m.dim)),
     "closure_product": lambda m, gamma, rng: gen_product(gaussian_entries_generator(m.dim),
                                                          gaussian_entries_generator(m.dim)),

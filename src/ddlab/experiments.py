@@ -84,10 +84,12 @@ def mse_trial_samples(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
     """Per-trial Rao-Blackwellized MSE statistics for an i.i.d. design:
     sigma^2 tr((X^T X)^+) + ||(I - X^+X) w*||^2, exact over the response
     noise and random only in X, which removes all noise-sampling variance
-    from the Monte Carlo."""
+    from the Monte Carlo. The designs are drawn in the frame of
+    ``m.spectrum.basis``, so w* is mapped there from the eigenbasis."""
     if trials < 30:
         raise ValueError("need at least 30 trials")
-    w, s2 = p.w_star, p.sigma2
+    basis, s2 = m.spectrum.basis, p.sigma2
+    w = p.w_star if basis is None else basis @ p.w_star
 
     def block(rng, lo, hi):
         tr, resid = min_norm_stats(_block_designs(m, n, rng, hi - lo), w)
@@ -213,7 +215,9 @@ def bias_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
     Trials are aggregated into BIAS_BATCHES batch means before
     bootstrapping so memory stays flat for large trial counts. Each batch is one block of the
     engine: batch b draws its designs, ``block_size`` of them at a time,
-    from the stream of block b.
+    from the stream of block b. The designs are drawn in the frame of
+    ``s.basis``, so each batch mean is mapped back to the eigenbasis, where
+    the whitening factors act.
     """
     if s.dim != d:
         raise ValueError("spectrum dimension does not match d")
@@ -232,6 +236,8 @@ def bias_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
                    for i in range(0, count, size)) / count
 
     batch_means = np.stack(run_block_streams(batch_mean, batches, seed, 1, threads))
+    if s.basis is not None:
+        batch_means = s.basis.T @ batch_means @ s.basis
 
     def whitened_dev(mean):
         return (white[:, None] * mean * white[None, :]) - np.eye(d)

@@ -24,7 +24,6 @@ __all__ = [
     "SurrogateParams",
     "RegressionProblem",
     "solve_lambda",
-    "effective_dimension",
     "surrogate_params",
     "surrogate_mse",
     "variance_term",
@@ -35,12 +34,6 @@ __all__ = [
 
 # relative step at which solve_lambda's Newton iteration stops
 _LAMBDA_REL_TOL = 1e-12
-
-
-def effective_dimension(s: Spectrum, lam: float) -> float:
-    """Ridge effective degrees of freedom tr(Sigma (Sigma + lam I)^{-1})."""
-    t = s.eigenvalues
-    return float(np.sum(t / (t + lam)))
 
 
 def solve_lambda(s: Spectrum, n: float) -> float:

@@ -1,9 +1,14 @@
 import hashlib
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddlab.cli import main, parse_config
+from ddlab.cli import OPTIONS, _resolve, build_parser, main, parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DP_SCENARIOS = ("gaussian_entries", "rank1_scaled", "rank2_scaled_counterexample",
                 "closure_sum", "closure_product", "poisson_gram", "normalization")
@@ -39,6 +44,47 @@ class TestConfigParsing:
     def test_missing_config_is_exit_1(self, tmp_path, capsys):
         rc = run(["curve", "--config", str(tmp_path / "missing.cfg")])
         assert rc == 1
+
+
+class TestOptionTable:
+    # (command, config) pairs of the scripts that run the preset configs
+    PRESETS = sorted({m.groups() for script in (ROOT / "scripts").glob("run_*.sh")
+                      for m in re.finditer(r"ddlab (\S+) --config (\S+)", script.read_text())})
+
+    def test_every_preset_has_a_script(self):
+        assert sorted(path for _, path in self.PRESETS) == \
+            sorted(f"configs/{p.name}" for p in (ROOT / "configs").glob("*.cfg"))
+
+    @pytest.mark.parametrize("command, path", PRESETS)
+    def test_preset_keys_are_options(self, command, path):
+        cfg = _resolve(build_parser().parse_args([command, "--config", str(ROOT / path)]))
+        assert set(parse_config(str(ROOT / path))) <= set(cfg) <= set(OPTIONS[command])
+
+    def test_unknown_config_key_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("d = 6\nn_values = 2,4\nkind = bias\n")
+        out = tmp_path / "o"
+        rc = run(["curve", "--no-mc", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert "kind" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["sample", "--trials", "5"],
+                                      ["dp-verify", "--threads", "4"]])
+    def test_flag_the_command_never_reads_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == 1
+        assert argv[1] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_only_keys_have_flags(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["sample", "--d", "3", "--n", "2", "--normalize-trace-inv", "true",
+                    "--w-star", "1,0,0", "--sigma2", "1", "--out", str(out)]) == 0
+        text = (out / "sample.csv").read_text()
+        assert "# normalize_trace_inv=true" in text and "# w_star=1,0,0" in text
 
 
 class TestCurveCommand:
@@ -199,6 +245,13 @@ class TestDpVerifyCommand:
         assert "consistent" in text
         # target e^{-1}(1 + 1) = 0.735759
         assert "0.735759" in text
+
+    def test_sigma2_scales_the_covariance(self, tmp_path, capsys):
+        rc = run(["dp-verify", "--scenario", "normalization", "--d", "2", "--sigma2", "2",
+                  "--trials", "20000", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        # target e^{-gamma} det(I + 2 gamma I) = 9 / e at gamma = 1
+        assert f"target {9 / math.e:.6g}," in capsys.readouterr().out
 
     def test_unknown_scenario_exit_1(self, tmp_path):
         rc = run(["dp-verify", "--scenario", "mystery", "--out", str(tmp_path / "o")])
