@@ -2,18 +2,22 @@
 # The test suite, then the benchmark harness's own tests: those pin names in
 # ddlab's namespaces (for example designs.log_det_gram) that a deletion can
 # break while the suite stays green. The first line printed is the
-# environment the run's timings belong to. -rP prints the captured output of
-# passed tests too, so every ACCEPTANCE criterion line shows.
+# environment the run's timings belong to, with both BLAS builds: numpy and
+# scipy each bundle their own, and ddlab's LAPACK calls run on both. -rP
+# prints the captured output of passed tests too, so every ACCEPTANCE
+# criterion line shows; pyproject's --durations=15 lists the slowest tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 python - <<'PY'
 import os, platform, numpy, scipy
-blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+def blas(pkg):
+    b = pkg.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{b.get('name')} {b.get('version')}"
 threads = " ".join(f"{k}={os.environ.get(k, 'unset')}"
                    for k in ("OPENBLAS_NUM_THREADS", "DDLAB_THREADS"))
 print(f"env nproc={len(os.sched_getaffinity(0))} python={platform.python_version()} "
       f"numpy={numpy.__version__} scipy={scipy.__version__} "
-      f"blas={blas.get('name')} {blas.get('version')} {threads}", flush=True)
+      f"numpy_blas={blas(numpy)} scipy_blas={blas(scipy)} {threads}", flush=True)
 PY
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -rP --continue-on-collection-errors "$@"
 python3 -m pytest -p no:cacheprovider perfbench

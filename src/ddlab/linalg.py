@@ -5,6 +5,16 @@ minimum-norm estimator.
 All functions are pure and operate on plain numpy arrays. Rank decisions
 use a shared singular-value cutoff so that the same matrix is never
 "full rank" in one routine and "deficient" in another.
+
+Which LAPACK runs: ``pseudo_inverse`` and ``projection_complement`` call
+scipy's ``dgesdd`` directly for matrices of at most SMALL_SVD entries,
+skipping most of the per-call cost of ``np.linalg.svd``, and
+``np.linalg.svd`` (numpy's LAPACK) above that, where scipy's bundled
+OpenBLAS is the slower one. ``log_det_gram`` and the stacked QR of
+``min_norm_stats`` and ``projection_complement_sum`` run on numpy's LAPACK;
+their triangular inverses call scipy's ``dtrtri``. The numpy and scipy
+wheels each bundle their own OpenBLAS; the trial engine
+(``parallel.run_blocks``) holds both at one thread.
 """
 
 from __future__ import annotations
@@ -22,13 +32,17 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+# entries (k * d) up to which an SVD calls scipy's dgesdd directly: above it
+# scipy's bundled OpenBLAS is slower than numpy's, and their results can
+# differ in the last bits
+SMALL_SVD = 1024
 
 
 def _as_matrix(A, ndim: int = 2) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
     return A
 
@@ -41,7 +55,23 @@ def zero_threshold(singular_values: np.ndarray, shape: tuple[int, int]):
     """
     if singular_values.size == 0:
         return 0.0
-    return _EPS * np.max(singular_values, axis=-1) * max(shape)
+    return _EPS * singular_values.max(axis=-1) * max(shape)
+
+
+def _svd(A: np.ndarray):
+    """Thin SVD U, s, Vt of a non-empty k x d matrix, and the mask of the
+    singular values above the shared zero threshold.
+
+    At most SMALL_SVD entries: scipy's dgesdd, called directly; above that,
+    np.linalg.svd.
+    """
+    if A.size <= SMALL_SVD:
+        U, s, Vt, info = lapack.dgesdd(A, compute_uv=1, full_matrices=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgesdd failed (info={info})")
+    else:
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    return U, s, Vt, s > zero_threshold(s, A.shape)
 
 
 def pseudo_inverse(A) -> np.ndarray:
@@ -49,10 +79,8 @@ def pseudo_inverse(A) -> np.ndarray:
     A = _as_matrix(A)
     if 0 in A.shape:
         return np.zeros((A.shape[1], A.shape[0]))
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    cut = zero_threshold(s, A.shape)
-    inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
-    return (Vt.T * inv) @ U.T
+    U, s, Vt, keep = _svd(A)
+    return (Vt.T * np.divide(1.0, s, out=np.zeros_like(s), where=keep)) @ U.T
 
 
 def projection_complement(X) -> np.ndarray:
@@ -63,12 +91,11 @@ def projection_complement(X) -> np.ndarray:
     """
     X = _as_matrix(X)
     d = X.shape[1]
-    if X.shape[0] == 0:
+    if 0 in X.shape:
         return np.eye(d)
     # Row space basis from the SVD right singular vectors.
-    _, s, Vt = np.linalg.svd(X, full_matrices=False)
-    cut = zero_threshold(s, X.shape)
-    V = Vt[s > cut]
+    _, _, Vt, keep = _svd(X)
+    V = Vt[keep]
     return np.eye(d) - V.T @ V
 
 
@@ -80,8 +107,7 @@ def log_det_gram(X):
     falls to the shared zero threshold; the empty 0 x d design gives
     log(1) = 0. Computed from singular values so no Gram matrix is formed.
     """
-    X = np.asarray(X, dtype=float)
-    X = _as_matrix(X, ndim=max(X.ndim, 2))
+    X = _as_matrix(X, ndim=max(np.ndim(X), 2))
     k, d = X.shape[-2:]
     if k > d:
         raise ValueError(f"log_det_gram needs k <= d, got {k} x {d}")

@@ -13,9 +13,10 @@ top bit of the block keys keeps every block stream apart from those.
 
 Threads and BLAS: ``run_blocks`` is the one trial engine. It cuts the
 trials into fixed blocks whose size comes from the input shapes, and the
-worker threads run whole blocks in parallel. While it runs, OpenBLAS is
-held at one thread, so the workers' small LAPACK calls neither share nor
-wait for BLAS threads; the previous count is restored afterwards. Block
+worker threads run whole blocks in parallel. While it runs, every OpenBLAS
+that numpy and scipy loaded (their wheels bundle separate builds) is held
+at one thread, so the workers' small LAPACK calls neither share nor wait
+for BLAS threads; the previous counts are restored afterwards. Block
 boundaries never depend on ``threads``, so the output does not depend on
 ``--threads`` either, and no generator is shared between threads.
 """
@@ -30,6 +31,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import scipy
 
 __all__ = [
     "trial_rng", "run_blocks", "run_block_streams", "run_trials", "block_size", "default_threads",
@@ -63,59 +65,71 @@ def block_size(floats_per_trial: int) -> int:
     return max(1, BLOCK_FLOATS // max(1, int(floats_per_trial)))
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count entry points of the OpenBLAS that numpy
-    loaded, or None when there is none to be found. Looked up on first use,
-    not at import."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", "_64", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
+def _thread_api(path: str):
+    """(get, set) thread-count entry points of the OpenBLAS at ``path``, or
+    None when it has none."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", "_64", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
     return None
 
 
-class _BlasHold:
-    """Context manager holding OpenBLAS at one thread.
+@functools.cache
+def _openblas_threads() -> dict:
+    """{package: (get, set)} for each of numpy and scipy whose wheel bundles
+    an OpenBLAS with thread control; the two may load separate builds.
+    Looked up on first use, not at import."""
+    apis = {}
+    for pkg in (np, scipy):
+        libdir = os.path.join(os.path.dirname(pkg.__file__), os.pardir, f"{pkg.__name__}.libs")
+        for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+            api = _thread_api(path)
+            if api is not None:
+                apis[pkg.__name__] = api
+                break
+    return apis
 
-    The thread count is process-wide state of the library, so there is one
+
+class _BlasHold:
+    """Context manager holding every OpenBLAS that numpy and scipy loaded at
+    one thread.
+
+    The thread count is process-wide state of each library, so there is one
     hold for the process. It counts the holds open at once: the first saves
-    the count and sets 1, the last restores the saved count, so nested and
-    concurrent engine runs leave the count as they found it.
+    the counts and sets 1, the last restores the saved counts, so nested and
+    concurrent engine runs leave the counts as they found them.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._open = 0
-        self._saved = 0
+        self._saved = []
 
     def __enter__(self):
-        api = _openblas_threads()
-        if api is not None:
-            with self._lock:
-                if self._open == 0:
-                    self._saved = api[0]()
-                    api[1](1)
-                self._open += 1
+        apis = _openblas_threads().values()
+        with self._lock:
+            if self._open == 0:
+                self._saved = [(put, get()) for get, put in apis]
+                for put, _ in self._saved:
+                    put(1)
+            self._open += 1
         return self
 
     def __exit__(self, *exc):
-        api = _openblas_threads()
-        if api is not None:
-            with self._lock:
-                self._open -= 1
-                if self._open == 0:
-                    api[1](self._saved)
+        with self._lock:
+            self._open -= 1
+            if self._open == 0:
+                for put, count in self._saved:
+                    put(count)
 
 
 _blas_hold = _BlasHold()
@@ -126,7 +140,7 @@ def run_blocks(fn, trials: int, threads: int | None, block: int) -> list:
     covering trials 0..trials-1, and return the block results in index order.
 
     Blocks are fixed by ``trials`` and ``block`` alone; ``threads`` workers
-    run them in parallel, with OpenBLAS held at one thread throughout.
+    run them in parallel, with every OpenBLAS held at one thread throughout.
     """
     if block < 1:
         raise ValueError("block must be at least 1")

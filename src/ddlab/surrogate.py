@@ -174,7 +174,7 @@ def surrogate_mse(p: RegressionProblem, n: float) -> float:
     tr_inv = s.trace_inverse()
     if n == d:
         return p.sigma2 * tr_inv
-    return p.sigma2 * tr_inv * (1.0 - math.exp(d - n)) / (n - d)
+    return p.sigma2 * tr_inv * -math.expm1(d - n) / (n - d)
 
 
 def implicit_reg_mean(p: RegressionProblem, n: float, v: np.ndarray | None = None) -> np.ndarray:

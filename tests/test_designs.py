@@ -483,22 +483,31 @@ class TestRunBlocks:
         with pytest.raises(ValueError):
             run_blocks(lambda lo, hi: None, 10, 1, 0)
 
-    @pytest.mark.skipif(_openblas_threads() is None, reason="no OpenBLAS thread control found")
+    @pytest.mark.skipif(not _openblas_threads(), reason="no OpenBLAS thread control found")
     @pytest.mark.parametrize("threads", [1, 3])
     def test_blas_held_at_one_thread_and_restored(self, threads):
-        get, put = _openblas_threads()
-        before = get()
-        put(2)
+        # numpy's and scipy's wheels each bundle an OpenBLAS build; the
+        # workers' LAPACK calls run on both, so both are held
+        apis = _openblas_threads()
+        assert set(apis) == {"numpy", "scipy"}
+
+        def counts(lo=0, hi=0):
+            return [get() for get, _ in apis.values()]
+
+        before = counts()
+        for _, put in apis.values():
+            put(2)
         try:
-            inside = run_blocks(lambda lo, hi: get(), 6, threads, 2)
-            assert inside == [1, 1, 1]
-            assert get() == 2
+            inside = run_blocks(counts, 6, threads, 2)
+            assert inside == [[1, 1]] * 3
+            assert counts() == [2, 2]
 
             def boom(lo, hi):
                 raise RuntimeError("trial failed")
 
             with pytest.raises(RuntimeError):
                 run_blocks(boom, 6, threads, 2)
-            assert get() == 2
+            assert counts() == [2, 2]
         finally:
-            put(before)
+            for (_, put), count in zip(apis.values(), before):
+                put(count)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddlab import linalg
 from ddlab.linalg import (
+    SMALL_SVD,
     _r_factor,
     log_det_gram,
     min_norm_stats,
@@ -68,6 +70,86 @@ class TestProjectionComplement:
         rank = np.linalg.matrix_rank(X) if n else 0
         assert np.trace(P) == pytest.approx(d - rank, abs=1e-9)
         assert np.max(np.abs(P @ P - P)) < 1e-10
+
+
+def svd_reference(A):
+    """pseudo_inverse and projection_complement of a non-empty matrix from
+    numpy's SVD, with the eps * sigma_max * max(k, d) cutoff."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > np.finfo(float).eps * s.max() * max(A.shape)
+    V = Vt[keep]
+    return (V.T / s[keep]) @ U[:, keep].T, np.eye(A.shape[1]) - V.T @ V
+
+
+def assert_near(out, ref, tol):
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref), initial=0.0) <= tol
+
+
+class TestSmallSvd:
+    """The kernels on both SVD routes, against numpy's SVD."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_small_shapes_match_numpy_svd(self, k):
+        # full rank, a duplicated row, and entries in {-1, 0, 1}, which are
+        # often exactly rank deficient
+        rng = rng_for(k)
+        for d in range(1, 13):
+            for kind in ("gaussian", "duplicated", "ternary"):
+                A = (rng.integers(-1, 2, size=(k, d)).astype(float) if kind == "ternary"
+                     else rng.standard_normal((k, d)))
+                if kind == "duplicated":
+                    A[-1] = A[0]
+                P, C = svd_reference(A)
+                assert_near(pseudo_inverse(A), P, 4 * np.spacing(np.linalg.norm(P)))
+                assert_near(projection_complement(A), C, 4 * np.spacing(np.linalg.norm(C)))
+
+    @pytest.mark.parametrize("shape", [(30, 30), (10, 100), (64, 64), (200, 100)])
+    def test_larger_shapes_match_numpy_svd(self, shape):
+        # the first two at most SMALL_SVD entries, the last two above it
+        A = rng_for(sum(shape)).standard_normal(shape)
+        P, C = svd_reference(A)
+        assert_near(pseudo_inverse(A), P, 1e-12 * np.linalg.norm(P))
+        assert_near(projection_complement(A), C, 1e-12 * np.linalg.norm(C))
+
+    def test_routes_split_at_small_svd(self, monkeypatch):
+        shapes, dgesdd = [], linalg.lapack.dgesdd
+
+        def counted(A, **kw):
+            shapes.append(A.shape)
+            return dgesdd(A, **kw)
+
+        monkeypatch.setattr(linalg.lapack, "dgesdd", counted)
+        pseudo_inverse(np.ones((1, SMALL_SVD)))
+        projection_complement(np.ones((2, SMALL_SVD // 2 + 1)))
+        assert shapes == [(1, SMALL_SVD)]
+
+    def test_empty_and_one_by_one(self):
+        np.testing.assert_array_equal(pseudo_inverse(np.zeros((0, 3))), np.zeros((3, 0)))
+        np.testing.assert_array_equal(pseudo_inverse(np.zeros((3, 0))), np.zeros((0, 3)))
+        np.testing.assert_array_equal(projection_complement(np.zeros((0, 3))), np.eye(3))
+        np.testing.assert_array_equal(projection_complement(np.zeros((3, 0))), np.eye(0))
+        assert pseudo_inverse(np.array([[4.0]]))[0, 0] == 0.25
+        assert pseudo_inverse(np.array([[0.0]]))[0, 0] == 0.0
+        assert projection_complement(np.array([[-2.0]]))[0, 0] == 0.0
+        assert projection_complement(np.array([[0.0]]))[0, 0] == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kernel", [pseudo_inverse, projection_complement])
+    def test_nonfinite_rejected(self, kernel, bad):
+        with pytest.raises(ValueError):
+            kernel(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("kernel", [pseudo_inverse, projection_complement])
+    def test_lapack_failure_raises(self, kernel, monkeypatch):
+        def no_convergence(A, **kw):
+            k, d = A.shape
+            r = min(k, d)
+            return np.zeros((k, r)), np.zeros(r), np.zeros((r, d)), 1
+
+        monkeypatch.setattr(linalg.lapack, "dgesdd", no_convergence)
+        with pytest.raises(np.linalg.LinAlgError):
+            kernel(np.eye(3))
 
 
 class TestLogDetGram:

@@ -92,6 +92,16 @@ class TestSurrogateMse:
         p = RegressionProblem(Spectrum(np.ones(100)), np.full(100, 0.1), 1.0)
         assert surrogate_mse(p, 101) == pytest.approx(100.0 * (1.0 - math.exp(-1.0)), rel=1e-12)
 
+    @pytest.mark.parametrize("gap", [1e-9, 1e-12])
+    def test_just_over_d_without_cancellation(self, gap):
+        # sigma^2 tr(Sigma^-1) (1 - e^-x) / x with x = n - d, against its
+        # series 1 - x/2 (next term x^2/6, below 1e-18 here)
+        d = 10
+        p = RegressionProblem(Spectrum(np.ones(d)), np.zeros(d), 1.0)
+        n = d + gap
+        x = n - d
+        assert surrogate_mse(p, n) == pytest.approx(d * (1.0 - x / 2.0), rel=1e-12, abs=0)
+
     def test_noiseless_isotropic_bias_only(self):
         d, n = 20, 5
         w = np.random.default_rng(3).standard_normal(d)
