@@ -5,9 +5,9 @@ each command's keys and their defaults once. Every key is both a flag,
 ``--key`` with ``-`` for ``_`` (``mc`` is set by ``--no-mc`` and ``svg``
 by ``--svg``), and a key of the optional plain-text config file given by
 ``--config`` (``key = value`` lines with optional ``[section]``
-grouping). Flags override the file, and a file key that the command does
-not have is invalid input. Every output file embeds the fully resolved
-configuration in ``#`` header comments so any run can be reproduced
+grouping). Flags override the file, and a key that the command (for
+``curve``, its mode) does not read is invalid input. Every output file
+embeds the fully resolved configuration in ``#`` header comments so any run can be reproduced
 byte-for-byte from its own output. Every CSV goes through ``_write_csv``:
 the sorted ``# key=value`` header, the column line, then one LF-ended
 line per row.
@@ -40,16 +40,19 @@ __all__ = ["main"]
 
 DP_COLUMNS = ["I", "J", "size", "mc_mean", "mc_se", "det_of_mean", "z"]
 
-# command -> key -> default, kept as the string the header records. A None
-# default keeps the key out of the header until it is set; a callable one
-# is called when the command runs.
+# key -> default, kept as the string the header records. A None default
+# keeps the key out of the header until it is set; a callable one is
+# called when the command runs. curve has two modes, each with its own
+# keys: a given d_values selects the dimension sweep at fixed n, else the
+# n-grid runs at fixed d.
+_CURVE_COMMON = {"profile": "identity", "kappa": "1", "normalize_trace_inv": "true",
+                  "w_star": "uniform", "out": "out", "svg": "false"}
+_CURVE_SWEEP = {"d_values": None, "n": "100", "snr": "1", **_CURVE_COMMON}
+_CURVE_GRID = {"d": "100", "n_values": None, "sigma2": "1", "entry_law": None, "mc": "true",
+               "trials": "1000", "seed": "1", "threads": default_threads, **_CURVE_COMMON}
+# command -> its keys; curve's flags are those of both modes
 OPTIONS = {
-    "curve": {
-        "d": "100", "n_values": None, "d_values": None, "n": None, "snr": None, "sigma2": "1",
-        "profile": "identity", "kappa": "1", "normalize_trace_inv": "true", "w_star": "uniform",
-        "entry_law": None, "mc": "true", "trials": "1000", "seed": "1",
-        "threads": default_threads, "out": "out", "svg": "false",
-    },
+    "curve": {**_CURVE_GRID, **_CURVE_SWEEP},
     "discrepancy": {
         "kind": "variance", "profile": "identity", "kappa": "1", "aspect": "0.5",
         "d_values": "10,20,40,80,160", "normalize_trace_inv": "false",
@@ -123,16 +126,17 @@ def _bool(text: str) -> bool:
 
 def _resolve(args) -> dict[str, str]:
     """defaults < config file < explicit flags; all values kept as strings."""
-    table = OPTIONS[args.command]
-    cfg = {k: str(v() if callable(v) else v) for k, v in table.items() if v is not None}
-    if args.config:
-        given = parse_config(args.config)
-        unknown = sorted(set(given) - set(table))
-        if unknown:
-            raise ValueError(f"unknown {args.command} key in {args.config}: {', '.join(unknown)}")
-        cfg.update(given)
-    cfg.update((k, str(v)) for k, v in vars(args).items() if k in table and v is not None)
-    return cfg
+    name, table = args.command, OPTIONS[args.command]
+    given = parse_config(args.config) if args.config else {}
+    given.update((k, str(v)) for k, v in vars(args).items() if k in table and v is not None)
+    if name == "curve":
+        name, table = (("curve sweep", _CURVE_SWEEP) if "d_values" in given
+                       else ("curve n-grid", _CURVE_GRID))
+    unknown = sorted(set(given) - set(table))
+    if unknown:
+        raise ValueError(f"{name} does not read {', '.join(unknown)}")
+    defaults = {k: str(v() if callable(v) else v) for k, v in table.items() if v is not None}
+    return {**defaults, **given}
 
 
 def _build_spectrum(cfg: dict[str, str], d: int) -> Spectrum:
@@ -171,15 +175,11 @@ def _write_csv(path: Path, cfg: dict[str, str], columns: list[str], rows: list[l
 
 def cmd_curve(cfg: dict[str, str]) -> int:
     out = Path(cfg["out"])
-    trials = int(cfg["trials"])
-    seed = int(cfg["seed"])
-    threads = int(cfg["threads"])
-    with_mc = _bool(cfg["mc"])
     columns = ["n", "d", "mse_surrogate", "mse_mc", "mse_mc_se", "ci_low", "ci_high",
                "lambda_n", "alpha_or_beta", "norm_implicit_mean"]
     if "d_values" in cfg:
-        n = int(float(cfg.get("n", "100")))
-        snr = float(cfg.get("snr", "1"))
+        n = int(float(cfg["n"]))
+        snr = float(cfg["snr"])
 
         def make_problem(d):
             s = _build_spectrum(cfg, d)
@@ -197,7 +197,9 @@ def cmd_curve(cfg: dict[str, str]) -> int:
         p = RegressionProblem(s, w, float(cfg["sigma2"]))
         m = MeasureSpec(s, cfg.get("entry_law", "gaussian"))
         n_values = [int(v) for v in _parse_values(cfg.get("n_values", "10:190:10"))]
-        points = experiments.curve_double_descent(p, m, n_values, trials, seed, threads, with_mc)
+        points = experiments.curve_double_descent(p, m, n_values, int(cfg["trials"]),
+                                                  int(cfg["seed"]), int(cfg["threads"]),
+                                                  _bool(cfg["mc"]))
         xs = [p_.n for p_ in points]
         xlabel = "n"
     rows = [[int(pt.n), pt.d, pt.mse_surrogate, pt.mse_mc, pt.mse_mc_se, pt.ci_low,

@@ -7,14 +7,17 @@ Three ways of touching the surrogate design live here:
   self-normalized determinant weighting of i.i.d. blocks, each weighted
   by det(X X^T) / (k! e_k(Sigma)), which has mean 1,
 * ``sample_surrogate_under_batch`` produces actual surrogate samples at
-  any n. For the ``gaussian`` law ``_tilted`` draws them exactly, as a
-  mixture over column sets of a determinant-tilted block, batched over
+  any n. For the ``gaussian`` law ``_tilted`` draws them exactly: a
+  determinant-tilted block on the design's column set, batched over
   samples. For the ``rademacher`` and
   ``uniform_pm_sqrt3`` laws one batched Metropolis row-replacement chain,
   ``_chain``, advances many chains in lockstep; its length is a desk-scale
   default with no mixing theory behind it.
 
-All three draw surrogate sizes through ``_by_size``, one batch per size.
+All three draw their designs through ``_by_size``, one batch per size. For
+n < d it draws each design's column set S as independent Bernoullis,
+column i with probability tau_i / (tau_i + lambda_n), and the design has
+k = |S| rows; for n >= d, S is every column.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .covariance import Spectrum, apply_sqrt
 from .linalg import log_det_gram
 from .parallel import block_size, run_block_streams, trial_rng
-from .surrogate import _log_esp, _log_esp_prefix, surrogate_size_pmf
+from .surrogate import solve_lambda, surrogate_size_pmf
 
 __all__ = [
     "MeasureSpec",
@@ -127,12 +130,20 @@ def surrogate_expectation_oracle(f, m: MeasureSpec, n: float, trials: int, seed:
     if trials < 100:
         raise ValueError("fewer than 100 trials makes the weighted estimate meaningless")
     d = m.dim
-    log_norm = _log_esp(np.log(m.spectrum.eigenvalues), d) + [math.lgamma(k + 1) for k in range(d + 1)]
+    # log k! e_k(Sigma) up to a constant, which the self-normalized estimate
+    # cancels: log e_k = log P(K = k) + k log lambda_n + log det(I + gamma_n
+    # Sigma) for n < d, and for n >= d only k = d occurs
+    log_norm = np.array([math.lgamma(k + 1) for k in range(d + 1)])
+    if n < d:
+        with np.errstate(divide="ignore"):  # sizes of probability 0 are never drawn
+            log_norm += np.log(surrogate_size_pmf(m.spectrum, n))
+        log_norm += np.arange(d + 1) * math.log(solve_lambda(m.spectrum, n))
 
     def block(rng, lo, hi):
-        logw = np.zeros(hi - lo)  # the empty block's weight is 1
+        logw = np.full(hi - lo, -log_norm[0])  # an empty block has det 1
 
-        def draw(k, idx):
+        def draw(idx, cols):
+            k = cols.shape[1]
             X = sample_iid(m, idx.size * k, rng).reshape(idx.size, k, d)
             logw[idx] = log_det_gram(X) - log_norm[k]
             return X
@@ -193,35 +204,16 @@ def _chain(m: MeasureSpec, k: int, num: int, steps: int, rng) -> tuple[np.ndarra
     return X, accepted
 
 
-def _select_columns(log_tau: np.ndarray, k: int, num: int, rng) -> np.ndarray:
-    """num column sets S of size k, drawn with P(S) proportional to
-    prod_{i in S} tau_i, as (num, k) column indices in increasing order.
-
-    Walks i = d..1 with r columns still to choose and takes i with
-    probability tau_i e_{r-1}(tau_1..tau_{i-1}) / e_r(tau_1..tau_i), read
-    off the prefix ESP table (the elementary-DPP step of k-DPP sampling).
-    """
-    d = log_tau.size
-    E = _log_esp_prefix(log_tau, k)
-    logu = np.log(rng.random((num, d)))
-    r = np.full(num, k)
-    take = np.zeros((num, d), dtype=bool)
-    for i in range(d, 0, -1):
-        rr = np.maximum(r, 1)
-        logp = log_tau[i - 1] + E[i - 1, rr - 1] - E[i, rr]
-        take[:, i - 1] = (r >= i) | ((r > 0) & (logu[:, i - 1] < logp))
-        r -= take[:, i - 1]
-    return np.nonzero(take)[1].reshape(num, k)
-
-
-def _tilted(m: MeasureSpec, k: int, num: int, rng) -> np.ndarray:
-    """num exact draws of the k x d Gaussian design with density
-    proportional to det(X X^T) times the measure, as a (num, k, d) stack.
+def _tilted(m: MeasureSpec, cols: np.ndarray, rng) -> np.ndarray:
+    """Exact draws of k x d Gaussian designs with density proportional to
+    det(X X^T) times the measure, one per row of the (num, k) column sets
+    ``cols``, as a (num, k, d) stack.
 
     In eigen coordinates X = Z Lambda^{1/2} V^T with Z i.i.d. N(0, 1), and
     Cauchy-Binet gives det(X X^T) = sum_{|S|=k} det(Z_S)^2 prod_{i in S}
     tau_i with E det(Z_S)^2 = k! for every S. So the tilted law is a
-    mixture: S from _select_columns; the k x k block Z_S with density
+    mixture: S with P(S) proportional to prod_{i in S} tau_i, which
+    ``_by_size`` draws; the k x k block Z_S with density
     proportional to det(Z_S)^2 times the Gaussian, which is H R with H Haar
     and R the Bartlett factor of Wishart_k(k + 2, I) (R_ii^2 ~
     chi^2_{k+3-i}, N(0, 1) above the diagonal); the other columns i.i.d.
@@ -229,7 +221,7 @@ def _tilted(m: MeasureSpec, k: int, num: int, rng) -> np.ndarray:
     """
     s = m.spectrum
     d = s.dim
-    cols = _select_columns(np.log(s.eigenvalues), k, num, rng)
+    num, k = cols.shape
     Z = rng.standard_normal((num, k, d))
     at = np.broadcast_to(cols[:, None, :], (num, k, k))
     # H is the Q factor of the Gaussian S block itself, its column signs
@@ -247,19 +239,30 @@ def _by_size(m: MeasureSpec, n: float, num: int, rng, draw) -> list[np.ndarray]:
     """num designs with the surrogate's size law at expected size n, in
     draw order.
 
-    Block sizes k come from ``surrogate_size_pmf`` for n < d; for n >= d
-    every block has k = d rows. ``draw(k, idx)`` returns the (idx.size, k, d)
-    blocks of the draws ``idx`` of size k; it is called once per realized
-    size k > 0, in increasing k. For n >= d each block then gets Poisson(n - d)
-    i.i.d. rows and a uniformly random row permutation: the volume-rescaled
-    decomposition of the surrogate design (Derezinski, Warmuth and Hsu, 2019).
+    For n < d each design's column set S holds column i independently with
+    probability p_i = tau_i / (tau_i + lambda_n): P(K = k, S) is proportional
+    to gamma_n^k prod_{i in S} tau_i, which factorizes, and E|S| = n is the
+    equation ``solve_lambda`` solves. The block has k = |S| rows. For n >= d,
+    S is every column and no size is drawn. ``draw(idx, cols)`` returns the
+    (idx.size, k, d) blocks of the draws ``idx`` with column sets ``cols``,
+    an (idx.size, k) array of increasing column indices; it is called once
+    per realized size k > 0, in increasing k. For n >= d each block then
+    gets Poisson(n - d) i.i.d. rows and a uniformly random row permutation:
+    the volume-rescaled decomposition of the surrogate design (Derezinski,
+    Warmuth and Hsu, 2019).
     """
     d = m.dim
-    ks = rng.choice(d + 1, size=num, p=surrogate_size_pmf(m.spectrum, n)) if n < d else np.full(num, d)
+    if n < d:
+        t = m.spectrum.eigenvalues
+        S = rng.random((num, d)) < t / (t + solve_lambda(m.spectrum, n))
+    else:
+        S = np.ones((num, d), dtype=bool)
+    ks = np.sum(S, axis=1)
     out: list[np.ndarray | None] = [None] * num
     for k in np.unique(ks):
         idx = np.flatnonzero(ks == k)
-        for i, X in zip(idx, draw(int(k), idx) if k else np.zeros((idx.size, 0, d))):
+        cols = np.nonzero(S[idx])[1].reshape(idx.size, k)
+        for i, X in zip(idx, draw(idx, cols) if k else np.zeros((idx.size, 0, d))):
             out[i] = X
     if n < d:
         return out
@@ -271,9 +274,8 @@ def _by_size(m: MeasureSpec, n: float, num: int, rng, draw) -> list[np.ndarray]:
 def sample_surrogate_under_batch(m: MeasureSpec, n: float, num: int, chain_steps: int | None,
                                  seed) -> tuple[list[np.ndarray], float]:
     """num surrogate samples at expected size n, drawn by ``_by_size``: for
-    n < d realized sizes from the closed-form pmf, for n >= d a d-row block
-    plus Poisson(n - d) i.i.d. rows; the blocks are drawn in one batch per
-    size.
+    n < d a block on a Bernoulli column set, for n >= d a d-row block plus
+    Poisson(n - d) i.i.d. rows; the blocks are drawn in one batch per size.
 
     For the ``gaussian`` law each batch is an exact draw (``_tilted``), the
     returned rate is 1.0 and ``chain_steps`` is ignored. The other laws run
@@ -285,11 +287,12 @@ def sample_surrogate_under_batch(m: MeasureSpec, n: float, num: int, chain_steps
     """
     rng = _resolve_rng(seed)
     if m.entry_law == "gaussian":
-        return _by_size(m, n, num, rng, lambda k, idx: _tilted(m, k, idx.size, rng)), 1.0
+        return _by_size(m, n, num, rng, lambda idx, cols: _tilted(m, cols, rng)), 1.0
     accepted = proposals = 0
 
-    def draw(k, idx):
+    def draw(idx, cols):
         nonlocal accepted, proposals
+        k = cols.shape[1]
         steps = 100 * k if chain_steps is None else chain_steps
         X, acc = _chain(m, k, idx.size, steps, rng)
         accepted += acc

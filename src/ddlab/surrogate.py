@@ -199,39 +199,27 @@ def implicit_reg_mean(p: RegressionProblem, n: float, v: np.ndarray | None = Non
     return v / t
 
 
-def _log_esp_prefix(log_vals: np.ndarray, up_to: int) -> np.ndarray:
-    """Table of log e_0..e_{up_to} of the prefixes of positive values given
-    their logs: row i holds those of the first i values.
-
-    Log-space version of the standard one-value-at-a-time recursion, so
-    the result is finite even when the linear-space e_k overflow.
-    """
-    table = np.full((len(log_vals) + 1, up_to + 1), -np.inf)
-    table[:, 0] = 0.0
-    for i, lv in enumerate(log_vals):
-        table[i + 1, 1:] = np.logaddexp(table[i, 1:], lv + table[i, :-1])
-    return table
-
-
-def _log_esp(log_vals: np.ndarray, up_to: int) -> np.ndarray:
-    """log e_0..e_{up_to} of positive values given their logs."""
-    return _log_esp_prefix(log_vals, up_to)[-1]
-
-
 def surrogate_size_pmf(s: Spectrum, n: float) -> np.ndarray:
     """P(K = k), k = 0..d, of the realized surrogate sample size for 0 < n < d.
 
     For rows x = Sigma^{1/2} z with i.i.d. zero-mean, unit-variance entries
     z, Cauchy-Binet gives E[det(X X^T) | K = k] = k! e_k(eigenvalues)
     exactly, whatever the entry law, so P(k) is proportional to
-    gamma_n^k e_k; the normalizer is det(I + gamma_n Sigma). Computed in
-    log space.
+    gamma_n^k e_k; the normalizer is det(I + gamma_n Sigma). So K is the
+    size of a column set holding column i independently with probability
+    p_i = tau_i / (tau_i + lambda_n): a Poisson-binomial, built one column
+    at a time in linear space (every term is a probability). q_i = 1 - p_i
+    is taken as lambda_n / (tau_i + lambda_n), accurate as n -> d.
     """
     d = s.dim
     if not 0 < n < d:
         raise ValueError("surrogate_size_pmf needs 0 < n < d")
-    gamma = 1.0 / solve_lambda(s, n)
-    log_scaled = np.log(gamma) + np.log(s.eigenvalues)
-    loge = _log_esp(log_scaled, d)
-    log_norm = float(np.sum(np.log1p(gamma * s.eigenvalues)))
-    return np.exp(loge - log_norm)
+    lam = solve_lambda(s, n)
+    t = s.eigenvalues
+    p, q = t / (t + lam), lam / (t + lam)
+    pmf = np.zeros(d + 1)
+    pmf[0] = 1.0
+    for i in range(d):
+        pmf[1:i + 2] = pmf[1:i + 2] * q[i] + pmf[:i + 1] * p[i]
+        pmf[0] *= q[i]
+    return pmf

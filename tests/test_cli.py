@@ -148,11 +148,32 @@ class TestCurveCommand:
         ("--d-values", "4:20:0"),
     ])
     def test_bad_value_list_exit_1(self, tmp_path, capsys, flag, values):
-        extra = ["--n", "12"] if flag == "--d-values" else ["--d", "20"]
-        rc = run(["curve", "--no-mc", *extra, flag, values, "--out", str(tmp_path / "o")])
+        extra = ["--n", "12"] if flag == "--d-values" else ["--no-mc", "--d", "20"]
+        rc = run(["curve", *extra, flag, values, "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "invalid input" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_sweep_header_lists_the_keys_it_reads(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["curve", "--d-values", "40:60:10", "--out", str(out)]) == 0
+        header = [ln for ln in (out / "curve.csv").read_text().splitlines() if ln.startswith("#")]
+        assert header == ["# d_values=40:60:10", "# kappa=1", "# n=100",
+                          "# normalize_trace_inv=true", f"# out={out}", "# profile=identity",
+                          "# snr=1", "# svg=false", "# w_star=uniform"]
+        for argv in (["--trials", "7"], ["--seed", "99"], ["--sigma2", "5"], ["--d", "50"]):
+            assert run(["curve", "--d-values", "40:60:10", *argv, "--out", str(out)]) == 1
+            assert argv[0][2:] in capsys.readouterr().err
+
+    def test_n_grid_rejects_the_sweep_keys(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["curve", "--no-mc", "--d", "6", "--n-values", "2,4", "--out", str(out)]) == 0
+        header = (out / "curve.csv").read_text()
+        assert "# n=" not in header and "# snr=" not in header and "# d=6" in header
+        for argv in (["--n", "12"], ["--snr", "2"]):
+            assert run(["curve", "--no-mc", "--d", "6", *argv, "--out", str(tmp_path / "x")]) == 1
+            assert argv[0][2:] in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_reproducible_with_mc(self, tmp_path):
         args = ["curve", "--d", "8", "--n-values", "3,5", "--trials", "40", "--seed", "3"]
@@ -358,7 +379,7 @@ class TestSampleCommand:
     PINNED = {
         "gaussian_under_y": (["--d", "5", "--n", "3", "--profile", "diag_exp", "--kappa", "10",
                               "--sigma2", "0.5", "--seed", "11"],
-                             "b9c4c0131b598bb5", "76b40817dc593cea", "ff2afe55017b5af7"),
+                             "b9c4c0131b598bb5", "7f76cbf7e5fda926", "ff2afe55017b5af7"),
         "rademacher_over": (["--d", "3", "--n", "6", "--entry-law", "rademacher",
                              "--chain-steps", "20", "--seed", "12"],
                             "1be7aae5a024ca8f", "4cfe9cc52dcfc56e", "20d68af329d6e405"),

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 
 import numpy as np
@@ -26,7 +25,7 @@ from ddlab.parallel import (
     run_trials,
     trial_rng,
 )
-from ddlab.surrogate import surrogate_params, surrogate_size_pmf
+from ddlab.surrogate import solve_lambda, surrogate_params, surrogate_size_pmf
 
 
 def one_draw(m, n, chain_steps, seed_or_rng):
@@ -166,7 +165,9 @@ class TestMonteCarloEstimate:
 
 
 def lockstep_reference(m, n, num, steps, seed):
-    """Reference stream of the batched chain: every chain of one size
+    """Reference stream of the batched chain: each sample's size is the
+    count of a Bernoulli column mask that keeps column i with probability
+    tau_i / (tau_i + lambda_n), every chain of one size
     advances in lockstep on one stream, rows are the measure's raw rows
     times Sigma^{1/2}, the weight is log det(X X^T) from the singular values
     with the shared rank cutoff, and singular starts are redrawn without
@@ -185,8 +186,8 @@ def lockstep_reference(m, n, num, steps, seed):
 
     rng = trial_rng(seed, 0)
     d = m.dim
-    pmf = surrogate_size_pmf(s, n)
-    ks = rng.choice(len(pmf), size=num, p=pmf)
+    tau = s.eigenvalues
+    ks = np.sum(rng.random((num, d)) < tau / (tau + solve_lambda(s, n)), axis=1)
     out = [None] * num
     accepted = proposals = 0
     for k in np.unique(ks):
@@ -252,10 +253,10 @@ class TestSamplerUnder:
                 np.testing.assert_array_equal(X, R)
 
     @pytest.mark.parametrize("law, digest, rate", [
-        ("gaussian", "1d3b1f8bd5b7b6b0", 1.0),
-        ("rademacher", "61172636083cf385", 0.5575),
-        ("uniform_pm_sqrt3", "3a32830ef476ae10", 0.50125),
-    ])
+        ("gaussian", "12bf1d4e600fd8cc", 1.0),
+        ("rademacher", "d2a3a4476394401f", 0.5975),
+        ("uniform_pm_sqrt3", "42addaf35b8e8bc4", 0.5325),
+    ], ids=["gaussian", "rademacher", "uniform_pm_sqrt3"])
     def test_pinned_output(self, law, digest, rate):
         # sha256 of the sizes and bytes of one batch: the size draw and the
         # per-size draw order are part of the sampler's stream
@@ -319,20 +320,29 @@ def projection_diagonals(samples, d):
 
 class TestTiltedDraw:
     def test_column_sets_match_enumeration(self):
-        tau = np.array([0.3, 1.0, 2.0, 0.5, 4.0])
-        subsets = list(itertools.combinations(range(5), 2))
-        p = np.array([np.prod(tau[list(S)]) for S in subsets])
-        p /= p.sum()  # prod tau_S / e_2(tau)
-        cols = designs._select_columns(np.log(tau), 2, 50_000, trial_rng(4, 0))
-        assert np.all(np.diff(cols, axis=1) > 0)
-        index = {S: i for i, S in enumerate(subsets)}
-        counts = np.bincount([index[tuple(c)] for c in cols], minlength=len(subsets))
-        assert stats.chisquare(counts, 50_000 * p).pvalue > 0.01
+        # the column sets _by_size hands to _tilted, over all 32 subsets S of
+        # d = 5 columns: P(S) = prod_{i in S} p_i prod_{i not in S} q_i
+        s = Spectrum(np.array([0.3, 1.0, 2.0, 0.5, 4.0]))
+        tau, lam, num = s.eigenvalues, solve_lambda(s, 2.0), 50_000
+        p, q = tau / (tau + lam), lam / (tau + lam)
+        counts = np.zeros(32, dtype=int)
+
+        def draw(idx, cols):
+            assert np.all(np.diff(cols, axis=1) > 0)
+            np.add.at(counts, np.sum(1 << cols, axis=1), 1)
+            return np.zeros((idx.size, cols.shape[1], 5))
+
+        designs._by_size(MeasureSpec(s), 2.0, num, trial_rng(4, 0), draw)
+        counts[0] = num - counts.sum()  # draw is not called for the empty set
+        bits = (np.arange(32)[:, None] >> np.arange(5)) & 1
+        law = np.prod(np.where(bits == 1, p, q), axis=1)
+        assert stats.chisquare(counts, num * law).pvalue > 0.01
 
     def test_block_second_moment(self):
         # with k = d every column is in S; E[Z_S^T Z_S] = (k + 2) I
         k, num = 3, 40_000
-        Z = designs._tilted(MeasureSpec(Spectrum(np.ones(k))), k, num, trial_rng(5, 0))
+        cols = np.tile(np.arange(k), (num, 1))
+        Z = designs._tilted(MeasureSpec(Spectrum(np.ones(k))), cols, trial_rng(5, 0))
         prods = np.einsum("bki,bkj->bij", Z, Z)
         se = prods.std(axis=0, ddof=1) / math.sqrt(num)
         assert np.max(np.abs((prods.mean(axis=0) - (k + 2) * np.eye(k)) / se)) < 4.0

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from ddlab.covariance import Spectrum, make_profile, scale_trace_inverse
 from ddlab.surrogate import (
     RegressionProblem,
-    _log_esp,
-    _log_esp_prefix,
     bias_factors,
     implicit_reg_mean,
     solve_lambda,
@@ -23,6 +21,11 @@ from ddlab.surrogate import (
 
 def random_spectrum(seed, d=8):
     return Spectrum(np.random.default_rng(seed).uniform(0.05, 5.0, size=d))
+
+
+def esp_by_enumeration(vals, k):
+    """e_k(vals): the sum over all k-subsets of the product of their values."""
+    return sum(math.prod(c) for c in itertools.combinations(vals, k))
 
 
 class TestSolveLambda:
@@ -216,6 +219,38 @@ class TestSizePmf:
                 assert float(np.sum(pmf)) == pytest.approx(1.0, abs=1e-10)
                 assert float(np.sum(np.arange(8) * pmf)) == pytest.approx(n, abs=1e-8)
 
+    @pytest.mark.parametrize("s, n", [(Spectrum(np.array([0.3, 1.0, 2.0, 0.5, 4.0])), 2.0),
+                                      (Spectrum(np.ones(8)), 5.0),
+                                      (random_spectrum(7, d=7), 6.5)])
+    def test_matches_subset_enumeration(self, s, n):
+        # P(K = k) = gamma^k e_k(tau) / prod(1 + gamma tau_i)
+        gamma = surrogate_params(s, n).gamma_n
+        tau = s.eigenvalues.tolist()
+        norm = math.prod(1.0 + gamma * t for t in tau)
+        expected = [gamma**k * esp_by_enumeration(tau, k) / norm for k in range(s.dim + 1)]
+        np.testing.assert_allclose(surrogate_size_pmf(s, n), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("d", [10, 100, 300])
+    def test_matches_high_precision_reference(self, d):
+        # the Poisson-binomial recursion in 60-digit arithmetic at the same
+        # lambda_n; entries that double precision can hold are within 1e-13
+        # relative, up to n = d - 1e-3 where every q_i is tiny
+        mpmath = pytest.importorskip("mpmath")
+        s = make_profile("diag_exp", d)
+        with mpmath.workdps(60):
+            tau = [mpmath.mpf(float(t)) for t in s.eigenvalues]
+            for n in (d / 2, d - 1, d - 1e-3):
+                lam = mpmath.mpf(solve_lambda(s, n))
+                ref = [mpmath.mpf(1)] + [mpmath.mpf(0)] * d
+                for i, t in enumerate(tau):
+                    p, q = t / (t + lam), lam / (t + lam)
+                    ref[1:i + 2] = [a * q + b * p for a, b in zip(ref[1:i + 2], ref[:i + 1])]
+                    ref[0] *= q
+                pmf = surrogate_size_pmf(s, n)
+                big = [k for k in range(d + 1) if ref[k] > mpmath.mpf("1e-300")]
+                err = max(float(abs(pmf[k] - ref[k]) / ref[k]) for k in big)
+                assert err < 1e-13, (n, err)
+
     def test_large_d_no_overflow(self):
         pmf = surrogate_size_pmf(make_profile("diag_exp", 200), 100)
         assert np.all(np.isfinite(pmf))
@@ -229,12 +264,12 @@ class TestSizePmf:
         basis = np.linalg.qr(np.random.default_rng(11).standard_normal((d, d)))[0]
         s = Spectrum(np.array([3.0, 1.0, 0.25]), basis=basis)
         root = basis @ np.diag(np.sqrt(s.eigenvalues)) @ basis.T
-        e = np.exp(_log_esp(np.log(s.eigenvalues), d))
         for k in (1, 2, 3):
             signs = np.array(list(itertools.product([-1.0, 1.0], repeat=k * d))).reshape(-1, k, d)
             X = signs @ root
             mean = float(np.mean(np.linalg.det(X @ np.swapaxes(X, 1, 2))))
-            assert mean == pytest.approx(math.factorial(k) * e[k], rel=1e-12)
+            e_k = esp_by_enumeration(s.eigenvalues.tolist(), k)
+            assert mean == pytest.approx(math.factorial(k) * e_k, rel=1e-12)
 
     def test_real_n_in_range(self):
         pmf = surrogate_size_pmf(random_spectrum(6, d=3), 1.5)
@@ -243,50 +278,6 @@ class TestSizePmf:
         for n in (0, 3, 3.5):
             with pytest.raises(ValueError):
                 surrogate_size_pmf(Spectrum(np.ones(3)), n)
-
-
-def esp(eigs, up_to):
-    """e_0..e_{up_to} of positive values, through the log-space recursion."""
-    return np.exp(_log_esp(np.log(np.asarray(eigs, dtype=float)), up_to))
-
-
-class TestLogEsp:
-    def test_hand_expansion(self):
-        np.testing.assert_allclose(esp([1.0, 2.0, 3.0], 3), [1, 6, 11, 6])
-
-    def test_all_ones_binomial(self):
-        d = 8
-        np.testing.assert_allclose(esp(np.ones(d), d), [math.comb(d, k) for k in range(d + 1)])
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 10.0]))
-    def test_generating_function_identity(self, seed, gamma):
-        eigs = np.random.default_rng(seed).uniform(0.1, 5.0, size=6)
-        e = esp(eigs, 6)
-        series = sum(gamma**k * e[k] for k in range(7))
-        product = np.prod(1.0 + gamma * eigs)
-        assert series == pytest.approx(product, rel=1e-10)
-
-    def test_matches_scalar_recursion_bitwise(self):
-        def reference(log_vals, up_to):
-            loge = np.full(up_to + 1, -np.inf)
-            loge[0] = 0.0
-            for lv in log_vals:
-                for k in range(up_to, 0, -1):
-                    loge[k] = np.logaddexp(loge[k], lv + loge[k - 1])
-            return loge
-
-        s = make_profile("diag_exp", 300)
-        log_vals = np.log(surrogate_params(s, 150).gamma_n * s.eigenvalues)
-        for up_to in (300, 40):
-            np.testing.assert_array_equal(_log_esp(log_vals, up_to), reference(log_vals, up_to))
-
-    def test_prefix_rows_are_the_prefix_esps(self):
-        log_vals = np.log(np.random.default_rng(2).uniform(0.1, 5.0, size=7))
-        table = _log_esp_prefix(log_vals, 4)
-        assert table.shape == (8, 5)
-        for i in range(8):
-            np.testing.assert_array_equal(table[i], _log_esp(log_vals[:i], 4))
 
 
 class TestRegressionProblem:
