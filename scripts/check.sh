@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The test suite, then the benchmark harness's own tests: those pin names in
 # ddlab's namespaces (for example designs.log_det_gram) that a deletion can
-# break while the suite stays green. The first line printed is the
+# break while the suite stays green. Last, the dp-verify suite of
+# run_dp_suite.sh at verify_dp's minimum of 10^4 trials (the last --trials
+# wins), a smoke test of the documented commands and their keys. The first line printed is the
 # environment the run's timings belong to, with both BLAS builds: numpy and
 # scipy each bundle their own, and ddlab's LAPACK calls run on both. -rP
 # prints the captured output of passed tests too, so every ACCEPTANCE
@@ -21,3 +23,4 @@ print(f"env nproc={len(os.sched_getaffinity(0))} python={platform.python_version
 PY
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -rP --continue-on-collection-errors "$@"
 python3 -m pytest -p no:cacheprovider perfbench
+scripts/run_dp_suite.sh --trials 10000

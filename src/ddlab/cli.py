@@ -6,7 +6,8 @@ each command's keys and their defaults once. Every key is both a flag,
 by ``--svg``), and a key of the optional plain-text config file given by
 ``--config`` (``key = value`` lines with optional ``[section]``
 grouping). Flags override the file, and a key that the command (for
-``curve``, its mode) does not read is invalid input. Every output file
+``curve``, its mode; for ``dp-verify``, its scenario) does not read is
+invalid input. Every output file
 embeds the fully resolved configuration in ``#`` header comments so any run can be reproduced
 byte-for-byte from its own output. Every CSV goes through ``_write_csv``:
 the sorted ``# key=value`` header, the column line, then one LF-ended
@@ -50,6 +51,12 @@ _CURVE_COMMON = {"profile": "identity", "kappa": "1", "normalize_trace_inv": "tr
 _CURVE_SWEEP = {"d_values": None, "n": "100", "snr": "1", **_CURVE_COMMON}
 _CURVE_GRID = {"d": "100", "n_values": None, "sigma2": "1", "entry_law": None, "mc": "true",
                "trials": "1000", "seed": "1", "threads": default_threads, **_CURVE_COMMON}
+# dp-verify's keys: every scenario reads _DP_FIXED, and those that
+# dpcheck.reads_measure names read the row measure and gamma too
+_DP_FIXED = {"scenario": "gaussian_entries", "d": "3", "trials": "100000", "seed": "1",
+             "out": "out"}
+_DP_MEASURE = {**_DP_FIXED, "gamma": "1", "sigma2": "1", "profile": "identity", "kappa": "1",
+               "normalize_trace_inv": "false"}
 # command -> its keys; curve's flags are those of both modes
 OPTIONS = {
     "curve": {**_CURVE_GRID, **_CURVE_SWEEP},
@@ -59,11 +66,7 @@ OPTIONS = {
         "target_halfwidth": "0.125", "trials": "100000", "seed": "1",
         "threads": default_threads, "out": "out", "svg": "false",
     },
-    "dp-verify": {
-        "scenario": "gaussian_entries", "d": "3", "gamma": "1", "sigma2": "1",
-        "profile": "identity", "kappa": "1", "normalize_trace_inv": "false",
-        "trials": "100000", "seed": "1", "out": "out",
-    },
+    "dp-verify": _DP_MEASURE,
     "sample": {
         "d": "4", "n": "2", "profile": "identity", "kappa": "1", "normalize_trace_inv": "false",
         "entry_law": "gaussian", "chain_steps": "", "sigma2": "", "w_star": "uniform",
@@ -132,6 +135,10 @@ def _resolve(args) -> dict[str, str]:
     if name == "curve":
         name, table = (("curve sweep", _CURVE_SWEEP) if "d_values" in given
                        else ("curve n-grid", _CURVE_GRID))
+    elif name == "dp-verify":
+        scenario = given.get("scenario", table["scenario"])
+        if not dpcheck.reads_measure(scenario):
+            name, table = f"dp-verify {scenario}", _DP_FIXED
     unknown = sorted(set(given) - set(table))
     if unknown:
         raise ValueError(f"{name} does not read {', '.join(unknown)}")
@@ -267,12 +274,15 @@ def cmd_discrepancy(cfg: dict[str, str]) -> int:
 def cmd_dp_verify(cfg: dict[str, str]) -> int:
     scenario = cfg["scenario"]
     d = int(cfg["d"])
-    gamma = float(cfg["gamma"])
     trials = int(cfg["trials"])
     seed = int(cfg["seed"])
     out = Path(cfg["out"])
-    # sigma2 scales the row covariance, which normalization and poisson_gram read
-    s = Spectrum(_build_spectrum(cfg, d).eigenvalues * float(cfg["sigma2"]))
+    if dpcheck.reads_measure(scenario):
+        gamma = float(cfg["gamma"])
+        # sigma2 scales the row covariance
+        s = Spectrum(_build_spectrum(cfg, d).eigenvalues * float(cfg["sigma2"]))
+    else:  # a fixed law, which reads only d
+        gamma, s = None, Spectrum(np.ones(d))
     if scenario == "normalization":
         est, target = dpcheck.verify_normalization(MeasureSpec(s), gamma, trials, seed)
         z = float(est.z_score(target))

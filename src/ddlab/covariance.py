@@ -1,14 +1,14 @@
 """Population covariance spectra: eigenvalue decay profiles, trace-inverse
 rescaling, and square-root application to stacks of rows.
 
-Formula-level code consumes eigenvalues only; an optional orthogonal basis
-matters solely when sampling rows.
+Every covariance is diagonal, Sigma = diag(eigenvalues), so the closed
+forms and the samplers both work in the coordinates of its eigenvectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,14 +19,10 @@ PROFILE_KINDS = ("diag_linear", "diag_exp", "diag_poly", "diag_poly_2")
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a positive-definite covariance, sorted descending.
-
-    ``basis``, when present, is an orthogonal d x d matrix Q such that the
-    covariance is Q diag(eigenvalues) Q^T.
-    """
+    """Eigenvalues of the diagonal positive-definite covariance, sorted
+    descending."""
 
     eigenvalues: np.ndarray
-    basis: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         eigs = np.asarray(self.eigenvalues, dtype=float)
@@ -37,13 +33,6 @@ class Spectrum:
         if np.any(np.diff(eigs) > 0):
             eigs = np.sort(eigs)[::-1]
         object.__setattr__(self, "eigenvalues", eigs)
-        if self.basis is not None:
-            Q = np.asarray(self.basis, dtype=float)
-            if Q.shape != (eigs.size, eigs.size):
-                raise ValueError("basis must be d x d")
-            if np.max(np.abs(Q.T @ Q - np.eye(eigs.size))) > 1e-10:
-                raise ValueError("basis is not orthogonal to 1e-10")
-            object.__setattr__(self, "basis", Q)
 
     @property
     def dim(self) -> int:
@@ -51,12 +40,6 @@ class Spectrum:
 
     def trace_inverse(self) -> float:
         return float(np.sum(1.0 / self.eigenvalues))
-
-    def matrix(self) -> np.ndarray:
-        D = np.diag(self.eigenvalues)
-        if self.basis is None:
-            return D
-        return self.basis @ D @ self.basis.T
 
 
 def make_profile(kind: str, d: int, lambda_max: float = 1.0, lambda_min: float = 1e-4) -> Spectrum:
@@ -102,16 +85,12 @@ def scale_trace_inverse(s: Spectrum, target: float) -> Spectrum:
     if target <= 0:
         raise ValueError("target must be positive")
     c = s.trace_inverse() / target
-    return Spectrum(s.eigenvalues * c, s.basis)
+    return Spectrum(s.eigenvalues * c)
 
 
 def apply_sqrt(s: Spectrum, Z) -> np.ndarray:
-    """Z @ Sigma^{1/2} for a row or a (..., d) stack of rows, using the
-    stored basis when present."""
+    """Z @ Sigma^{1/2} for a row or a (..., d) stack of rows."""
     Z = np.asarray(Z, dtype=float)
     if Z.shape[-1:] != (s.dim,):
         raise ValueError(f"Z must have {s.dim} columns, got shape {Z.shape}")
-    root = np.sqrt(s.eigenvalues)
-    if s.basis is None:
-        return Z * root
-    return ((Z @ s.basis) * root) @ s.basis.T
+    return Z * np.sqrt(s.eigenvalues)

@@ -7,12 +7,10 @@ Three ways of touching the surrogate design live here:
   self-normalized determinant weighting of i.i.d. blocks, each weighted
   by det(X X^T) / (k! e_k(Sigma)), which has mean 1,
 * ``sample_surrogate_under_batch`` produces actual surrogate samples at
-  any n. For the ``gaussian`` law ``_tilted`` draws them exactly: a
-  determinant-tilted block on the design's column set, batched over
-  samples. For the ``rademacher`` and
-  ``uniform_pm_sqrt3`` laws one batched Metropolis row-replacement chain,
-  ``_chain``, advances many chains in lockstep; its length is a desk-scale
-  default with no mixing theory behind it.
+  any n with ``_tilted``, batched over samples: i.i.d. entries, with a
+  determinant-tilted k x k block on the design's column set. That block is
+  exact for the ``gaussian`` law; for the other laws a lockstep Metropolis
+  chain, ``_chain``, runs for a desk-scale length with no mixing theory.
 
 All three draw their designs through ``_by_size``, one batch per size. For
 n < d it draws each design's column set S as independent Bernoullis,
@@ -77,12 +75,11 @@ class MonteCarloEstimate:
             return np.where(se > 0, err / se, np.where(err == 0, 0.0, np.inf))
 
 
-def _raw_rows(m: MeasureSpec, shape, rng: np.random.Generator) -> np.ndarray:
-    """Unit-variance entries of the measure, shape ``shape + (d,)``."""
-    size = (*np.atleast_1d(shape), m.dim)
-    if m.entry_law == "gaussian":
+def _entries(law: str, size, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. zero-mean, unit-variance entries of the entry law, shape ``size``."""
+    if law == "gaussian":
         return rng.standard_normal(size)
-    if m.entry_law == "rademacher":
+    if law == "rademacher":
         return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
     return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size)
 
@@ -92,7 +89,7 @@ def sample_iid(m: MeasureSpec, n: int, seed_or_rng) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = _resolve_rng(seed_or_rng)
-    return apply_sqrt(m.spectrum, _raw_rows(m, n, rng))
+    return apply_sqrt(m.spectrum, _entries(m.entry_law, (n, m.dim), rng))
 
 
 def gen_responses(X, w_star, sigma2: float, seed_or_rng) -> np.ndarray:
@@ -167,24 +164,24 @@ def surrogate_expectation_oracle(f, m: MeasureSpec, n: float, trials: int, seed:
     return MonteCarloEstimate(mean=mean, std_error=se, trials=trials, effective_sample_size=ess)
 
 
-def _chain(m: MeasureSpec, k: int, num: int, steps: int, rng) -> tuple[np.ndarray, int]:
-    """num Metropolis row-replacement chains over k x d designs, advanced in
-    lockstep from one stream, with stationary density proportional to
-    det(X X^T) times the product measure.
+def _chain(law: str, Z: np.ndarray, steps: int, rng) -> tuple[np.ndarray, int]:
+    """Metropolis row-replacement chains from the (num, k, k) start Z, in
+    place and in lockstep on one stream, with stationary density
+    proportional to det(Z)^2 times the entry law.
 
-    Each step replaces one uniformly chosen row of every chain by a fresh
-    row from the measure and accepts when log u < log w' - log w. Returns
-    the (num, k, d) final states and the number of accepted proposals.
+    Singular starts are redrawn. Each step replaces one uniformly chosen row
+    of every chain by a fresh row from the law and accepts when
+    log u < log w' - log w, log w from ``log_det_gram``. Returns the final
+    states and the number of accepted proposals.
     """
-    s = m.spectrum
-    X = apply_sqrt(s, _raw_rows(m, (num, k), rng))
-    lw = log_det_gram(X)
+    num, k, _ = Z.shape
+    lw = log_det_gram(Z)
     bad = ~np.isfinite(lw)
-    for _ in range(1000):  # rank-deficient starts (sign rows hit them); redraw, boundedly
+    for _ in range(1000):  # singular starts (sign blocks hit them); redraw, boundedly
         if not np.any(bad):
             break
-        X[bad] = apply_sqrt(s, _raw_rows(m, (int(np.sum(bad)), k), rng))
-        lw[bad] = log_det_gram(X[bad])
+        Z[bad] = _entries(law, (int(np.sum(bad)), k, k), rng)
+        lw[bad] = log_det_gram(Z[bad])
         bad = ~np.isfinite(lw)
     if np.any(bad):
         raise RuntimeError("could not initialize a full-rank chain state")
@@ -192,47 +189,49 @@ def _chain(m: MeasureSpec, k: int, num: int, steps: int, rng) -> tuple[np.ndarra
     accepted = 0
     for _ in range(steps):
         rows = rng.integers(k, size=num)
-        Xp = X.copy()
-        # one-row stacks: with a basis, a single (num, d) GEMM rounds
-        # differently, and the chain's output is pinned bit for bit
-        Xp[chains, rows] = apply_sqrt(s, _raw_rows(m, (num, 1), rng))[:, 0]
-        lwp = log_det_gram(Xp)
+        Zp = Z.copy()
+        Zp[chains, rows] = _entries(law, (num, k), rng)
+        lwp = log_det_gram(Zp)
         acc = np.log(rng.uniform(size=num)) < lwp - lw
-        X[acc] = Xp[acc]
+        Z[acc] = Zp[acc]
         lw[acc] = lwp[acc]
         accepted += int(np.sum(acc))
-    return X, accepted
+    return Z, accepted
 
 
-def _tilted(m: MeasureSpec, cols: np.ndarray, rng) -> np.ndarray:
-    """Exact draws of k x d Gaussian designs with density proportional to
-    det(X X^T) times the measure, one per row of the (num, k) column sets
-    ``cols``, as a (num, k, d) stack.
+def _tilted(m: MeasureSpec, cols: np.ndarray, steps: int, rng) -> tuple[np.ndarray, int]:
+    """Draws of k x d designs with density proportional to det(X X^T) times
+    the measure, one per row of the (num, k) column sets ``cols``, as a
+    (num, k, d) stack, and the number of accepted chain proposals.
 
-    In eigen coordinates X = Z Lambda^{1/2} V^T with Z i.i.d. N(0, 1), and
-    Cauchy-Binet gives det(X X^T) = sum_{|S|=k} det(Z_S)^2 prod_{i in S}
-    tau_i with E det(Z_S)^2 = k! for every S. So the tilted law is a
-    mixture: S with P(S) proportional to prod_{i in S} tau_i, which
-    ``_by_size`` draws; the k x k block Z_S with density
-    proportional to det(Z_S)^2 times the Gaussian, which is H R with H Haar
-    and R the Bartlett factor of Wishart_k(k + 2, I) (R_ii^2 ~
-    chi^2_{k+3-i}, N(0, 1) above the diagonal); the other columns i.i.d.
-    N(0, 1).
+    X = Z Sigma^{1/2} with Z i.i.d. from the law, and Cauchy-Binet gives
+    det(X X^T) = sum_{|S|=k} det(Z_S)^2 prod_{i in S} tau_i with
+    E det(Z_S)^2 = k! for every S and every i.i.d. zero-mean, unit-variance
+    law. So the tilted law is a mixture: S with P(S) proportional to
+    prod_{i in S} tau_i, which ``_by_size`` draws; Z_S with density
+    proportional to det(Z_S)^2 times the law; the other columns i.i.d. Z is
+    drawn whole and its S block replaced: for the ``gaussian`` law by H R,
+    H Haar and R the Bartlett factor of Wishart_k(k + 2, I) (R_ii^2 ~
+    chi^2_{k+3-i}, N(0, 1) above the diagonal), exactly; else by ``steps``
+    steps of ``_chain`` started from the block.
     """
-    s = m.spectrum
-    d = s.dim
     num, k = cols.shape
-    Z = rng.standard_normal((num, k, d))
+    Z = _entries(m.entry_law, (num, k, m.dim), rng)
     at = np.broadcast_to(cols[:, None, :], (num, k, k))
-    # H is the Q factor of the Gaussian S block itself, its column signs
-    # fixed by diag(R) so that it is Haar
-    Q, G = np.linalg.qr(np.take_along_axis(Z, at, axis=2))
-    H = Q * np.where(np.diagonal(G, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None, :]
-    R = np.triu(rng.standard_normal((num, k, k)), 1)
-    R[:, np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(np.arange(k + 2, 2, -1), size=(num, k)))
-    np.put_along_axis(Z, at, H @ R, axis=2)
-    X = Z * np.sqrt(s.eigenvalues)
-    return X if s.basis is None else X @ s.basis.T
+    block = np.take_along_axis(Z, at, axis=2)
+    accepted = 0
+    if m.entry_law == "gaussian":
+        # H is the Q factor of the Gaussian S block itself, its column signs
+        # fixed by diag(R) so that it is Haar
+        Q, G = np.linalg.qr(block)
+        H = Q * np.where(np.diagonal(G, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None, :]
+        R = np.triu(rng.standard_normal((num, k, k)), 1)
+        R[:, np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(np.arange(k + 2, 2, -1), size=(num, k)))
+        block = H @ R
+    else:
+        block, accepted = _chain(m.entry_law, block, steps, rng)
+    np.put_along_axis(Z, at, block, axis=2)
+    return apply_sqrt(m.spectrum, Z), accepted
 
 
 def _by_size(m: MeasureSpec, n: float, num: int, rng, draw) -> list[np.ndarray]:
@@ -275,29 +274,28 @@ def sample_surrogate_under_batch(m: MeasureSpec, n: float, num: int, chain_steps
                                  seed) -> tuple[list[np.ndarray], float]:
     """num surrogate samples at expected size n, drawn by ``_by_size``: for
     n < d a block on a Bernoulli column set, for n >= d a d-row block plus
-    Poisson(n - d) i.i.d. rows; the blocks are drawn in one batch per size.
+    Poisson(n - d) i.i.d. rows; the blocks of each size are one ``_tilted``
+    batch.
 
-    For the ``gaussian`` law each batch is an exact draw (``_tilted``), the
-    returned rate is 1.0 and ``chain_steps`` is ignored. The other laws run
-    one lockstep ``_chain`` batch per size; ``chain_steps=None`` means
-    100 k for size k (a desk-scale default; no mixing theory is
-    available), and the rate is the pooled acceptance rate. All draws come
-    from a single seeded stream, which keeps the batch deterministic for a
-    fixed (seed, num, chain_steps).
+    For the ``gaussian`` law the draws are exact, the returned rate is 1.0
+    and ``chain_steps`` is ignored. For the other laws ``chain_steps=None``
+    means 100 k chain steps for size k (a desk-scale default; no mixing
+    theory is available), and the rate is the pooled acceptance rate. All
+    draws come from a single seeded stream, which keeps the batch
+    deterministic for a fixed (seed, num, chain_steps).
     """
     rng = _resolve_rng(seed)
-    if m.entry_law == "gaussian":
-        return _by_size(m, n, num, rng, lambda idx, cols: _tilted(m, cols, rng)), 1.0
     accepted = proposals = 0
 
     def draw(idx, cols):
         nonlocal accepted, proposals
-        k = cols.shape[1]
-        steps = 100 * k if chain_steps is None else chain_steps
-        X, acc = _chain(m, k, idx.size, steps, rng)
+        steps = 100 * cols.shape[1] if chain_steps is None else chain_steps
+        X, acc = _tilted(m, cols, steps, rng)
         accepted += acc
         proposals += idx.size * steps
         return X
 
     out = _by_size(m, n, num, rng, draw)
+    if m.entry_law == "gaussian":
+        return out, 1.0
     return out, accepted / proposals if proposals else 0.0

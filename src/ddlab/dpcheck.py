@@ -41,6 +41,7 @@ __all__ = [
     "fixed_k_gram_generator",
     "gen_sum",
     "gen_product",
+    "reads_measure",
     "scenario_generator",
     "verify_dp",
     "verify_normalization",
@@ -149,25 +150,35 @@ def _scaled_low_rank(d: int, rank: int, rng) -> MatrixGenerator:
     return scaled_fixed_generator(U @ V, [0.0, 2.0])
 
 
-# name -> (m, gamma, rng) -> generator; rng draws the fixed matrices
+# name -> (reads the row measure and gamma, (m, gamma, rng) -> generator);
+# rng draws the fixed matrices
 _SCENARIOS = {
-    "gaussian_entries": lambda m, gamma, rng: gaussian_entries_generator(m.dim),
-    "rank1_scaled": lambda m, gamma, rng: _scaled_low_rank(m.dim, 1, rng),
-    "rank2_scaled_counterexample": lambda m, gamma, rng: _scaled_low_rank(m.dim, 2, rng),
-    "closure_sum": lambda m, gamma, rng: gen_sum(_scaled_low_rank(m.dim, 1, rng),
-                                                 gaussian_entries_generator(m.dim)),
-    "closure_product": lambda m, gamma, rng: gen_product(gaussian_entries_generator(m.dim),
-                                                         gaussian_entries_generator(m.dim)),
-    "poisson_gram": lambda m, gamma, rng: poisson_gram_generator(m, gamma),
+    "gaussian_entries": (False, lambda m, gamma, rng: gaussian_entries_generator(m.dim)),
+    "rank1_scaled": (False, lambda m, gamma, rng: _scaled_low_rank(m.dim, 1, rng)),
+    "rank2_scaled_counterexample": (False, lambda m, gamma, rng: _scaled_low_rank(m.dim, 2, rng)),
+    "closure_sum": (False, lambda m, gamma, rng: gen_sum(_scaled_low_rank(m.dim, 1, rng),
+                                                         gaussian_entries_generator(m.dim))),
+    "closure_product": (False, lambda m, gamma, rng: gen_product(gaussian_entries_generator(m.dim),
+                                                                 gaussian_entries_generator(m.dim))),
+    "poisson_gram": (True, lambda m, gamma, rng: poisson_gram_generator(m, gamma)),
 }
+
+
+def reads_measure(name: str) -> bool:
+    """Whether the ``dp-verify`` scenario ``name`` reads the row measure and
+    gamma; ``normalization`` (``verify_normalization``) does."""
+    if name != "normalization" and name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; expected one of "
+                         f"{('normalization', *_SCENARIOS)}")
+    return name == "normalization" or _SCENARIOS[name][0]
 
 
 def scenario_generator(name: str, m: MeasureSpec, gamma: float, seed: int) -> MatrixGenerator:
     """The generator of the ``dp-verify`` scenario ``name`` at dimension
-    m.dim. Only ``poisson_gram`` reads the row measure and ``gamma``."""
+    m.dim."""
     if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of {tuple(_SCENARIOS)}")
-    return _SCENARIOS[name](m, gamma, trial_rng(seed, 0xF1))
+    return _SCENARIOS[name][1](m, gamma, trial_rng(seed, 0xF1))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ designs in one ``sample_iid(m, count * n, rng)`` call, reshaped to
 (count, n, d), so a trial's design depends on its block and its place in
 it. The bias discrepancy's batch b draws from the stream of block b. The
 bootstraps keep their own single streams, keyed (seed, 0xB5) and
-(seed, 0xB6), apart from every block stream.
+(seed, 0xB6), apart from every block stream. The covariance is diagonal,
+so w* and the bias whitening factors act in the designs' own coordinates.
 """
 
 from __future__ import annotations
@@ -84,16 +85,13 @@ def mse_trial_samples(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
     """Per-trial Rao-Blackwellized MSE statistics for an i.i.d. design:
     sigma^2 tr((X^T X)^+) + ||(I - X^+X) w*||^2, exact over the response
     noise and random only in X, which removes all noise-sampling variance
-    from the Monte Carlo. The designs are drawn in the frame of
-    ``m.spectrum.basis``, so w* is mapped there from the eigenbasis."""
+    from the Monte Carlo."""
     if trials < 30:
         raise ValueError("need at least 30 trials")
-    basis, s2 = m.spectrum.basis, p.sigma2
-    w = p.w_star if basis is None else basis @ p.w_star
 
     def block(rng, lo, hi):
-        tr, resid = min_norm_stats(_block_designs(m, n, rng, hi - lo), w)
-        return s2 * tr + resid
+        tr, resid = min_norm_stats(_block_designs(m, n, rng, hi - lo), p.w_star)
+        return p.sigma2 * tr + resid
 
     return np.concatenate(run_block_streams(block, trials, seed, block_size(n * m.dim), threads))
 
@@ -215,9 +213,7 @@ def bias_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
     Trials are aggregated into BIAS_BATCHES batch means before
     bootstrapping so memory stays flat for large trial counts. Each batch is one block of the
     engine: batch b draws its designs, ``block_size`` of them at a time,
-    from the stream of block b. The designs are drawn in the frame of
-    ``s.basis``, so each batch mean is mapped back to the eigenbasis, where
-    the whitening factors act.
+    from the stream of block b.
     """
     if s.dim != d:
         raise ValueError("spectrum dimension does not match d")
@@ -236,8 +232,6 @@ def bias_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
                    for i in range(0, count, size)) / count
 
     batch_means = np.stack(run_block_streams(batch_mean, batches, seed, 1, threads))
-    if s.basis is not None:
-        batch_means = s.basis.T @ batch_means @ s.basis
 
     def whitened_dev(mean):
         return (white[:, None] * mean * white[None, :]) - np.eye(d)
@@ -271,8 +265,9 @@ def adaptive_trials(point_fn, target_rel_halfwidth: float = 0.125, cap: int = 10
 
 def loglog_slope(points) -> tuple[float, float, float]:
     """Least-squares fit of log(value) on log(d); returns (slope, intercept, r^2)."""
+    points = list(points)
     usable = [p for p in points if p.value > 0]
-    if len(usable) < len(list(points)):
+    if len(usable) < len(points):
         import warnings
 
         warnings.warn("excluding non-positive discrepancy values from the log-log fit")

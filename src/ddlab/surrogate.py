@@ -39,9 +39,10 @@ _LAMBDA_REL_TOL = 1e-12
 def solve_lambda(s: Spectrum, n: float) -> float:
     """The unique lam >= 0 with effective dimension equal to n, for 0 < n < d.
 
-    Solved as d - n = sum lam / (tau_i + lam), exact as n -> d; the right
-    side is increasing and concave in lam, so a bracketed bisection refined
-    by guarded Newton steps converges globally.
+    Solved as n = sum tau_i / (tau_i + lam) for n <= d / 2, exact as
+    n -> 0, and as d - n = sum lam / (tau_i + lam) above, exact as n -> d.
+    Both residuals increase in lam and share a derivative, so a bracketed
+    bisection refined by guarded Newton steps converges globally.
     """
     d = s.dim
     if not (0 < n < d):
@@ -49,6 +50,8 @@ def solve_lambda(s: Spectrum, n: float) -> float:
     t = s.eigenvalues
 
     def f(lam):
+        if n <= d / 2:
+            return n - float(np.sum(t / (t + lam)))
         return float(np.sum(lam / (t + lam))) - (d - n)
 
     def fprime(lam):
@@ -104,8 +107,8 @@ def _log_alpha(s: Spectrum, lam: float) -> float:
 def surrogate_params(s: Spectrum, n: float) -> SurrogateParams:
     """Populate (gamma_n, lambda_n, alpha_n, beta_n) for the three regimes."""
     d = s.dim
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not n > 0:
+        raise ValueError("n must be positive")
     if n < d:
         lam = solve_lambda(s, n)
         gamma = 1.0 / lam

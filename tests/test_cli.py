@@ -274,6 +274,44 @@ class TestDpVerifyCommand:
         # target e^{-gamma} det(I + 2 gamma I) = 9 / e at gamma = 1
         assert f"target {9 / math.e:.6g}," in capsys.readouterr().out
 
+    def test_fixed_law_reads_no_measure_keys(self, tmp_path, capsys):
+        # rank1_scaled is a fixed law at dimension d: the row measure and
+        # gamma stay out of its header, and setting one exits 1
+        argv = ["dp-verify", "--scenario", "rank1_scaled", "--d", "2", "--trials", "10000"]
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 0
+        header = [ln.split("=")[0] for ln in (out / "dp_report.csv").read_text().splitlines()
+                  if ln.startswith("#")]
+        assert header == ["# d", "# out", "# scenario", "# seed", "# trials"]
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("profile = diag_exp\n")
+        for extra in (["--gamma", "2"], ["--sigma2", "2"], ["--kappa", "10"],
+                      ["--normalize-trace-inv", "true"], ["--config", str(cfg)]):
+            assert run(argv + extra + ["--out", str(tmp_path / "x")]) == 1, extra
+            assert "dp-verify rank1_scaled does not read" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_measure_keys_are_recorded_and_read(self, tmp_path, capsys):
+        # normalization reads the row measure and gamma: each of their keys
+        # is in the header and moves the target
+        base = {"--gamma": "1", "--sigma2": "1", "--profile": "diag_exp", "--kappa": "10",
+                "--normalize-trace-inv": "false"}
+        changed = {"--gamma": "2", "--sigma2": "2", "--profile": "diag_linear",
+                   "--kappa": "100", "--normalize-trace-inv": "true"}
+
+        def target(opts):
+            out = tmp_path / "o"
+            assert run(["dp-verify", "--scenario", "normalization", "--d", "3",
+                        "--trials", "10000", *sum(opts.items(), ()), "--out", str(out)]) == 0
+            header = {ln[2:].split("=")[0] for ln in (out / "dp_report.csv").read_text().splitlines()
+                      if ln.startswith("#")}
+            return re.search(r"target (\S+),", capsys.readouterr().out).group(1), header
+
+        ref, header = target(base)
+        assert {"gamma", "sigma2", "profile", "kappa", "normalize_trace_inv"} <= header
+        for flag, value in changed.items():
+            assert target({**base, flag: value})[0] != ref, flag
+
     def test_unknown_scenario_exit_1(self, tmp_path):
         rc = run(["dp-verify", "--scenario", "mystery", "--out", str(tmp_path / "o")])
         assert rc == 1

@@ -25,16 +25,6 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             Spectrum(np.array([1.0, -2.0]))
 
-    def test_rejects_nonorthogonal_basis(self):
-        with pytest.raises(ValueError):
-            Spectrum(np.ones(2), basis=np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_matrix_with_basis(self):
-        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
-        s = Spectrum(np.array([3.0, 2.0, 1.0]), basis=Q)
-        M = s.matrix()
-        np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(M)), [1, 2, 3], atol=1e-10)
-
     def test_derived_scalars(self):
         s = Spectrum(np.array([4.0, 1.0]))
         assert s.dim == 2
@@ -120,21 +110,10 @@ class TestApplySqrt:
         with pytest.raises(ValueError):
             apply_sqrt(Spectrum(np.ones(3)), np.zeros((2, 4)))
 
-    def test_with_basis_covariance(self):
-        rng = np.random.default_rng(7)
-        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        s = Spectrum(np.array([3.0, 2.0, 1.0]), basis=Q)
-        n = 200_000
-        X = apply_sqrt(s, rng.standard_normal((n, 3)))
-        cov = X.T @ X / n
-        # entrywise fourth-moment standard errors are O(1/sqrt(n))
-        assert np.max(np.abs(cov - s.matrix())) < 3 * 4.0 / math.sqrt(n)
-
     def test_stack_matches_rows(self):
         rng = np.random.default_rng(8)
-        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        for s in (Spectrum(np.array([3.0, 2.0, 1.0])), Spectrum(np.array([3.0, 2.0, 1.0]), basis=Q)):
-            Z = rng.standard_normal((4, 5, 3))
-            rows = np.stack([apply_sqrt(s, z) for z in Z])
-            np.testing.assert_allclose(apply_sqrt(s, Z), rows, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(apply_sqrt(s, Z[0, 0]), rows[0, 0], rtol=0, atol=1e-14)
+        s = Spectrum(np.array([3.0, 2.0, 1.0]))
+        Z = rng.standard_normal((4, 5, 3))
+        rows = np.stack([apply_sqrt(s, z) for z in Z])
+        np.testing.assert_allclose(apply_sqrt(s, Z), rows, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(apply_sqrt(s, Z[0, 0]), rows[0, 0], rtol=0, atol=1e-14)

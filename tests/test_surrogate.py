@@ -73,8 +73,23 @@ class TestSurrogateParams:
         assert p.beta_n == pytest.approx(math.exp(-1.0))
 
     def test_n_below_one(self):
-        with pytest.raises(ValueError):
-            surrogate_params(Spectrum(np.ones(3)), 0.5)
+        # any 0 < n < d is under-determined; n <= 0 is refused
+        p = surrogate_params(Spectrum(np.ones(3)), 0.5)
+        assert p.lambda_n == pytest.approx(5.0, rel=1e-12)  # 3 / (1 + lam) = 0.5
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                surrogate_params(Spectrum(np.ones(3)), n)
+
+    def test_n_near_zero(self):
+        # at n = 1e-9 the effective dimension is solved from n itself, not
+        # from d - n, where n is lost to rounding; the MSE tends to ||w*||^2
+        s = make_profile("diag_exp", 100)
+        n = 1e-9
+        pmf = surrogate_size_pmf(s, n)
+        assert float(np.sum(np.arange(101) * pmf)) == pytest.approx(n, rel=1e-11, abs=0)
+        w = np.random.default_rng(5).standard_normal(100)
+        p = RegressionProblem(s, w, 1.0)
+        assert surrogate_mse(p, n) == pytest.approx(float(w @ w), rel=0, abs=1e-8)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 7))
@@ -261,9 +276,10 @@ class TestSizePmf:
         # unit-variance entries (Cauchy-Binet), so the pmf holds for every
         # entry law; enumerate all 2^(k d) sign matrices Z, with X = Z Sigma^{1/2}
         d = 3
-        basis = np.linalg.qr(np.random.default_rng(11).standard_normal((d, d)))[0]
-        s = Spectrum(np.array([3.0, 1.0, 0.25]), basis=basis)
-        root = basis @ np.diag(np.sqrt(s.eigenvalues)) @ basis.T
+        # a rotated covariance Q diag(tau) Q^T, whose symmetric root is used
+        s = Spectrum(np.array([3.0, 1.0, 0.25]))
+        Q = np.linalg.qr(np.random.default_rng(11).standard_normal((d, d)))[0]
+        root = Q @ np.diag(np.sqrt(s.eigenvalues)) @ Q.T
         for k in (1, 2, 3):
             signs = np.array(list(itertools.product([-1.0, 1.0], repeat=k * d))).reshape(-1, k, d)
             X = signs @ root
