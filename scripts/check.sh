@@ -3,7 +3,11 @@
 # ddlab's namespaces (for example designs.log_det_gram) that a deletion can
 # break while the suite stays green. Last, the dp-verify suite of
 # run_dp_suite.sh at verify_dp's minimum of 10^4 trials (the last --trials
-# wins), a smoke test of the documented commands and their keys. The first line printed is the
+# wins), a smoke test of the documented commands and their keys. Then the
+# figure-1 curve at 50 trials runs at 1 and at 2 threads, and the two
+# curve.csv files must match byte for byte outside their "# threads=" and
+# "# out=" lines: the grid crosses n = d, so both Monte Carlo paths run at
+# d = 100. The first line printed is the
 # environment the run's timings belong to, with both BLAS builds: numpy and
 # scipy each bundle their own, and ddlab's LAPACK calls run on both. -rP
 # prints the captured output of passed tests too, so every ACCEPTANCE
@@ -24,3 +28,12 @@ PY
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -rP --continue-on-collection-errors "$@"
 python3 -m pytest -p no:cacheprovider perfbench
 scripts/run_dp_suite.sh --trials 10000
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+for t in 1 2; do
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m ddlab.cli curve \
+        --config configs/figure1.cfg --trials 50 --threads "$t" --out "$tmp/t$t"
+done
+cmp <(grep -v -e '^# threads=' -e '^# out=' "$tmp/t1/curve.csv") \
+    <(grep -v -e '^# threads=' -e '^# out=' "$tmp/t2/curve.csv")
+echo "curve.csv identical at 1 and 2 threads"

@@ -6,12 +6,12 @@ each command's keys and their defaults once. Every key is both a flag,
 by ``--svg``), and a key of the optional plain-text config file given by
 ``--config`` (``key = value`` lines with optional ``[section]``
 grouping). Flags override the file, and a key that the command (for
-``curve``, its mode; for ``dp-verify``, its scenario) does not read is
-invalid input. Every output file
-embeds the fully resolved configuration in ``#`` header comments so any run can be reproduced
-byte-for-byte from its own output. Every CSV goes through ``_write_csv``:
-the sorted ``# key=value`` header, the column line, then one LF-ended
-line per row.
+``curve``, its mode; for ``dp-verify``, its scenario; for ``sample``, its
+entry law and whether sigma2 is set) does not read is invalid input.
+Every output file embeds the fully resolved configuration in ``#`` header
+comments so any run can be reproduced byte-for-byte from its own output.
+Every CSV goes through ``_write_csv``: the sorted ``# key=value`` header,
+the column line, then one LF-ended line per row.
 
 ``dp-verify`` runs ``dpcheck.verify_normalization`` for the
 ``normalization`` scenario and ``dpcheck.verify_dp`` on
@@ -139,6 +139,17 @@ def _resolve(args) -> dict[str, str]:
         scenario = given.get("scenario", table["scenario"])
         if not dpcheck.reads_measure(scenario):
             name, table = f"dp-verify {scenario}", _DP_FIXED
+    elif name == "sample":
+        # the chain runs only for the non-Gaussian laws, and w_star enters
+        # only the responses, which a set sigma2 asks for
+        unread = {}
+        if given.get("entry_law", table["entry_law"]) == "gaussian":
+            unread["chain_steps"] = "the gaussian law"
+        if given.get("sigma2", table["sigma2"]) == "":
+            unread["w_star"] = "no sigma2"
+        if unread:
+            name = f"sample with {' and '.join(unread.values())}"
+            table = {k: v for k, v in table.items() if k not in unread}
     unknown = sorted(set(given) - set(table))
     if unknown:
         raise ValueError(f"{name} does not read {', '.join(unknown)}")
@@ -313,7 +324,7 @@ def cmd_sample(cfg: dict[str, str]) -> int:
     n = int(cfg["n"])
     seed = int(cfg["seed"])
     out = Path(cfg["out"])
-    steps = int(cfg["chain_steps"]) if cfg["chain_steps"] else None
+    steps = int(cfg["chain_steps"]) if cfg.get("chain_steps") else None
     m = MeasureSpec(_build_spectrum(cfg, d), cfg["entry_law"])
     (X,), rate = sample_surrogate_under_batch(m, n, 1, steps, seed)
     k = X.shape[0]

@@ -2,7 +2,9 @@
 
 Three ways of touching the surrogate design live here:
 
-* ``sample_iid`` draws the standard i.i.d. sub-Gaussian design,
+* ``sample_iid`` draws the standard i.i.d. sub-Gaussian design, and
+  ``gram_factor`` the triangular factor of X^T X for Gaussian n >= d
+  designs, from the Bartlett draw that ``_tilted`` uses too,
 * ``surrogate_expectation_oracle`` estimates surrogate expectations by
   self-normalized determinant weighting of i.i.d. blocks, each weighted
   by det(X X^T) / (k! e_k(Sigma)), which has mean 1,
@@ -34,6 +36,7 @@ __all__ = [
     "MeasureSpec",
     "MonteCarloEstimate",
     "sample_iid",
+    "gram_factor",
     "gen_responses",
     "surrogate_expectation_oracle",
     "sample_surrogate_under_batch",
@@ -199,6 +202,26 @@ def _chain(law: str, Z: np.ndarray, steps: int, rng) -> tuple[np.ndarray, int]:
     return Z, accepted
 
 
+def _bartlett(num: int, k: int, df: int, rng) -> np.ndarray:
+    """(num, k, k) upper Bartlett factors R, so that R^T R ~ Wishart_k(df, I):
+    N(0, 1) above the diagonal and R_ii^2 ~ chi^2_{df+1-i}. Drawn as full
+    k x k normals, of which the strict upper triangle is kept, then the
+    chi-squares."""
+    R = np.triu(rng.standard_normal((num, k, k)), 1)
+    R[:, np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(np.arange(df, df - k, -1), size=(num, k)))
+    return R
+
+
+def gram_factor(m: MeasureSpec, n: int, num: int, rng) -> np.ndarray:
+    """(num, d, d) upper-triangular T = R Sigma^{1/2}, R Bartlett with
+    R^T R ~ Wishart_d(n, I), for the ``gaussian`` law and n >= d: T^T T =
+    Sigma^{1/2} R^T R Sigma^{1/2} has the law of X^T X for an n x d i.i.d.
+    design X, at d^2 draws and no n x d design per trial."""
+    if m.entry_law != "gaussian" or n < m.dim:
+        raise ValueError("gram_factor needs the gaussian law and n >= d")
+    return apply_sqrt(m.spectrum, _bartlett(num, m.dim, n, rng))
+
+
 def _tilted(m: MeasureSpec, cols: np.ndarray, steps: int, rng) -> tuple[np.ndarray, int]:
     """Draws of k x d designs with density proportional to det(X X^T) times
     the measure, one per row of the (num, k) column sets ``cols``, as a
@@ -225,9 +248,7 @@ def _tilted(m: MeasureSpec, cols: np.ndarray, steps: int, rng) -> tuple[np.ndarr
         # fixed by diag(R) so that it is Haar
         Q, G = np.linalg.qr(block)
         H = Q * np.where(np.diagonal(G, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None, :]
-        R = np.triu(rng.standard_normal((num, k, k)), 1)
-        R[:, np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(np.arange(k + 2, 2, -1), size=(num, k)))
-        block = H @ R
+        block = H @ _bartlett(num, k, k + 2, rng)
     else:
         block, accepted = _chain(m.entry_law, block, steps, rng)
     np.put_along_axis(Z, at, block, axis=2)

@@ -6,10 +6,13 @@ The i.i.d. designs come from the block streams of
 ``parallel.run_block_streams``: a block of ``count`` trials draws all its
 designs in one ``sample_iid(m, count * n, rng)`` call, reshaped to
 (count, n, d), so a trial's design depends on its block and its place in
-it. The bias discrepancy's batch b draws from the stream of block b. The
-bootstraps keep their own single streams, keyed (seed, 0xB5) and
-(seed, 0xB6), apart from every block stream. The covariance is diagonal,
-so w* and the bias whitening factors act in the designs' own coordinates.
+it. The one exception is ``mse_trial_samples`` for the ``gaussian`` law at
+n > d, whose blocks draw ``count`` Bartlett factors of X^T X from the
+same streams instead of designs. The bias discrepancy's batch b draws
+from the stream of block b. The bootstraps keep their own single streams,
+keyed (seed, 0xB5) and (seed, 0xB6), apart from every block stream. The
+covariance is diagonal, so w* and the bias whitening factors act in the
+designs' own coordinates.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .covariance import Spectrum
-from .designs import MeasureSpec, sample_iid
-from .linalg import min_norm_stats, projection_complement_sum
+from .designs import MeasureSpec, gram_factor, sample_iid
+from .linalg import min_norm_stats, projection_complement_sum, triangular_trace_inv
 from .parallel import block_size, run_block_streams, trial_rng
 from .surrogate import (
     RegressionProblem,
@@ -85,15 +88,30 @@ def mse_trial_samples(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
     """Per-trial Rao-Blackwellized MSE statistics for an i.i.d. design:
     sigma^2 tr((X^T X)^+) + ||(I - X^+X) w*||^2, exact over the response
     noise and random only in X, which removes all noise-sampling variance
-    from the Monte Carlo."""
+    from the Monte Carlo.
+
+    For the ``gaussian`` law at n > d a trial draws no design: the
+    statistic depends on X only through X^T X, so each trial draws the
+    d x d triangular factor of ``gram_factor``, T with T^T T equal in law
+    to X^T X, and returns sigma^2 ||T^{-1}||_F^2; the residual is 0, as
+    for any full-rank n > d design. Its blocks hold block_size(d^2)
+    trials. Every other case draws (count, n, d) designs in blocks of
+    block_size(n d) trials."""
     if trials < 30:
         raise ValueError("need at least 30 trials")
+    d = m.dim
+    if m.entry_law == "gaussian" and n > d:
+        def block(rng, lo, hi):
+            return p.sigma2 * triangular_trace_inv(gram_factor(m, n, hi - lo, rng))
 
-    def block(rng, lo, hi):
-        tr, resid = min_norm_stats(_block_designs(m, n, rng, hi - lo), p.w_star)
-        return p.sigma2 * tr + resid
+        size = block_size(d * d)
+    else:
+        def block(rng, lo, hi):
+            tr, resid = min_norm_stats(_block_designs(m, n, rng, hi - lo), p.w_star)
+            return p.sigma2 * tr + resid
 
-    return np.concatenate(run_block_streams(block, trials, seed, block_size(n * m.dim), threads))
+        size = block_size(n * d)
+    return np.concatenate(run_block_streams(block, trials, seed, size, threads))
 
 
 # bootstrap indices drawn at once: keeps memory flat at large trial counts

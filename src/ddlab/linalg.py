@@ -12,8 +12,9 @@ skipping most of the per-call cost of ``np.linalg.svd``, and
 ``np.linalg.svd`` (numpy's LAPACK) above that, where scipy's bundled
 OpenBLAS is the slower one. ``log_det_gram`` and the stacked QR of
 ``min_norm_stats`` and ``projection_complement_sum`` run on numpy's LAPACK;
-their triangular inverses call scipy's ``dtrtri``. The numpy and scipy
-wheels each bundle their own OpenBLAS; the trial engine
+their triangular inverses, and those of ``triangular_trace_inv``, call
+scipy's ``dtrtri`` through one helper with one rank guard. The numpy and
+scipy wheels each bundle their own OpenBLAS; the trial engine
 (``parallel.run_blocks``) holds both at one thread.
 """
 
@@ -28,6 +29,7 @@ __all__ = [
     "projection_complement",
     "log_det_gram",
     "min_norm_stats",
+    "triangular_trace_inv",
     "projection_complement_sum",
 ]
 
@@ -121,17 +123,38 @@ def log_det_gram(X):
     return float(out) if X.ndim == 2 else out
 
 
+def _tri_inv(R: np.ndarray, X: np.ndarray):
+    """Inverse of each upper-triangular factor of a (B, k, k) stack R, the
+    trace tr = ||R^{-1}||_F^2, and the mask of factors whose design must go
+    through the SVD path instead; R is the triangular factor of design
+    X[b], so that R^T R = X^T X.
+
+    A design is sent there when tr * (eps ||X||_F max(rows, cols))^2 >= 1
+    or tr is not finite: since tr >= 1 / sigma_min^2 and sigma_max <=
+    ||X||_F, that is the only case in which zero_threshold could drop a
+    singular value, so both paths give the same numbers.
+    """
+    B, k, _ = R.shape
+    Rinv = np.empty((B, k, k))
+    singular = np.zeros(B, dtype=bool)
+    for b in range(B):
+        # triangular inverse: a sixth of the flops of a general one
+        Rinv[b], info = lapack.dtrtri(R[b])
+        singular[b] = info != 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = np.einsum("bij,bij->b", Rinv, Rinv)
+        scale = _EPS * np.sqrt(np.einsum("bij,bij->b", X, X)) * max(X.shape[1:])
+        fallback = singular | ~(tr * scale**2 < 1.0)
+    return Rinv, tr, fallback
+
+
 def _r_factor(X: np.ndarray, w: np.ndarray | None):
     """R-only QR of each design in a (B, n, d) stack: of [X^T | w] for n < d
     (w only when given), of X^T for n = d, of X for n > d.
 
-    Returns R, the inverse of its leading k x k block (k = min(n, d)),
-    tr((X^T X)^+) = ||R_k^{-1}||_F^2, and the mask of designs to recompute
-    through the SVD path. A design is sent there when
-    tr * (eps ||X||_F max(n, d))^2 >= 1 or tr is not finite: since
-    tr >= 1 / sigma_min^2 and sigma_max <= ||X||_F, that is the only case
-    in which zero_threshold could drop a singular value, so both paths give
-    the same numbers.
+    Returns R, then what ``_tri_inv`` returns for its leading k x k block
+    (k = min(n, d)): the block's inverse, tr((X^T X)^+) = ||R_k^{-1}||_F^2
+    and the mask of designs to recompute through the SVD path.
     """
     B, n, d = X.shape
     k = min(n, d)
@@ -139,17 +162,26 @@ def _r_factor(X: np.ndarray, w: np.ndarray | None):
     if w is not None and n < d:
         A = np.concatenate([A, np.broadcast_to(w[:, None], (B, d, 1))], axis=2)
     R = np.linalg.qr(A, mode="r")
-    Rinv = np.empty((B, k, k))
-    singular = np.zeros(B, dtype=bool)
-    for b in range(B):
-        # triangular inverse: a sixth of the flops of a general one
-        Rinv[b], info = lapack.dtrtri(R[b, :k, :k])
-        singular[b] = info != 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        tr = np.einsum("bij,bij->b", Rinv, Rinv)
-        scale = _EPS * np.sqrt(np.einsum("bij,bij->b", X, X)) * max(n, d)
-        fallback = singular | ~(tr * scale**2 < 1.0)
-    return R, Rinv, tr, fallback
+    return (R, *_tri_inv(R[:, :k, :k], X))
+
+
+def triangular_trace_inv(T) -> np.ndarray:
+    """tr((T^T T)^+) = ||T^{-1}||_F^2 for each upper-triangular k x k factor
+    of a (B, k, k) stack; only the upper triangle is read.
+
+    The same triangular inverse and rank guard as ``min_norm_stats``, with
+    T standing for its own design: a factor that could be rank deficient
+    goes through pseudo_inverse instead.
+    """
+    T = np.triu(_as_matrix(T, ndim=3))
+    B, k, _ = T.shape
+    if k == 0:
+        return np.zeros(B)
+    _, tr, fallback = _tri_inv(T, T)
+    for b in np.flatnonzero(fallback):
+        P = pseudo_inverse(T[b])
+        tr[b] = float(np.sum(P * P))
+    return tr
 
 
 def min_norm_stats(X, w=None) -> tuple[np.ndarray, np.ndarray]:

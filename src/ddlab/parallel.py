@@ -13,9 +13,14 @@ top bit of the block keys keeps every block stream apart from those.
 
 Threads and BLAS: ``run_blocks`` is the one trial engine. It cuts the
 trials into fixed blocks whose size comes from the input shapes, and the
-worker threads run whole blocks in parallel. While it runs, every OpenBLAS
-that numpy and scipy loaded (their wheels bundle separate builds) is held
-at one thread, so the workers' small LAPACK calls neither share nor wait
+worker threads run whole blocks, in parallel where the blocks' calls let
+go of the GIL: a stacked ``np.linalg`` call releases it only when stack
+size times min(rows, cols) passes 500 (numpy's
+NPY_BEGIN_THREADS_THRESHOLDED), and scipy's f2py ``dtrtri`` and
+``dgesdd`` hold it throughout, so the workers gain little on blocks of
+small stacks whatever ``threads`` is. While it runs, every OpenBLAS that
+numpy and scipy loaded (their wheels bundle separate builds) is held at
+one thread, so the workers' small LAPACK calls neither share nor wait
 for BLAS threads; the previous counts are restored afterwards. Block
 boundaries never depend on ``threads``, so the output does not depend on
 ``--threads`` either, and no generator is shared between threads.

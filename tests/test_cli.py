@@ -362,8 +362,7 @@ class TestDpVerifyCommand:
 class TestSampleCommand:
     def test_under_regime(self, tmp_path):
         out = tmp_path / "o"
-        rc = run(["sample", "--d", "4", "--n", "2", "--chain-steps", "50",
-                  "--seed", "5", "--out", str(out)])
+        rc = run(["sample", "--d", "4", "--n", "2", "--seed", "5", "--out", str(out)])
         assert rc == 0
         _, rows = read_rows(out / "sample.csv")
         assert len(rows) <= 4
@@ -373,15 +372,14 @@ class TestSampleCommand:
 
     def test_over_regime_row_count(self, tmp_path):
         out = tmp_path / "o"
-        run(["sample", "--d", "3", "--n", "8", "--chain-steps", "50", "--seed", "6",
-             "--out", str(out)])
+        run(["sample", "--d", "3", "--n", "8", "--seed", "6", "--out", str(out)])
         _, rows = read_rows(out / "sample.csv")
         assert len(rows) >= 3  # d block rows always present
 
     def test_responses_written(self, tmp_path):
         out = tmp_path / "o"
-        run(["sample", "--d", "3", "--n", "2", "--chain-steps", "30", "--sigma2", "1",
-             "--seed", "7", "--out", str(out)])
+        run(["sample", "--d", "3", "--n", "2", "--sigma2", "1", "--seed", "7",
+             "--out", str(out)])
         cols, rows = read_rows(out / "sample.csv")
         assert cols == ["x_1", "x_2", "x_3", "y"]
         for r in rows:
@@ -390,8 +388,8 @@ class TestSampleCommand:
 
     def test_columns_and_row_count_with_responses(self, tmp_path):
         out = tmp_path / "o"
-        run(["sample", "--d", "3", "--n", "6", "--chain-steps", "30", "--sigma2", "1",
-             "--seed", "9", "--out", str(out)])
+        run(["sample", "--d", "3", "--n", "6", "--sigma2", "1", "--seed", "9",
+             "--out", str(out)])
         lines = [ln for ln in (out / "sample.csv").read_text().splitlines()
                  if not ln.startswith("#")]
         assert lines[0] == "x_1,x_2,x_3,y"
@@ -413,14 +411,16 @@ class TestSampleCommand:
             assert all(repr(float(v)) == v for v in r[:-1])
 
     # sha256 prefixes of stdout, sample.csv and sample_summary.txt, the output
-    # directory written as OUT, recorded when sample.csv had its own writer
+    # directory written as OUT, recorded when sample.csv had its own writer;
+    # the two files' pins were re-recorded when the header lost the key the
+    # run does not read (chain_steps, w_star), with that line the only change
     PINNED = {
         "gaussian_under_y": (["--d", "5", "--n", "3", "--profile", "diag_exp", "--kappa", "10",
                               "--sigma2", "0.5", "--seed", "11"],
-                             "b9c4c0131b598bb5", "7f76cbf7e5fda926", "ff2afe55017b5af7"),
+                             "b9c4c0131b598bb5", "120adb52b059519f", "1b2b506cdabc4289"),
         "rademacher_over": (["--d", "3", "--n", "6", "--entry-law", "rademacher",
                              "--chain-steps", "20", "--seed", "12"],
-                            "1be7aae5a024ca8f", "4cfe9cc52dcfc56e", "20d68af329d6e405"),
+                            "1be7aae5a024ca8f", "c9581bdf9ad72b53", "1ef7ba440306e0e1"),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
@@ -432,6 +432,42 @@ class TestSampleCommand:
                  (out / "sample_summary.txt").read_text()]
         assert [digest(t.replace(str(out), "OUT")) for t in texts] == digests
 
+    def test_unread_keys_left_out_and_rejected(self, tmp_path, capsys):
+        # the gaussian law runs no chain, and without sigma2 no response is
+        # drawn: chain_steps and w_star stay out of both headers, and
+        # setting one exits 1 before anything is written
+        argv = ["sample", "--d", "3", "--n", "2", "--seed", "4"]
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 0
+        for name in ("sample.csv", "sample_summary.txt"):
+            keys = {ln[2:].split("=")[0] for ln in (out / name).read_text().splitlines()
+                    if ln.startswith("#")}
+            assert not keys & {"chain_steps", "w_star"}, name
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("w_star = 1,2,3\n")
+        for extra, key in ((["--chain-steps", "50"], "chain_steps"),
+                           (["--w-star", "1,2,3"], "w_star"), (["--config", str(cfg)], "w_star"),
+                           (["--chain-steps", "5", "--sigma2", "1"], "chain_steps")):
+            assert run(argv + extra + ["--out", str(tmp_path / "x")]) == 1, extra
+            assert f"does not read {key}" in capsys.readouterr().err, extra
+        assert not (tmp_path / "x").exists()
+
+    def test_read_keys_are_recorded_and_read(self, tmp_path):
+        # a chain law with sigma2 set reads both: each is in the header, and
+        # changing it changes the data rows
+        def rows(*extra):
+            out = tmp_path / "o"
+            assert run(["sample", "--d", "3", "--n", "2", "--entry-law", "uniform_pm_sqrt3",
+                        "--sigma2", "0", "--seed", "4", *extra, "--out", str(out)]) == 0
+            text = (out / "sample.csv").read_text()
+            return ({ln[2:].split("=")[0] for ln in text.splitlines() if ln.startswith("#")},
+                    [ln for ln in text.splitlines() if not ln.startswith("#")])
+
+        keys, ref = rows("--chain-steps", "3", "--w-star", "1,0,0")
+        assert {"chain_steps", "w_star", "sigma2"} <= keys
+        assert rows("--chain-steps", "4", "--w-star", "1,0,0")[1] != ref
+        assert rows("--chain-steps", "3", "--w-star", "0,1,0")[1] != ref
+
     def test_non_gaussian_under_runs_chain(self, tmp_path):
         out = tmp_path / "o"
         rc = run(["sample", "--d", "4", "--n", "2", "--entry-law", "rademacher",
@@ -442,7 +478,7 @@ class TestSampleCommand:
         assert all(float(v) in (-1.0, 1.0) for r in rows for v in r[:-1])
 
     def test_reproducible(self, tmp_path):
-        args = ["sample", "--d", "3", "--n", "2", "--chain-steps", "40", "--seed", "8"]
+        args = ["sample", "--d", "3", "--n", "2", "--seed", "8"]
         a, b = tmp_path / "a", tmp_path / "b"
         run(args + ["--out", str(a)])
         run(args + ["--out", str(b)])

@@ -7,7 +7,7 @@ import pytest
 from ddlab import experiments, parallel
 from ddlab.covariance import Spectrum, make_profile
 from ddlab.designs import MeasureSpec, sample_iid
-from ddlab.linalg import min_norm_stats
+from ddlab.linalg import min_norm_stats, triangular_trace_inv
 from ddlab.parallel import BLOCK_KEY, block_size, trial_rng
 from ddlab.experiments import (
     DiscrepancyPoint,
@@ -74,14 +74,20 @@ class TestMseMonteCarlo:
         with pytest.raises(ValueError):
             mse_trial_samples(p, MeasureSpec(p.spectrum), 2, 10, 1)
 
-    @pytest.mark.parametrize("law", ["gaussian", "rademacher", "uniform_pm_sqrt3"])
-    def test_matches_block_stream_reference(self, law):
-        # 700 trials of 4 x 12 designs cross the 682-trial block boundary;
-        # block b's designs are consecutive runs of n rows of one draw from
-        # stream (seed, 2^63 | b), each design's statistic computed alone
+    @pytest.mark.parametrize("law,n,trials", [
+        pytest.param(law, 4, 700, id=law) for law in ("gaussian", "rademacher", "uniform_pm_sqrt3")
+    ] + [
+        # n > d: the non-Gaussian laws keep drawing whole designs
+        pytest.param(law, 20, 200, id=f"{law}-tall") for law in ("rademacher", "uniform_pm_sqrt3")
+    ])
+    def test_matches_block_stream_reference(self, law, n, trials):
+        # the trials of n x 12 designs cross one block boundary (682 trials
+        # at n=4, 136 at n=20); block b's designs are consecutive runs of n
+        # rows of one draw from stream (seed, 2^63 | b), each design's
+        # statistic computed alone
         p = RegressionProblem(Spectrum(np.linspace(0.5, 2.0, 12)), np.linspace(-1, 1, 12), 0.5)
         m = MeasureSpec(p.spectrum, law)
-        n, trials, seed = 4, 700, 21
+        seed = 21
         size = block_size(n * 12)
         assert size < trials < 2 * size
         ref = []
@@ -93,6 +99,43 @@ class TestMseMonteCarlo:
                 ref.append(p.sigma2 * tr[0] + resid[0])
         got = mse_trial_samples(p, m, n, trials, seed, threads=3)
         assert got.tobytes() == np.array(ref).tobytes()
+
+    def test_gaussian_tall_matches_bartlett_stream_reference(self):
+        # Gaussian n > d draws no design: block b draws its trials' Bartlett
+        # factors R (R^T R ~ Wishart_d(n, I)) from stream (seed, 2^63 | b),
+        # as full d x d normals, the strict upper triangle kept, then the
+        # chi^2_{n}, ..., chi^2_{n-d+1} diagonal; a trial's statistic is
+        # sigma^2 ||T^{-1}||_F^2 with T = R Sigma^{1/2}. 300 trials cross
+        # the 227-trial block boundary of d = 12
+        d, n, trials, seed = 12, 20, 300, 23
+        tau = np.linspace(0.5, 2.0, d)
+        p = RegressionProblem(Spectrum(tau), np.linspace(-1, 1, d), 0.5)
+        m = MeasureSpec(p.spectrum)
+        size = block_size(d * d)
+        assert size < trials < 2 * size
+        ref, plain = [], []
+        for lo in range(0, trials, size):
+            count = min(size, trials - lo)
+            rng = trial_rng(seed, BLOCK_KEY | lo // size)
+            R = np.triu(rng.standard_normal((count, d, d)), 1)
+            R[:, np.arange(d), np.arange(d)] = np.sqrt(
+                rng.chisquare(np.arange(n, n - d, -1), size=(count, d)))
+            T = R * np.sqrt(p.spectrum.eigenvalues)
+            for j in range(count):
+                ref.append(p.sigma2 * triangular_trace_inv(T[None, j])[0])
+                plain.append(p.sigma2 * np.sum(np.linalg.inv(T[j]) ** 2))
+        got = mse_trial_samples(p, m, n, trials, seed, threads=3)
+        assert got.tobytes() == np.array(ref).tobytes()
+        np.testing.assert_allclose(got, plain, rtol=1e-12)
+
+    @pytest.mark.parametrize("d,n,seed", [(10, 16, 31), (40, 50, 32)])
+    def test_gaussian_tall_mean_matches_inverse_wishart(self, d, n, seed):
+        # E tr((X^T X)^{-1}) = tr(Sigma^{-1}) / (n - d - 1) for Gaussian rows
+        s = make_profile("diag_exp", d, 1.0, 1e-2)
+        p = RegressionProblem(s, np.full(d, 1 / math.sqrt(d)), 1.0)
+        mean, se = mean_and_se(mse_trial_samples(p, MeasureSpec(s), n, 4000, seed))
+        exact = s.trace_inverse() / (n - d - 1)
+        assert abs(mean - exact) < 4 * se
 
 
 # the percentile levels of a 95 % interval, computed as bootstrap_ci does
@@ -325,13 +368,15 @@ class TestCurves:
             assert pt.mse_mc is not None and pt.ci_low <= pt.mse_mc <= pt.ci_high
 
     def test_bootstrap_streams_apart_from_block_streams(self, monkeypatch):
-        # the point's 400 trials run in 8 blocks of 54; its bootstrap keys
-        # (seed, 0xB5) and (seed, 0xB6) must name streams none of them uses
+        # the point's 400 trials (Gaussian n=30 > d=20, so d x d Bartlett
+        # factors) run in 5 blocks of 81; its bootstrap keys (seed, 0xB5)
+        # and (seed, 0xB6) must name streams none of them uses
         keys = record_stream_keys(monkeypatch, parallel, experiments)
         p = iso_problem(20)
         curve_double_descent(p, MeasureSpec(p.spectrum), [30], 400, 9)
         blocks = [k for k in keys if k[1] & BLOCK_KEY]
-        assert blocks == [(9, BLOCK_KEY | b) for b in range(8)]
+        assert block_size(20 * 20) == 81
+        assert blocks == [(9, BLOCK_KEY | b) for b in range(5)]
         assert (9, 0xB5) in keys
         first = lambda key: trial_rng(*key).integers(2**63, size=4).tolist()
         block_draws = [first(k) for k in blocks]
