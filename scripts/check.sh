@@ -7,7 +7,8 @@
 # figure-1 curve at 50 trials runs at 1 and at 2 threads, and the two
 # curve.csv files must match byte for byte outside their "# threads=" and
 # "# out=" lines: the grid crosses n = d, so both Monte Carlo paths run at
-# d = 100. The first line printed is the
+# d = 100. The figure-4 bias grid at a 3200-trial cap gets the same
+# comparison of its discrepancy.csv. The first line printed is the
 # environment the run's timings belong to, with both BLAS builds: numpy and
 # scipy each bundle their own, and ddlab's LAPACK calls run on both. -rP
 # prints the captured output of passed tests too, so every ACCEPTANCE
@@ -37,3 +38,10 @@ done
 cmp <(grep -v -e '^# threads=' -e '^# out=' "$tmp/t1/curve.csv") \
     <(grep -v -e '^# threads=' -e '^# out=' "$tmp/t2/curve.csv")
 echo "curve.csv identical at 1 and 2 threads"
+for t in 1 2; do
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m ddlab.cli discrepancy \
+        --config configs/figure4_bias.cfg --trials 3200 --threads "$t" --out "$tmp/b$t"
+done
+cmp <(grep -v -e '^# threads=' -e '^# out=' "$tmp/b1/discrepancy.csv") \
+    <(grep -v -e '^# threads=' -e '^# out=' "$tmp/b2/discrepancy.csv")
+echo "bias discrepancy.csv identical at 1 and 2 threads"

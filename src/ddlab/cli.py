@@ -27,12 +27,13 @@ import argparse
 import functools
 import math
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 
 from . import dpcheck, experiments, svg
-from .covariance import Spectrum, make_profile, scale_trace_inverse
+from .covariance import PROFILE_KINDS, Spectrum, make_profile, scale_trace_inverse
 from .designs import MeasureSpec, gen_responses, sample_surrogate_under_batch
 from .parallel import default_threads
 from .surrogate import RegressionProblem
@@ -102,16 +103,20 @@ def parse_config(path: str) -> dict[str, str]:
 
 
 def _parse_values(text: str) -> list[float]:
-    """Comma list '10,20,40' or range 'start:stop:step' (stop inclusive)."""
+    """Comma list '10,20,40' or range 'start:stop:step' (stop inclusive).
+
+    The i-th value of a range is start + i * step, computed exactly from
+    the text, so '0.1:0.9:0.1' gives the same floats as '0.1,0.2,...,0.9'.
+    """
     if ":" in text:
-        start, stop, step = (float(v) for v in text.split(":"))
-        if not step > 0:
-            raise ValueError(f"range {text!r} needs a positive step")
-        out = []
-        v = start
-        while v <= stop + 1e-9:
-            out.append(v)
-            v += step
+        try:
+            start, stop, step = (Decimal(v) for v in text.split(":"))
+            if not step > 0:
+                raise ValueError
+            count = int((stop - start) // step) + 1 if stop >= start else 0
+            out = [float(start + i * step) for i in range(count)]
+        except (ValueError, ArithmeticError):
+            raise ValueError(f"range {text!r} needs numbers start:stop:step, step > 0") from None
     else:
         out = [float(v) for v in text.split(",") if v.strip()]
     if not out:
@@ -160,7 +165,11 @@ def _resolve(args) -> dict[str, str]:
 def _build_spectrum(cfg: dict[str, str], d: int) -> Spectrum:
     kind = cfg["profile"]
     kappa = float(cfg["kappa"])
-    if kind == "identity" or kappa == 1.0:
+    if kind not in ("identity", *PROFILE_KINDS):
+        raise ValueError(f"unknown profile {kind!r}; expected identity or one of {PROFILE_KINDS}")
+    if kind == "identity" and kappa != 1.0:
+        raise ValueError(f"the identity profile has kappa 1, got {kappa!r}")
+    if kappa == 1.0:
         s = Spectrum(np.ones(d))
     else:
         s = make_profile(kind, d, lambda_max=1.0, lambda_min=1.0 / kappa)
@@ -238,8 +247,6 @@ def cmd_curve(cfg: dict[str, str]) -> int:
 
 def cmd_discrepancy(cfg: dict[str, str]) -> int:
     kind = cfg["kind"]
-    if kind not in ("variance", "bias"):
-        raise ValueError(f"unknown discrepancy kind {kind!r}")
     out = Path(cfg["out"])
     seed = int(cfg["seed"])
     threads = int(cfg["threads"])
@@ -253,11 +260,8 @@ def cmd_discrepancy(cfg: dict[str, str]) -> int:
     for aspect in aspects:
         for i, d in enumerate(d_values):
             s = _build_spectrum(cfg, d)
-            point_seed = seed + 7919 * i + int(1e6 * aspect)
-            if kind == "variance":
-                fn = experiments.variance_point(s, d, aspect, point_seed, threads)
-            else:
-                fn = lambda t: experiments.bias_discrepancy(s, d, aspect, t, point_seed, threads)
+            point_seed = seed + 7919 * i + round(1e6 * aspect)
+            fn = experiments.discrepancy_point(kind, s, d, aspect, point_seed, threads)
             points.append(experiments.adaptive_trials(fn, target, cap))
     columns = ["d", "n", "aspect", "kind", "value", "ci_low", "ci_high", "trials", "flagged"]
     rows = [[pt.d, pt.n, pt.aspect, pt.kind, pt.value, pt.ci_low, pt.ci_high,

@@ -8,11 +8,11 @@ designs in one ``sample_iid(m, count * n, rng)`` call, reshaped to
 (count, n, d), so a trial's design depends on its block and its place in
 it. The one exception is ``mse_trial_samples`` for the ``gaussian`` law at
 n > d, whose blocks draw ``count`` Bartlett factors of X^T X from the
-same streams instead of designs. The bias discrepancy's batch b draws
-from the stream of block b. The bootstraps keep their own single streams,
-keyed (seed, 0xB5) and (seed, 0xB6), apart from every block stream. The
-covariance is diagonal, so w* and the bias whitening factors act in the
-designs' own coordinates.
+same streams instead of designs. A discrepancy point's trial t comes
+from block t // block_size(n d) and joins batch t mod BIAS_BATCHES. The
+bootstraps keep their own single streams, keyed (seed, 0xB5) and
+(seed, 0xB6), apart from every block stream. The covariance is diagonal,
+so w* and the bias whitening factors act in the designs' own coordinates.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .covariance import Spectrum
 from .designs import MeasureSpec, gram_factor, sample_iid
-from .linalg import min_norm_stats, projection_complement_sum, triangular_trace_inv
+from .linalg import min_norm_stats, projection_complements, triangular_trace_inv
 from .parallel import block_size, run_block_streams, trial_rng
 from .surrogate import (
     RegressionProblem,
@@ -39,9 +39,7 @@ __all__ = [
     "DiscrepancyPoint",
     "CurvePoint",
     "mse_trial_samples",
-    "variance_point",
-    "variance_discrepancy",
-    "bias_discrepancy",
+    "discrepancy_point",
     "bootstrap_ci",
     "bootstrap_opnorm_ci",
     "adaptive_trials",
@@ -120,9 +118,12 @@ _RESAMPLE_CHUNK = 2**17
 CI_LEVEL = 0.95
 # bootstrap resamples of a variance discrepancy point
 VARIANCE_RESAMPLES = 1000
-# batch means of a bias discrepancy point, and their bootstrap resamples
+# batches of a discrepancy point, whose means its CI bootstraps, and the
+# bootstrap resamples of a bias point
 BIAS_BATCHES = 200
 BIAS_RESAMPLES = 500
+# statistics, in floats, a discrepancy point computes per engine call (16 MB)
+_POINT_CHUNK_FLOATS = 2**21
 
 
 def _resample_chunks(rng: np.random.Generator, T: int, resamples: int, width: int):
@@ -177,87 +178,86 @@ def bootstrap_opnorm_ci(matrix_samples, resamples: int = 2000, seed: int = 0,
     return float(lo), float(hi)
 
 
-def variance_point(s: Spectrum, d: int, aspect: float, seed: int, threads: int | None = None):
-    """The variance discrepancy point as a function of the trial count, for
-    ``adaptive_trials``: ``point(trials)`` returns what
-    ``variance_discrepancy(s, d, aspect, trials, seed, threads)`` returns.
+def discrepancy_point(kind: str, s: Spectrum, d: int, aspect: float, seed: int,
+                      threads: int | None = None):
+    """A discrepancy point of a Gaussian i.i.d. design at n = round(aspect d),
+    as the function ``point(trials)`` of the trial count that
+    ``adaptive_trials`` takes.
 
-    The point computes whole blocks of trials and keeps their per-trial
-    tr((X^T X)^+) values, so a doubling draws only the blocks it lacks and
-    each block is drawn once. A trial's value depends only on its block, so
-    the values do not depend on the order of the calls.
+    ``kind`` "variance" is |E[tr((X^T X)^+)] / V(Sigma, n) - 1| and "bias"
+    is ||B^{-1/2} E[I - X^+X] B^{-1/2} - I||, valued at the mean of all
+    trials. The CI is a percentile bootstrap (``bootstrap_ci`` or
+    ``bootstrap_opnorm_ci``) over the min(trials, BIAS_BATCHES) batch
+    means, where trial t joins batch t mod BIAS_BATCHES.
+
+    Trial t comes from block t // block_size(n d), drawn once: the point
+    keeps per-batch sums and holds a last block's statistics beyond
+    ``trials`` for the next call. So a grown point equals one called once
+    at its count, and a count below one already used raises.
     """
     if s.dim != d:
         raise ValueError("spectrum dimension does not match d")
     n = round(aspect * d)
     if not 0 < n < d:
         raise ValueError("aspect must give 0 < n < d")
-    target = variance_term(s, n)
+    if kind == "variance":
+        target, shape = variance_term(s, n), ()
+
+        def stats(X):
+            return min_norm_stats(X)[0]
+
+        def discrepancy(mean):
+            return np.abs(mean / target - 1.0)
+
+        def ci(means):
+            return bootstrap_ci(means, VARIANCE_RESAMPLES, seed=seed, stat=discrepancy)
+    elif kind == "bias":
+        white, shape = 1.0 / np.sqrt(bias_factors(s, n)), (d, d)
+        stats = projection_complements
+
+        def whitened_dev(mean):
+            return (white[:, None] * mean * white[None, :]) - np.eye(d)
+
+        def discrepancy(mean):
+            return np.linalg.norm(whitened_dev(mean), ord=2)
+
+        def ci(means):
+            return bootstrap_opnorm_ci(means, BIAS_RESAMPLES, seed=seed, transform=whitened_dev)
+    else:
+        raise ValueError(f"unknown discrepancy kind {kind!r}")
     m = MeasureSpec(s, "gaussian")
     size = block_size(n * d)
-    vals = np.empty(0)
+    # blocks per engine call: bounds the statistics held at once
+    chunk = size * max(1, _POINT_CHUNK_FLOATS // (size * math.prod(shape)))
+    sums = np.zeros((BIAS_BATCHES, *shape))
+    used = 0
+    held = np.empty((0, *shape))  # computed statistics of trials used, used + 1, ...
 
     def block(rng, lo, hi):
-        return min_norm_stats(_block_designs(m, n, rng, hi - lo))[0]
+        return stats(_block_designs(m, n, rng, hi - lo))
 
     def point(trials: int) -> DiscrepancyPoint:
-        nonlocal vals
-        if trials > vals.size:
-            end = -(-trials // size) * size
-            vals = np.concatenate([vals, *run_block_streams(block, end, seed, size, threads,
-                                                            start=vals.size)])
-        used = vals[:trials]
-        value = abs(float(np.mean(used)) / target - 1.0)
-        lo, hi = bootstrap_ci(used, VARIANCE_RESAMPLES, seed=seed,
-                              stat=lambda mu: abs(mu / target - 1.0))
-        return DiscrepancyPoint(d=d, n=n, aspect=aspect, kind="variance", value=value,
+        nonlocal used, held
+        if trials < used:
+            raise ValueError(f"trial count {trials} is below the {used} already used")
+        while used < trials:
+            if not len(held):  # used is a block boundary
+                end = min(used + chunk, -(-trials // size) * size)
+                held = np.concatenate(run_block_streams(block, end, seed, size, threads,
+                                                        start=used))
+            # trial t joins batch t mod BIAS_BATCHES; each sum adds in index order
+            b = used % BIAS_BATCHES
+            k = min(BIAS_BATCHES - b, trials - used, len(held))
+            sums[b:b + k] += held[:k]
+            held, used = held[k:], used + k
+        batches = min(trials, BIAS_BATCHES)
+        counts = trials // BIAS_BATCHES + (np.arange(batches) < trials % BIAS_BATCHES)
+        value = float(discrepancy(sums.sum(axis=0) / trials))
+        lo, hi = ci(sums[:batches] / counts.reshape((batches,) + (1,) * len(shape)))
+        return DiscrepancyPoint(d=d, n=n, aspect=aspect, kind=kind, value=value,
                                 ci_low=lo, ci_high=hi, trials_used=trials)
 
     return point
-
-
-def variance_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
-                         threads: int | None = None) -> DiscrepancyPoint:
-    """|E[tr((X^T X)^+)] / V(Sigma, n) - 1| for a Gaussian i.i.d. design,
-    with an ordinary bootstrap CI mapped through the discrepancy."""
-    return variance_point(s, d, aspect, seed, threads)(trials)
-
-
-def bias_discrepancy(s: Spectrum, d: int, aspect: float, trials: int, seed: int,
-                     threads: int | None = None) -> DiscrepancyPoint:
-    """Spectral-norm bias discrepancy ||B^{-1/2} E[I - X^+X] B^{-1/2} - I||
-    for a Gaussian i.i.d. design, with an operator-norm bootstrap CI.
-
-    Trials are aggregated into BIAS_BATCHES batch means before
-    bootstrapping so memory stays flat for large trial counts. Each batch is one block of the
-    engine: batch b draws its designs, ``block_size`` of them at a time,
-    from the stream of block b.
-    """
-    if s.dim != d:
-        raise ValueError("spectrum dimension does not match d")
-    n = round(aspect * d)
-    if not 0 < n < d:
-        raise ValueError("aspect must give 0 < n < d")
-    m = MeasureSpec(s, "gaussian")
-    white = 1.0 / np.sqrt(bias_factors(s, n))
-    batches = min(BIAS_BATCHES, trials)
-    bounds = np.linspace(0, trials, batches + 1).astype(int)
-    size = block_size(n * d)
-
-    def batch_mean(rng, b, _):
-        count = bounds[b + 1] - bounds[b]
-        return sum(projection_complement_sum(_block_designs(m, n, rng, min(size, count - i)))
-                   for i in range(0, count, size)) / count
-
-    batch_means = np.stack(run_block_streams(batch_mean, batches, seed, 1, threads))
-
-    def whitened_dev(mean):
-        return (white[:, None] * mean * white[None, :]) - np.eye(d)
-
-    value = float(np.linalg.norm(whitened_dev(np.mean(batch_means, axis=0)), ord=2))
-    lo, hi = bootstrap_opnorm_ci(batch_means, BIAS_RESAMPLES, seed=seed, transform=whitened_dev)
-    return DiscrepancyPoint(d=d, n=n, aspect=aspect, kind="bias", value=value,
-                            ci_low=lo, ci_high=hi, trials_used=trials)
 
 
 def adaptive_trials(point_fn, target_rel_halfwidth: float = 0.125, cap: int = 100_000,
@@ -266,10 +266,9 @@ def adaptive_trials(point_fn, target_rel_halfwidth: float = 0.125, cap: int = 10
     the target fraction of the value; a point that hits the cap first is
     flagged rather than failed.
 
-    ``point_fn(trials)`` is called with each trial count in turn. A
-    ``variance_point`` computes each trial once across the doublings; a
-    function that recomputes, such as a ``bias_discrepancy`` call, redoes
-    the smaller counts' trials."""
+    ``point_fn(trials)`` is called with each trial count in turn, and the
+    counts only grow; a ``discrepancy_point`` computes each trial once
+    across the doublings."""
     trials = min(start, cap)
     while True:
         point = point_fn(trials)

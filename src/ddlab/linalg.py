@@ -11,11 +11,11 @@ scipy's ``dgesdd`` directly for matrices of at most SMALL_SVD entries,
 skipping most of the per-call cost of ``np.linalg.svd``, and
 ``np.linalg.svd`` (numpy's LAPACK) above that, where scipy's bundled
 OpenBLAS is the slower one. ``log_det_gram`` and the stacked QR of
-``min_norm_stats`` and ``projection_complement_sum`` run on numpy's LAPACK;
+``min_norm_stats`` and ``projection_complements`` run on numpy's LAPACK;
 their triangular inverses, and those of ``triangular_trace_inv``, call
 scipy's ``dtrtri`` through one helper with one rank guard. The numpy and
 scipy wheels each bundle their own OpenBLAS; the trial engine
-(``parallel.run_blocks``) holds both at one thread.
+(``parallel.run_block_streams``) holds both at one thread.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ __all__ = [
     "log_det_gram",
     "min_norm_stats",
     "triangular_trace_inv",
-    "projection_complement_sum",
+    "projection_complements",
 ]
 
 _EPS = np.finfo(float).eps
@@ -215,25 +215,26 @@ def min_norm_stats(X, w=None) -> tuple[np.ndarray, np.ndarray]:
     return tr, resid
 
 
-def projection_complement_sum(X) -> np.ndarray:
-    """Sum of I - X^+ X over the designs of a (B, n, d) stack.
+def projection_complements(X) -> np.ndarray:
+    """I - X^+ X for each design of a (B, n, d) stack, as a (B, d, d) stack.
 
     From the same R-only QR as min_norm_stats: with X^T = QR, X^+ X = QQ^T
-    and Q = X^T R^{-1}, so the designs that pass the rank guard add up in
-    one GEMM of the side-by-side Q factors. The others go through
-    projection_complement.
+    and Q = X^T R^{-1}, so a design that passes the rank guard takes one
+    product of its Q factor; a full-rank n >= d design gives 0. The others
+    go through projection_complement.
     """
     X = _as_matrix(X, ndim=3)
     B, n, d = X.shape
+    out = np.tile(np.eye(d), (B, 1, 1))
     if n == 0:
-        return B * np.eye(d)
+        return out
     _, Rinv, _, fallback = _r_factor(X, None)
-    total = np.zeros((d, d))
+    ok = ~fallback
     if n < d:
-        ok = ~fallback
         Q = np.swapaxes(X[ok], 1, 2) @ Rinv[ok]
-        Qs = np.swapaxes(Q, 0, 1).reshape(d, -1)
-        total = np.count_nonzero(ok) * np.eye(d) - Qs @ Qs.T
+        out[ok] -= Q @ np.swapaxes(Q, 1, 2)
+    else:
+        out[ok] = 0.0
     for b in np.flatnonzero(fallback):
-        total += projection_complement(X[b])
-    return total
+        out[b] = projection_complement(X[b])
+    return out

@@ -11,7 +11,7 @@ seeded samplers, 0xB5 and 0xB6 for the bootstraps, 0xD5 for minor
 selection and 0xF1 for the fixed matrices of the dp-verify scenarios. The
 top bit of the block keys keeps every block stream apart from those.
 
-Threads and BLAS: ``run_blocks`` is the one trial engine. It cuts the
+Threads and BLAS: ``run_block_streams`` is the one trial engine. It cuts the
 trials into fixed blocks whose size comes from the input shapes, and the
 worker threads run whole blocks, in parallel where the blocks' calls let
 go of the GIL: a stacked ``np.linalg`` call releases it only when stack
@@ -39,7 +39,7 @@ import numpy as np
 import scipy
 
 __all__ = [
-    "trial_rng", "run_blocks", "run_block_streams", "run_trials", "block_size", "default_threads",
+    "trial_rng", "run_block_streams", "run_trials", "block_size", "default_threads",
 ]
 
 # design data per block, in floats (256 KB): keeps the memory a block holds
@@ -140,25 +140,6 @@ class _BlasHold:
 _blas_hold = _BlasHold()
 
 
-def run_blocks(fn, trials: int, threads: int | None, block: int) -> list:
-    """Evaluate ``fn(lo, hi)`` on the blocks [0, block), [block, 2 block), ...
-    covering trials 0..trials-1, and return the block results in index order.
-
-    Blocks are fixed by ``trials`` and ``block`` alone; ``threads`` workers
-    run them in parallel, with every OpenBLAS held at one thread throughout.
-    """
-    if block < 1:
-        raise ValueError("block must be at least 1")
-    if threads is None:
-        threads = default_threads()
-    bounds = [(lo, min(lo + block, trials)) for lo in range(0, trials, block)]
-    with _blas_hold:
-        if threads <= 1 or len(bounds) <= 1:
-            return [fn(lo, hi) for lo, hi in bounds]
-        with ThreadPoolExecutor(max_workers=min(threads, len(bounds))) as pool:
-            return list(pool.map(lambda b: fn(*b), bounds))
-
-
 def run_block_streams(fn, trials: int, seed: int, block: int, threads: int | None = None,
                       start: int = 0) -> list:
     """Evaluate ``fn(rng, lo, hi)`` on the blocks of ``block`` trials
@@ -169,16 +150,25 @@ def run_block_streams(fn, trials: int, seed: int, block: int, threads: int | Non
 
     ``fn`` draws all of its block's trials from ``rng``, so the draws depend
     on ``block`` (which callers fix from the trial shapes) but never on
-    ``threads``. Blocks run on ``run_blocks``.
+    ``threads``: ``threads`` workers run whole blocks in parallel, with
+    every OpenBLAS held at one thread throughout.
     """
-    if start % max(1, block):
+    if block < 1:
+        raise ValueError("block must be at least 1")
+    if start % block:
         raise ValueError("start must be a block boundary")
+    if threads is None:
+        threads = default_threads()
+    starts = range(start, trials, block)
 
-    def one(lo, hi):
-        lo, hi = start + lo, start + hi
-        return fn(trial_rng(seed, BLOCK_KEY | lo // block), lo, hi)
+    def one(lo):
+        return fn(trial_rng(seed, BLOCK_KEY | lo // block), lo, min(lo + block, trials))
 
-    return run_blocks(one, trials - start, threads, block)
+    with _blas_hold:
+        if threads <= 1 or len(starts) <= 1:
+            return [one(lo) for lo in starts]
+        with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+            return list(pool.map(one, starts))
 
 
 def run_trials(fn, trials: int, seed: int, threads: int | None = None) -> list:

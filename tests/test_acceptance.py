@@ -27,11 +27,10 @@ from ddlab.dpcheck import (
 )
 from ddlab.experiments import (
     adaptive_trials,
-    bias_discrepancy,
     curve_dimension_sweep,
+    discrepancy_point,
     loglog_slope,
     mse_trial_samples,
-    variance_discrepancy,
 )
 from ddlab.linalg import projection_complement, pseudo_inverse
 from ddlab.parallel import trial_rng
@@ -285,14 +284,9 @@ def test_criterion_7_discrepancy_slopes(kind, profile, d_values, bounds):
     points = []
     for i, d in enumerate(d_values):
         s = Spectrum(np.ones(d)) if profile == "identity" else make_profile("diag_exp", d)
-        seed = 51 + 7919 * i
-        if kind == "variance":
-            fn = lambda t: variance_discrepancy(s, d, 0.5, t, seed)
-            cap = 100_000
-        else:
-            fn = lambda t: bias_discrepancy(s, d, 0.5, t, seed)
-            cap = 400_000
-        points.append(adaptive_trials(fn, target_rel_halfwidth=0.125, cap=cap, start=400))
+        cap = 100_000 if kind == "variance" else 400_000
+        points.append(adaptive_trials(discrepancy_point(kind, s, d, 0.5, 51 + 7919 * i),
+                                      target_rel_halfwidth=0.125, cap=cap, start=400))
     slope, _, r2 = loglog_slope(points)
     flagged = [p.d for p in points if p.flagged]
     ok = bounds[0] <= slope <= bounds[1] and not flagged

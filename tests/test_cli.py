@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddlab.cli import OPTIONS, _resolve, build_parser, main, parse_config
+from ddlab.cli import OPTIONS, _parse_values, _resolve, build_parser, main, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -154,6 +154,29 @@ class TestCurveCommand:
         assert "invalid input" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_profile_exit_1(self, tmp_path, capsys):
+        rc = run(["curve", "--no-mc", "--d", "10", "--profile", "diag_bogus",
+                  "--n-values", "5", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "diag_bogus" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_identity_with_kappa_exit_1(self, tmp_path, capsys):
+        rc = run(["curve", "--no-mc", "--d", "10", "--profile", "identity", "--kappa", "100",
+                  "--n-values", "5", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "kappa" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_named_profile_at_kappa_1_is_the_identity(self, tmp_path):
+        rows = []
+        for profile in ("identity", "diag_exp"):
+            out = tmp_path / profile
+            assert run(["curve", "--no-mc", "--d", "10", "--profile", profile, "--kappa", "1",
+                        "--n-values", "5,15", "--out", str(out)]) == 0
+            rows.append(read_rows(out / "curve.csv"))
+        assert rows[0] == rows[1]
+
     def test_sweep_header_lists_the_keys_it_reads(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run(["curve", "--d-values", "40:60:10", "--out", str(out)]) == 0
@@ -217,6 +240,16 @@ class TestDiscrepancyCommand:
         assert rc == 1
         assert "at least 3 distinct d-values" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_range_runs_the_points_of_its_comma_list(self, tmp_path):
+        # 0.5:0.8:0.1 once summed to 0.7999999999999999 and seeded its last point apart
+        assert _parse_values("0.5:0.8:0.1") == [0.5, 0.6, 0.7, 0.8]
+        assert _parse_values("10:190:10") == [float(v) for v in range(10, 191, 10)]
+        args = ["discrepancy", "--d-values", "8,10,12", "--trials", "100", "--seed", "3"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(args + ["--aspect", "0.5:0.8:0.1", "--out", str(a)]) == 0
+        assert run(args + ["--aspect", "0.5,0.6,0.7,0.8", "--out", str(b)]) == 0
+        assert read_rows(a / "discrepancy.csv") == read_rows(b / "discrepancy.csv")
 
     def test_reproducible(self, tmp_path):
         args = ["discrepancy", "--kind", "variance", "--d-values", "8,10,12",

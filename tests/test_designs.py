@@ -21,7 +21,6 @@ from ddlab.parallel import (
     TRIAL_BLOCK,
     _openblas_threads,
     run_block_streams,
-    run_blocks,
     run_trials,
     trial_rng,
 )
@@ -492,15 +491,20 @@ class TestRunBlockStreams:
 
 
 class TestRunBlocks:
+    # run_block_streams as the engine: blocks, order, workers and the BLAS hold
+    @staticmethod
+    def bounds(rng, lo, hi):
+        return lo, hi
+
     def test_fixed_blocks_in_index_order(self):
         for threads in (1, 3):
-            out = run_blocks(lambda lo, hi: (lo, hi), 10, threads, 4)
+            out = run_block_streams(self.bounds, 10, 3, 4, threads)
             assert out == [(0, 4), (4, 8), (8, 10)]
-        assert run_blocks(lambda lo, hi: (lo, hi), 0, 2, 4) == []
+        assert run_block_streams(self.bounds, 0, 3, 4, 2) == []
 
     def test_block_must_be_positive(self):
         with pytest.raises(ValueError):
-            run_blocks(lambda lo, hi: None, 10, 1, 0)
+            run_block_streams(self.bounds, 10, 3, 0, 1)
 
     @pytest.mark.skipif(not _openblas_threads(), reason="no OpenBLAS thread control found")
     @pytest.mark.parametrize("threads", [1, 3])
@@ -510,22 +514,22 @@ class TestRunBlocks:
         apis = _openblas_threads()
         assert set(apis) == {"numpy", "scipy"}
 
-        def counts(lo=0, hi=0):
+        def counts(rng=None, lo=0, hi=0):
             return [get() for get, _ in apis.values()]
 
         before = counts()
         for _, put in apis.values():
             put(2)
         try:
-            inside = run_blocks(counts, 6, threads, 2)
+            inside = run_block_streams(counts, 6, 3, 2, threads)
             assert inside == [[1, 1]] * 3
             assert counts() == [2, 2]
 
-            def boom(lo, hi):
+            def boom(rng, lo, hi):
                 raise RuntimeError("trial failed")
 
             with pytest.raises(RuntimeError):
-                run_blocks(boom, 6, threads, 2)
+                run_block_streams(boom, 6, 3, 2, threads)
             assert counts() == [2, 2]
         finally:
             for (_, put), count in zip(apis.values(), before):

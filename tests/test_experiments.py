@@ -12,15 +12,13 @@ from ddlab.parallel import BLOCK_KEY, block_size, trial_rng
 from ddlab.experiments import (
     DiscrepancyPoint,
     adaptive_trials,
-    bias_discrepancy,
     bootstrap_ci,
     bootstrap_opnorm_ci,
     curve_dimension_sweep,
     curve_double_descent,
+    discrepancy_point,
     loglog_slope,
     mse_trial_samples,
-    variance_discrepancy,
-    variance_point,
 )
 from ddlab.surrogate import RegressionProblem, surrogate_mse, variance_term
 
@@ -204,7 +202,7 @@ class TestDiscrepancies:
         # the discrepancy converges to |(d/n-1)/(1-alpha) * n/(d-n-1) - 1|
         d, n = 10, 5
         s = Spectrum(np.ones(d))
-        point = variance_discrepancy(s, d, 0.5, 20_000, 7)
+        point = discrepancy_point("variance", s, d, 0.5, 7)(20_000)
         exact = abs((n / (d - n - 1)) / variance_term(s, n) - 1.0)
         assert point.ci_low <= exact <= point.ci_high or abs(point.value - exact) < 0.02
         assert point.ci_low <= point.value <= point.ci_high
@@ -212,17 +210,21 @@ class TestDiscrepancies:
     def test_variance_invalid_aspect(self):
         s = Spectrum(np.ones(10))
         with pytest.raises(ValueError):
-            variance_discrepancy(s, 10, 1.0, 1000, 1)
+            discrepancy_point("variance", s, 10, 1.0, 1)
 
     def test_bias_positive_finite_small_d(self):
         s = Spectrum(np.array([1.0, 2.0]))
-        point = bias_discrepancy(s, 2, 0.5, 40_000, 8)
+        point = discrepancy_point("bias", s, 2, 0.5, 8)(40_000)
         assert np.isfinite(point.value) and point.value > 0
         assert point.ci_low <= point.value <= point.ci_high
 
     def test_bias_dim_mismatch(self):
         with pytest.raises(ValueError):
-            bias_discrepancy(Spectrum(np.ones(3)), 4, 0.5, 1000, 1)
+            discrepancy_point("bias", Spectrum(np.ones(3)), 4, 0.5, 1)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            discrepancy_point("skew", Spectrum(np.ones(4)), 4, 0.5, 1)
 
 
 class TestThreadInvariance:
@@ -237,13 +239,13 @@ class TestThreadInvariance:
 
     def test_variance_discrepancy(self):
         s = Spectrum(np.linspace(0.5, 2.0, 16))
-        assert variance_discrepancy(s, 16, 0.5, 2000, 4, threads=1) == \
-            variance_discrepancy(s, 16, 0.5, 2000, 4, threads=3)
+        assert discrepancy_point("variance", s, 16, 0.5, 4, threads=1)(2000) == \
+            discrepancy_point("variance", s, 16, 0.5, 4, threads=3)(2000)
 
     def test_bias_discrepancy(self):
         s = Spectrum(np.linspace(0.5, 2.0, 16))
-        assert bias_discrepancy(s, 16, 0.5, 3000, 5, threads=1) == \
-            bias_discrepancy(s, 16, 0.5, 3000, 5, threads=3)
+        assert discrepancy_point("bias", s, 16, 0.5, 5, threads=1)(3000) == \
+            discrepancy_point("bias", s, 16, 0.5, 5, threads=3)(3000)
 
 
 class TestAdaptiveTrials:
@@ -277,38 +279,58 @@ class TestAdaptiveTrials:
 
     def test_variance_d20_terminates_quickly(self):
         s = Spectrum(np.ones(20))
-        fn = lambda t: variance_discrepancy(s, 20, 0.5, t, 9)
-        point = adaptive_trials(fn, cap=10_000)
+        point = adaptive_trials(discrepancy_point("variance", s, 20, 0.5, 9), cap=10_000)
         assert point.trials_used <= 10_000
         assert not point.flagged
 
 
-class TestVariancePoint:
-    # diag_exp at d = 10, seed 4 reaches the CI target at 3200 trials: five
-    # doublings from 100, across the 655-trial blocks of n = 5 designs
+class _PointCases:
+    """Cases of a discrepancy point of kind KIND on diag_exp at d = 10, seed
+    4, which reaches the CI target at TRIALS trials: doublings from 100
+    across the 655-trial blocks of n = 5 designs."""
     S = make_profile("diag_exp", 10)
+    KIND = TRIALS = None
+
+    def point(self, threads=None):
+        return discrepancy_point(self.KIND, self.S, 10, 0.5, 4, threads)
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("cap,flagged", [(100_000, False), (1000, True)])
     def test_matches_recomputed_point(self, threads, cap, flagged):
-        point = adaptive_trials(variance_point(self.S, 10, 0.5, 4, threads), cap=cap)
-        ref = adaptive_trials(lambda t: variance_discrepancy(self.S, 10, 0.5, t, 4, threads),
-                              cap=cap)
+        # one point grown through the doublings against a fresh point per count
+        point = adaptive_trials(self.point(threads), cap=cap)
+        ref = adaptive_trials(lambda t: self.point(threads)(t), cap=cap)
         assert point == ref
         assert point.flagged == flagged
-        assert point.trials_used >= 800
+        assert point.trials_used == min(cap, self.TRIALS)
 
     def test_computes_each_trial_once(self, monkeypatch):
-        # whole blocks: 3200 trials are the first 5 blocks of 655, each drawn once
+        # whole blocks of 655 trials, each drawn once across the doublings
         keys = record_stream_keys(monkeypatch, parallel)
-        point = adaptive_trials(variance_point(self.S, 10, 0.5, 4), cap=100_000)
-        assert point.trials_used == 3200
-        assert keys == [(4, BLOCK_KEY | b) for b in range(5)]
+        point = adaptive_trials(self.point(), cap=100_000)
+        assert point.trials_used == self.TRIALS
+        assert keys == [(4, BLOCK_KEY | b) for b in range(-(-self.TRIALS // 655))]
 
-    def test_smaller_count_reuses_first_trials(self):
-        point = variance_point(self.S, 10, 0.5, 4)
-        point(2000)
-        assert point(500) == variance_discrepancy(self.S, 10, 0.5, 500, 4)
+    def test_grown_through_any_counts_equals_fresh(self):
+        # counts off the batch and block boundaries, one of them repeated
+        point = self.point()
+        for t in (150, 333, 333, 1000):
+            point(t)
+        assert point(2001) == self.point()(2001)
+
+    def test_smaller_count_raises(self):
+        point = self.point()
+        point(500)
+        with pytest.raises(ValueError):
+            point(499)
+
+
+class TestVariancePoint(_PointCases):
+    KIND, TRIALS = "variance", 3200
+
+
+class TestBiasPoint(_PointCases):
+    KIND, TRIALS = "bias", 12800
 
 
 class TestLoglogSlope:

@@ -11,7 +11,7 @@ from ddlab.linalg import (
     log_det_gram,
     min_norm_stats,
     projection_complement,
-    projection_complement_sum,
+    projection_complements,
     pseudo_inverse,
     triangular_trace_inv,
 )
@@ -202,8 +202,15 @@ def assert_matches_svd(X, w):
     ref_tr, ref_resid = svd_stats(X, w)
     np.testing.assert_allclose(tr, ref_tr, rtol=1e-10, atol=0)
     assert np.max(np.abs(resid - ref_resid), initial=0.0) <= 1e-10 * float(w @ w)
-    S, ref_S = projection_complement_sum(X), sum(projection_complement(x) for x in X)
-    assert np.max(np.abs(S - ref_S)) <= 1e-10 * max(1, len(X))
+    assert_complements_match(X)
+
+
+def assert_complements_match(X):
+    """projection_complements against projection_complement, design by design."""
+    P = projection_complements(X)
+    assert P.shape == (len(X), X.shape[2], X.shape[2])
+    for p, x in zip(P, X, strict=True):
+        np.testing.assert_allclose(p, projection_complement(x), rtol=0, atol=1e-12)
 
 
 class TestMinNormStats:
@@ -233,6 +240,21 @@ class TestMinNormStats:
         tr, resid = min_norm_stats(X, np.array([2.0, -1.0]))
         assert tr[0] == pytest.approx(1.0 / 70.0)
         assert resid[0] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("n", [0, 3, 5, 8])
+    def test_complements_wide_square_tall_and_empty(self, n):
+        assert_complements_match(rng_for(n).standard_normal((4, n, 5)))
+
+    def test_complements_rank_deficient_take_svd_path(self):
+        # a duplicated row (wide) and a rank-one tall design go through the fallback
+        X = rng_for(6).standard_normal((3, 3, 5))
+        X[1, 2] = X[1, 0]
+        assert _r_factor(X, None)[3].tolist() == [False, True, False]
+        assert_complements_match(X)
+        assert np.trace(projection_complements(X)[1]) == pytest.approx(3.0)
+        tall = np.array([[[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]])
+        assert _r_factor(tall, None)[3].all()
+        assert_complements_match(tall)
 
     def test_zero_design_takes_svd_path(self):
         tr, resid = min_norm_stats(np.zeros((1, 2, 4)), np.ones(4))
