@@ -287,8 +287,9 @@ def _by_size(m: MeasureSpec, n: float, num: int, rng, draw) -> list[np.ndarray]:
     if n < d:
         return out
     extra = rng.poisson(n - d, size=num)
-    rows = np.split(sample_iid(m, int(np.sum(extra)), rng), np.cumsum(extra)[:-1])
-    return [np.vstack([X, R])[rng.permutation(d + R.shape[0])] for X, R in zip(out, rows)]
+    rows = sample_iid(m, int(np.sum(extra)), rng)
+    return [np.concatenate((X, rows[end - e:end]))[rng.permutation(d + e)]
+            for X, e, end in zip(out, extra.tolist(), np.cumsum(extra).tolist())]
 
 
 def sample_surrogate_under_batch(m: MeasureSpec, n: float, num: int, chain_steps: int | None,

@@ -10,7 +10,10 @@ Which LAPACK runs: ``pseudo_inverse`` and ``projection_complement`` call
 scipy's ``dgesdd`` directly for matrices of at most SMALL_SVD entries,
 skipping most of the per-call cost of ``np.linalg.svd``, and
 ``np.linalg.svd`` (numpy's LAPACK) above that, where scipy's bundled
-OpenBLAS is the slower one. ``log_det_gram`` and the stacked QR of
+OpenBLAS is the slower one. Both take the rank r once from
+``zero_threshold`` on the descending singular values and keep s[:r], so
+a full-rank matrix, the common case at the oracle's sizes, builds no
+mask and no masked reciprocal. ``log_det_gram`` and the stacked QR of
 ``min_norm_stats`` and ``projection_complements`` run on numpy's LAPACK;
 their triangular inverses, and those of ``triangular_trace_inv``, call
 scipy's ``dtrtri`` through one helper with one rank guard. The numpy and
@@ -53,16 +56,20 @@ def zero_threshold(singular_values: np.ndarray, shape: tuple[int, int]):
     """Cutoff below which singular values are treated as exactly zero.
 
     sigma <= eps * sigma_max * max(rows, cols), the standard numerically
-    safe rank cutoff; one cutoff per vector of a (..., r) stack.
+    safe rank cutoff; one cutoff per vector of a (..., r) stack. The values
+    come in LAPACK's descending order, so sigma_max is the first of each
+    vector.
     """
     if singular_values.size == 0:
         return 0.0
-    return _EPS * singular_values.max(axis=-1) * max(shape)
+    top = singular_values[..., 0][()]  # [()]: a scalar, not a 0-d array, for one vector
+    return _EPS * top * max(shape)
 
 
 def _svd(A: np.ndarray):
-    """Thin SVD U, s, Vt of a non-empty k x d matrix, and the mask of the
-    singular values above the shared zero threshold.
+    """Thin SVD U, s, Vt of a non-empty k x d matrix, and the number r of
+    singular values above the shared zero threshold: s descends, so the
+    kept ones are s[:r].
 
     At most SMALL_SVD entries: scipy's dgesdd, called directly; above that,
     np.linalg.svd.
@@ -73,7 +80,8 @@ def _svd(A: np.ndarray):
             raise np.linalg.LinAlgError(f"dgesdd failed (info={info})")
     else:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    return U, s, Vt, s > zero_threshold(s, A.shape)
+    cut = zero_threshold(s, A.shape)
+    return U, s, Vt, s.size if s[-1] > cut else int(np.count_nonzero(s > cut))
 
 
 def pseudo_inverse(A) -> np.ndarray:
@@ -81,8 +89,13 @@ def pseudo_inverse(A) -> np.ndarray:
     A = _as_matrix(A)
     if 0 in A.shape:
         return np.zeros((A.shape[1], A.shape[0]))
-    U, s, Vt, keep = _svd(A)
-    return (Vt.T * np.divide(1.0, s, out=np.zeros_like(s), where=keep)) @ U.T
+    U, s, Vt, r = _svd(A)
+    if r == s.size:
+        inv = 1.0 / s
+    else:
+        inv = np.zeros(s.size)
+        inv[:r] = 1.0 / s[:r]
+    return (Vt.T * inv) @ U.T
 
 
 def projection_complement(X) -> np.ndarray:
@@ -96,8 +109,8 @@ def projection_complement(X) -> np.ndarray:
     if 0 in X.shape:
         return np.eye(d)
     # Row space basis from the SVD right singular vectors.
-    _, _, Vt, keep = _svd(X)
-    V = Vt[keep]
+    _, _, Vt, r = _svd(X)
+    V = Vt[:r]
     return np.eye(d) - V.T @ V
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 import re
 from pathlib import Path
@@ -205,6 +206,24 @@ class TestCurveCommand:
         run(args + ["--out", str(b)])
         assert (a / "curve.csv").read_text().replace(str(a), "OUT") == \
             (b / "curve.csv").read_text().replace(str(b), "OUT")
+
+    @pytest.mark.parametrize("law, mc, warns", [("gaussian", [], False),
+                                                ("rademacher", [], True),
+                                                ("uniform_pm_sqrt3", [], True),
+                                                ("rademacher", ["--no-mc"], False)])
+    def test_non_gaussian_monte_carlo_names_the_gaussian_form(self, tmp_path, caplog, capsys,
+                                                              law, mc, warns):
+        # the MSE closed form is the Gaussian one: a run that sets it next to
+        # Monte Carlo of another law says so in a warning and in the SVG
+        # label; stdout stays the one line
+        out = tmp_path / "o"
+        with caplog.at_level(logging.WARNING, logger="ddlab.cli"):
+            assert run(["curve", "--d", "8", "--n-values", "3,5", "--trials", "40", "--seed", "3",
+                        "--entry-law", law, *mc, "--svg", "--out", str(out)]) == 0
+        warned = [r.getMessage() for r in caplog.records if "Gaussian closed form" in r.getMessage()]
+        assert len(warned) == warns and all(law in msg for msg in warned)
+        assert ("surrogate (Gaussian closed form)" in (out / "curve.svg").read_text()) == warns
+        assert capsys.readouterr().out == f"wrote {out / 'curve.csv'} (2 points)\n"
 
 
 class TestDiscrepancyCommand:

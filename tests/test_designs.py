@@ -436,6 +436,29 @@ class TestSamplerOver:
         ks = stats.ks_2samp(first_norms[:750], first_norms[750:])
         assert ks.pvalue > 0.01
 
+    @pytest.mark.parametrize("n", [3.0, 3.4, 9.5])
+    def test_assembly_matches_split_vstack(self, n):
+        # the n >= d designs, block rows then extra rows in one permutation,
+        # are bit for bit those of splitting the extra rows with np.split and
+        # joining each design with np.vstack, on the same stream
+        m = MeasureSpec(make_profile("diag_exp", 3), "rademacher")
+        num, d = 300, 3
+
+        def blocks(rng):
+            return lambda idx, cols: sample_iid(m, idx.size * d, rng).reshape(idx.size, d, d)
+
+        rng = trial_rng(29, 0)
+        out = designs._by_size(m, n, num, rng, blocks(rng))
+        ref_rng = trial_rng(29, 0)
+        ref = list(blocks(ref_rng)(np.arange(num), None))
+        extra = ref_rng.poisson(n - d, size=num)
+        rows = np.split(sample_iid(m, int(np.sum(extra)), ref_rng), np.cumsum(extra)[:-1])
+        ref = [np.vstack([X, R])[ref_rng.permutation(d + R.shape[0])] for X, R in zip(ref, rows)]
+        assert len(out) == num
+        for X, Y in zip(out, ref):
+            assert X.shape == Y.shape and X.tobytes() == Y.tobytes()
+        assert rng.random() == ref_rng.random()  # the streams end at one state
+
     def test_rademacher_entries(self):
         m = MeasureSpec(Spectrum(np.ones(3)), "rademacher")
         for seed in range(5):

@@ -14,6 +14,7 @@ from ddlab.linalg import (
     projection_complements,
     pseudo_inverse,
     triangular_trace_inv,
+    zero_threshold,
 )
 
 
@@ -152,6 +153,65 @@ class TestSmallSvd:
         monkeypatch.setattr(linalg.lapack, "dgesdd", no_convergence)
         with pytest.raises(np.linalg.LinAlgError):
             kernel(np.eye(3))
+
+
+def masked_reference(A):
+    """pseudo_inverse and projection_complement by the general masked
+    formula, on the SVD that the kernels' route computes for A."""
+    if A.size <= SMALL_SVD:
+        U, s, Vt, _ = linalg.lapack.dgesdd(A, compute_uv=1, full_matrices=0)
+    else:
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > zero_threshold(s, A.shape)
+    P = (Vt.T * np.divide(1.0, s, out=np.zeros_like(s), where=keep)) @ U.T
+    V = Vt[keep]
+    return P, np.eye(A.shape[1]) - V.T @ V
+
+
+def bit_identity_inputs():
+    rng = rng_for(17)
+    X23 = rng.standard_normal((2, 3))
+    dup = rng.standard_normal((3, 4))
+    dup[2] = dup[0]
+    tall = rng.standard_normal((40, 30))
+    tall_dup = tall.copy()
+    tall_dup[7] = tall_dup[3]
+    return {
+        "full rank 2x3": X23,
+        "full rank 3x3": rng.standard_normal((3, 3)),
+        "full rank 4x2": rng.standard_normal((4, 2)),
+        "duplicated row": dup,
+        "gram of a 2x3 design": X23.T @ X23,
+        "zero": np.zeros((3, 2)),
+        "1x1": np.array([[-0.7]]),
+        "above SMALL_SVD": tall,
+        "above SMALL_SVD, duplicated row": tall_dup,
+    }
+
+
+class TestBitIdentity:
+    """The kernels keep the first r singular triplets, r counted once from
+    the descending singular values; that is bit for bit the masked formula."""
+
+    @pytest.mark.parametrize("name", list(bit_identity_inputs()))
+    def test_kernels_equal_masked_formula(self, name):
+        A = bit_identity_inputs()[name]
+        P, C = masked_reference(A)
+        np.testing.assert_array_equal(pseudo_inverse(A), P)
+        np.testing.assert_array_equal(projection_complement(A), C)
+
+    def test_gram_is_rank_deficient(self):
+        # the criterion-4 f_under case: the zero-padded reciprocal is taken
+        A = bit_identity_inputs()["gram of a 2x3 design"]
+        assert np.linalg.matrix_rank(A) == 2
+        assert np.trace(projection_complement(A)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_threshold_reads_the_first_value(self):
+        s = -np.sort(-rng_for(5).uniform(size=(2, 4, 3)), axis=-1)
+        np.testing.assert_array_equal(zero_threshold(s, (3, 7)),
+                                      np.finfo(float).eps * s.max(axis=-1) * 7)
+        assert np.isscalar(zero_threshold(s[0, 0], (3, 7)))
+        assert zero_threshold(np.zeros(0), (0, 3)) == 0.0
 
 
 class TestLogDetGram:

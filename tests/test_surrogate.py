@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlab.covariance import Spectrum, make_profile, scale_trace_inverse
+from ddlab.linalg import projection_complement, pseudo_inverse
 from ddlab.surrogate import (
     RegressionProblem,
     bias_factors,
@@ -294,6 +295,32 @@ class TestSizePmf:
         for n in (0, 3, 3.5):
             with pytest.raises(ValueError):
                 surrogate_size_pmf(Spectrum(np.ones(3)), n)
+
+
+class TestRademacherExact:
+    """The surrogate design on Rademacher rows at tau = (1, 2, 3), n = 2, by
+    exact enumeration: all 2^(3k) sign matrices Z at each size k <= 3, X = Z
+    Sigma^{1/2} weighted by det(X X^T), the sizes mixed by the pmf. The size
+    pmf and the projection mean hold for any i.i.d. law; the variance form
+    (1 - alpha_n) / lambda_n is derived for Gaussian rows and does not."""
+
+    def test_weights_projection_and_variance(self):
+        s, n, d = Spectrum(np.array([1.0, 2.0, 3.0])), 2, 3
+        tau, pmf = s.eigenvalues, surrogate_size_pmf(s, n)
+        comp, tr = np.zeros((d, d)), 0.0
+        for k in range(d + 1):
+            signs = itertools.product((-1.0, 1.0), repeat=k * d)
+            X = np.array(list(signs)).reshape(2 ** (k * d), k, d) * np.sqrt(tau)
+            w = np.linalg.det(X @ np.swapaxes(X, 1, 2))
+            norm = math.factorial(k) * esp_by_enumeration(tau, k)
+            assert np.mean(w) == pytest.approx(norm, rel=1e-12)  # E det(X X^T) = k! e_k
+            mix = pmf[k] / (w.size * norm)
+            comp += mix * sum(wi * projection_complement(Xi) for wi, Xi in zip(w, X))
+            tr += mix * sum(wi * np.sum(pseudo_inverse(Xi) ** 2) for wi, Xi in zip(w, X))
+        np.testing.assert_allclose(comp, np.diag(bias_factors(s, n)), rtol=0, atol=1e-12)
+        # E tr((X^T X)^+) = E ||X^+||_F^2 is not the Gaussian form 0.812150...
+        assert tr == pytest.approx(0.4873271090869, abs=1e-12)
+        assert variance_term(s, n) == pytest.approx(0.8121503937441, abs=1e-12)
 
 
 class TestRegressionProblem:
