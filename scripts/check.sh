@@ -8,11 +8,13 @@
 # curve.csv files must match byte for byte outside their "# threads=" and
 # "# out=" lines: the grid crosses n = d, so both Monte Carlo paths run at
 # d = 100. The figure-4 bias grid at a 3200-trial cap gets the same
-# comparison of its discrepancy.csv. The first line printed is the
-# environment the run's timings belong to, with both BLAS builds: numpy and
-# scipy each bundle their own, and ddlab's LAPACK calls run on both. -rP
-# prints the captured output of passed tests too, so every ACCEPTANCE
-# criterion line shows; pyproject's --durations=15 lists the slowest tests.
+# comparison of its discrepancy.csv, and so does the figure-4 variance grid
+# (on the d-values of criterion 7's variance slopes) at an 800-trial cap.
+# The first line printed is the environment the run's timings belong to,
+# with both BLAS builds: numpy and scipy each bundle their own, and ddlab's
+# LAPACK calls run on both. -rP prints the captured output of passed tests
+# too, so every ACCEPTANCE criterion line shows; pyproject's
+# --durations=15 lists the slowest tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 python - <<'PY'
@@ -45,3 +47,10 @@ done
 cmp <(grep -v -e '^# threads=' -e '^# out=' "$tmp/b1/discrepancy.csv") \
     <(grep -v -e '^# threads=' -e '^# out=' "$tmp/b2/discrepancy.csv")
 echo "bias discrepancy.csv identical at 1 and 2 threads"
+for t in 1 2; do
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m ddlab.cli discrepancy \
+        --config configs/figure4.cfg --trials 800 --threads "$t" --out "$tmp/v$t"
+done
+cmp <(grep -v -e '^# threads=' -e '^# out=' "$tmp/v1/discrepancy.csv") \
+    <(grep -v -e '^# threads=' -e '^# out=' "$tmp/v2/discrepancy.csv")
+echo "variance discrepancy.csv identical at 1 and 2 threads"

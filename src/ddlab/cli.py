@@ -162,7 +162,10 @@ def _resolve(args) -> dict[str, str]:
     if unknown:
         raise ValueError(f"{name} does not read {', '.join(unknown)}")
     defaults = {k: str(v() if callable(v) else v) for k, v in table.items() if v is not None}
-    return {**defaults, **given}
+    cfg = {**defaults, **given}
+    if "threads" in cfg and int(cfg["threads"]) < 1:
+        raise ValueError(f"threads must be at least 1, got {cfg['threads']}")
+    return cfg
 
 
 def _build_spectrum(cfg: dict[str, str], d: int) -> Spectrum:
@@ -170,6 +173,8 @@ def _build_spectrum(cfg: dict[str, str], d: int) -> Spectrum:
     kappa = float(cfg["kappa"])
     if kind not in ("identity", *PROFILE_KINDS):
         raise ValueError(f"unknown profile {kind!r}; expected identity or one of {PROFILE_KINDS}")
+    if not kappa >= 1:
+        raise ValueError(f"kappa is a condition number, at least 1, got {kappa!r}")
     if kind == "identity" and kappa != 1.0:
         raise ValueError(f"the identity profile has kappa 1, got {kappa!r}")
     if kappa == 1.0:
@@ -214,6 +219,8 @@ def cmd_curve(cfg: dict[str, str]) -> int:
     if "d_values" in cfg:
         n = int(float(cfg["n"]))
         snr = float(cfg["snr"])
+        if not snr > 0:
+            raise ValueError(f"snr must be positive, got {snr!r}")
 
         def make_problem(d):
             s = _build_spectrum(cfg, d)

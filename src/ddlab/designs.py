@@ -304,8 +304,11 @@ def sample_surrogate_under_batch(m: MeasureSpec, n: float, num: int, chain_steps
     means 100 k chain steps for size k (a desk-scale default; no mixing
     theory is available), and the rate is the pooled acceptance rate. All
     draws come from a single seeded stream, which keeps the batch
-    deterministic for a fixed (seed, num, chain_steps).
+    deterministic for a fixed (seed, num, chain_steps). A given
+    ``chain_steps`` below 1 raises ValueError.
     """
+    if chain_steps is not None and chain_steps < 1:
+        raise ValueError(f"chain_steps must be at least 1, got {chain_steps}")
     rng = _resolve_rng(seed)
     accepted = proposals = 0
 

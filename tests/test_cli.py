@@ -80,6 +80,25 @@ class TestOptionTable:
         assert argv[1] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--no-mc", "--d", "10", "--n-values", "5", "--profile", "diag_exp",
+         "--kappa", "0"],
+        ["discrepancy", "--d-values", "10,20,40", "--profile", "diag_exp", "--kappa", "0"],
+        ["dp-verify", "--scenario", "normalization", "--profile", "diag_exp", "--kappa", "0"],
+        ["sample", "--profile", "diag_exp", "--kappa", "0"],
+        ["sample", "--profile", "diag_exp", "--kappa=-3"],
+        ["curve", "--d-values", "40,50,60", "--n", "50", "--snr", "0"],
+        ["sample", "--entry-law", "rademacher", "--chain-steps", "0"],
+        ["sample", "--entry-law", "rademacher", "--chain-steps=-5"],
+        ["curve", "--d", "10", "--n-values", "5", "--trials", "30", "--threads", "0"],
+        ["discrepancy", "--d-values", "10,20,40", "--trials", "100", "--threads=-1"],
+    ])
+    def test_invalid_number_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_only_keys_have_flags(self, tmp_path):
         out = tmp_path / "o"
         assert run(["sample", "--d", "3", "--n", "2", "--normalize-trace-inv", "true",

@@ -55,6 +55,57 @@ class TestSolveLambda:
         t = s.eigenvalues
         assert np.sum(t / (t + lam)) == pytest.approx(n, abs=1e-10 * n)
 
+    @staticmethod
+    def relative_residual(s, n, lam):
+        """The residual solve_lambda zeroes, over n below d / 2 and over
+        d - n above."""
+        t, d = s.eigenvalues, s.dim
+        if n <= d / 2:
+            return abs(n - np.sum(t / (t + lam))) / n
+        return abs(np.sum(lam / (t + lam)) - (d - n)) / (d - n)
+
+    def test_matches_high_precision_reference_at_the_edges(self):
+        # the same residual in 50-digit arithmetic, solved by mpmath from the
+        # double result, on trace-normalised diag_exp spectra from n -> 0 to
+        # n -> d and condition numbers from just above 1 to 1e12
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(50):
+            for d, kappa in itertools.product((10, 100, 300), (1 + 1e-9, 1e4, 1e12)):
+                s = scale_trace_inverse(make_profile("diag_exp", d, 1.0, 1.0 / kappa), d)
+                tau = [mpmath.mpf(float(t)) for t in s.eigenvalues]
+                for n in (1e-6, 0.5, d / 4, d / 2, 3 * d / 4, d - 1, d - 1e-6):
+                    lam = solve_lambda(s, n)
+                    nm = mpmath.mpf(n)
+                    if n <= d / 2:
+                        def f(x):
+                            return nm - mpmath.fsum(t / (t + x) for t in tau)
+                    else:
+                        def f(x):
+                            return mpmath.fsum(x / (t + x) for t in tau) - (d - nm)
+                    ref = mpmath.findroot(f, (mpmath.mpf(lam), mpmath.mpf(lam) * (1 + 1e-8)))
+                    err = float(abs(lam - ref) / ref)
+                    assert err <= 1e-14, (d, kappa, n, err)
+                    worst = max(worst, err)
+        print(f"worst relative error of lambda_n against the 50-digit root: {worst:.2e}")
+
+    @pytest.mark.parametrize("s, n", [
+        (scale_trace_inverse(make_profile("diag_exp", 10, 1.0, 1e-4), 10), 1e-200),
+        # flat: at d tau_1 / n the residual n^2 / (n + d) rounds to below 0
+        (Spectrum(np.ones(100)), 1e-20),
+    ])
+    def test_tiny_n_is_finite(self, s, n):
+        lam = solve_lambda(s, n)
+        assert math.isfinite(lam)
+        assert self.relative_residual(s, n, lam) <= 1e-14
+
+    @pytest.mark.parametrize("gap", [5e4, 1e-3])
+    def test_large_d_extreme_condition(self, gap):
+        d = 10**5
+        s = scale_trace_inverse(make_profile("diag_exp", d, 1.0, 1e-12), d)
+        n = d - gap
+        assert self.relative_residual(s, n, solve_lambda(s, n)) <= 1e-13
+
 
 class TestSurrogateParams:
     def test_isotropic_under(self):
