@@ -10,6 +10,9 @@
 # d = 100. The figure-4 bias grid at a 3200-trial cap gets the same
 # comparison of its discrepancy.csv, and so does the figure-4 variance grid
 # (on the d-values of criterion 7's variance slopes) at an 800-trial cap.
+# Last, a figure-scale surrogate draw (d = 100, n = 50) runs twice for each
+# bounded entry law, and its sample.csv and sample_summary.txt must match
+# byte for byte outside their "# out=" lines.
 # The first line printed is the environment the run's timings belong to,
 # with both BLAS builds: numpy and scipy each bundle their own, and ddlab's
 # LAPACK calls run on both. -rP prints the captured output of passed tests
@@ -54,3 +57,13 @@ done
 cmp <(grep -v -e '^# threads=' -e '^# out=' "$tmp/v1/discrepancy.csv") \
     <(grep -v -e '^# threads=' -e '^# out=' "$tmp/v2/discrepancy.csv")
 echo "variance discrepancy.csv identical at 1 and 2 threads"
+for law in rademacher uniform_pm_sqrt3; do
+    for r in 1 2; do
+        PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m ddlab.cli sample --d 100 --n 50 \
+            --profile diag_exp --kappa 10000 --entry-law "$law" --out "$tmp/s$law$r"
+    done
+    for f in sample.csv sample_summary.txt; do
+        cmp <(grep -v '^# out=' "$tmp/s${law}1/$f") <(grep -v '^# out=' "$tmp/s${law}2/$f")
+    done
+    echo "$law sample.csv and sample_summary.txt identical on rerun"
+done

@@ -6,8 +6,8 @@ each command's keys and their defaults once. Every key is both a flag,
 by ``--svg``), and a key of the optional plain-text config file given by
 ``--config`` (``key = value`` lines with optional ``[section]``
 grouping). Flags override the file, and a key that the command (for
-``curve``, its mode; for ``dp-verify``, its scenario; for ``sample``, its
-entry law and whether sigma2 is set) does not read is invalid input.
+``curve``, its mode; for ``dp-verify``, its scenario; for ``sample``,
+whether sigma2 is set) does not read is invalid input.
 Every output file embeds the fully resolved configuration in ``#`` header
 comments so any run can be reproduced byte-for-byte from its own output.
 Every CSV goes through ``_write_csv``: the sorted ``# key=value`` header,
@@ -73,14 +73,12 @@ OPTIONS = {
     "dp-verify": _DP_MEASURE,
     "sample": {
         "d": "4", "n": "2", "profile": "identity", "kappa": "1", "normalize_trace_inv": "false",
-        "entry_law": "gaussian", "chain_steps": "", "sigma2": "", "w_star": "uniform",
-        "seed": "1", "out": "out",
+        "entry_law": "gaussian", "sigma2": "", "w_star": "uniform", "seed": "1", "out": "out",
     },
 }
 # flag value types; every other key is taken as text
-_TYPES = {"d": int, "n": int, "trials": int, "seed": int, "threads": int, "chain_steps": int,
-          "kappa": float, "sigma2": float, "snr": float, "gamma": float,
-          "target_halfwidth": float}
+_TYPES = {"d": int, "n": int, "trials": int, "seed": int, "threads": int, "kappa": float,
+          "sigma2": float, "snr": float, "gamma": float, "target_halfwidth": float}
 # keys set by a flag that takes no value: key -> (flag, value it sets)
 _SWITCHES = {"mc": ("--no-mc", "false"), "svg": ("--svg", "true")}
 
@@ -147,17 +145,9 @@ def _resolve(args) -> dict[str, str]:
         scenario = given.get("scenario", table["scenario"])
         if not dpcheck.reads_measure(scenario):
             name, table = f"dp-verify {scenario}", _DP_FIXED
-    elif name == "sample":
-        # the chain runs only for the non-Gaussian laws, and w_star enters
-        # only the responses, which a set sigma2 asks for
-        unread = {}
-        if given.get("entry_law", table["entry_law"]) == "gaussian":
-            unread["chain_steps"] = "the gaussian law"
-        if given.get("sigma2", table["sigma2"]) == "":
-            unread["w_star"] = "no sigma2"
-        if unread:
-            name = f"sample with {' and '.join(unread.values())}"
-            table = {k: v for k, v in table.items() if k not in unread}
+    elif name == "sample" and given.get("sigma2", table["sigma2"]) == "":
+        # w_star enters only the responses, which a set sigma2 asks for
+        name, table = "sample with no sigma2", {k: v for k, v in table.items() if k != "w_star"}
     unknown = sorted(set(given) - set(table))
     if unknown:
         raise ValueError(f"{name} does not read {', '.join(unknown)}")
@@ -346,9 +336,8 @@ def cmd_sample(cfg: dict[str, str]) -> int:
     n = int(cfg["n"])
     seed = int(cfg["seed"])
     out = Path(cfg["out"])
-    steps = int(cfg["chain_steps"]) if cfg.get("chain_steps") else None
     m = MeasureSpec(_build_spectrum(cfg, d), cfg["entry_law"])
-    (X,), rate = sample_surrogate_under_batch(m, n, 1, steps, seed)
+    (X,), rate = sample_surrogate_under_batch(m, n, 1, None, seed)
     k = X.shape[0]
     y = [None] * k
     if cfg["sigma2"] != "":

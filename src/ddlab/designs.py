@@ -11,8 +11,9 @@ Three ways of touching the surrogate design live here:
 * ``sample_surrogate_under_batch`` produces actual surrogate samples at
   any n with ``_tilted``, batched over samples: i.i.d. entries, with a
   determinant-tilted k x k block on the design's column set. That block is
-  exact for the ``gaussian`` law; for the other laws a lockstep Metropolis
-  chain, ``_chain``, runs for a desk-scale length with no mixing theory.
+  exact for every entry law: for ``gaussian`` a Haar rotation of a Bartlett
+  factor, for the bounded laws the row-by-row rejection sampler ``_rows``
+  (the chain rule of volume sampling), whose acceptance rate is returned.
 
 All three draw their designs through ``_by_size``, one batch per size. For
 n < d it draws each design's column set S as independent Bernoullis,
@@ -96,7 +97,9 @@ def sample_iid(m: MeasureSpec, n: int, seed_or_rng) -> np.ndarray:
 
 
 def gen_responses(X, w_star, sigma2: float, seed_or_rng) -> np.ndarray:
-    """y = X w* + xi with xi i.i.d. Gaussian(0, sigma2)."""
+    """y = X w* + xi with xi i.i.d. Gaussian(0, sigma2), sigma2 finite and >= 0."""
+    if not (math.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2!r}")
     X = np.asarray(X, dtype=float)
     w = np.asarray(w_star, dtype=float).reshape(-1)
     if X.shape[1] != w.size:
@@ -167,39 +170,34 @@ def surrogate_expectation_oracle(f, m: MeasureSpec, n: float, trials: int, seed:
     return MonteCarloEstimate(mean=mean, std_error=se, trials=trials, effective_sample_size=ess)
 
 
-def _chain(law: str, Z: np.ndarray, steps: int, rng) -> tuple[np.ndarray, int]:
-    """Metropolis row-replacement chains from the (num, k, k) start Z, in
-    place and in lockstep on one stream, with stationary density
-    proportional to det(Z)^2 times the entry law.
+def _rows(law: str, num: int, k: int, rng) -> tuple[np.ndarray, int]:
+    """(num, k, k) blocks Z with density proportional to det(Z)^2 times a
+    bounded entry law, drawn exactly, and the number of rows proposed.
 
-    Singular starts are redrawn. Each step replaces one uniformly chosen row
-    of every chain by a fresh row from the law and accepts when
-    log u < log w' - log w, log w from ``log_det_gram``. Returns the final
-    states and the number of accepted proposals.
+    det(Z Z^T) = prod_i |P_i z_i|^2, with P_i the projection off rows 1 to
+    i - 1, and given rows 1 to i the factors of the later rows have mean
+    (k - i)! for every zero-mean, unit-variance i.i.d. law. So row i has
+    density proportional to the law times |P_i z|^2 <= k max z^2: a row from
+    the law is accepted when u k max z^2 < |P_i z|^2. The blocks run in
+    lockstep, row by row, each row redrawn only for the blocks that have not
+    accepted it; Q holds the normalized residuals of the accepted rows.
     """
-    num, k, _ = Z.shape
-    lw = log_det_gram(Z)
-    bad = ~np.isfinite(lw)
-    for _ in range(1000):  # singular starts (sign blocks hit them); redraw, boundedly
-        if not np.any(bad):
-            break
-        Z[bad] = _entries(law, (int(np.sum(bad)), k, k), rng)
-        lw[bad] = log_det_gram(Z[bad])
-        bad = ~np.isfinite(lw)
-    if np.any(bad):
-        raise RuntimeError("could not initialize a full-rank chain state")
-    chains = np.arange(num)
-    accepted = 0
-    for _ in range(steps):
-        rows = rng.integers(k, size=num)
-        Zp = Z.copy()
-        Zp[chains, rows] = _entries(law, (num, k), rng)
-        lwp = log_det_gram(Zp)
-        acc = np.log(rng.uniform(size=num)) < lwp - lw
-        Z[acc] = Zp[acc]
-        lw[acc] = lwp[acc]
-        accepted += int(np.sum(acc))
-    return Z, accepted
+    Z, Q = np.empty((num, k, k)), np.empty((num, k, k))
+    bound = k * (1.0 if law == "rademacher" else 3.0)  # k max z^2
+    proposed = 0
+    for i in range(k):
+        todo = np.arange(num)
+        while todo.size:
+            z = _entries(law, (todo.size, k), rng)
+            B = Q[todo, :i]
+            r = z - np.einsum("bij,bi->bj", B, np.einsum("bij,bj->bi", B, z))
+            r2 = np.einsum("bj,bj->b", r, r)
+            acc = rng.uniform(size=todo.size) * bound < r2
+            Z[todo[acc], i] = z[acc]
+            Q[todo[acc], i] = r[acc] / np.sqrt(r2[acc])[:, None]
+            proposed += todo.size
+            todo = todo[~acc]
+    return Z, proposed
 
 
 def _bartlett(num: int, k: int, df: int, rng) -> np.ndarray:
@@ -222,10 +220,10 @@ def gram_factor(m: MeasureSpec, n: int, num: int, rng) -> np.ndarray:
     return apply_sqrt(m.spectrum, _bartlett(num, m.dim, n, rng))
 
 
-def _tilted(m: MeasureSpec, cols: np.ndarray, steps: int, rng) -> tuple[np.ndarray, int]:
+def _tilted(m: MeasureSpec, cols: np.ndarray, rng) -> tuple[np.ndarray, int]:
     """Draws of k x d designs with density proportional to det(X X^T) times
     the measure, one per row of the (num, k) column sets ``cols``, as a
-    (num, k, d) stack, and the number of accepted chain proposals.
+    (num, k, d) stack, and the number of block rows proposed for them.
 
     X = Z Sigma^{1/2} with Z i.i.d. from the law, and Cauchy-Binet gives
     det(X X^T) = sum_{|S|=k} det(Z_S)^2 prod_{i in S} tau_i with
@@ -233,16 +231,17 @@ def _tilted(m: MeasureSpec, cols: np.ndarray, steps: int, rng) -> tuple[np.ndarr
     law. So the tilted law is a mixture: S with P(S) proportional to
     prod_{i in S} tau_i, which ``_by_size`` draws; Z_S with density
     proportional to det(Z_S)^2 times the law; the other columns i.i.d. Z is
-    drawn whole and its S block replaced: for the ``gaussian`` law by H R,
-    H Haar and R the Bartlett factor of Wishart_k(k + 2, I) (R_ii^2 ~
-    chi^2_{k+3-i}, N(0, 1) above the diagonal), exactly; else by ``steps``
-    steps of ``_chain`` started from the block.
+    drawn whole and its S block replaced, exactly for every law: for the
+    ``gaussian`` law by H R, H Haar and R the Bartlett factor of
+    Wishart_k(k + 2, I) (R_ii^2 ~ chi^2_{k+3-i}, N(0, 1) above the
+    diagonal), with no row rejected; for the bounded laws by the row-by-row
+    rejection sampler ``_rows``, whose envelope is k max z^2.
     """
     num, k = cols.shape
     Z = _entries(m.entry_law, (num, k, m.dim), rng)
     at = np.broadcast_to(cols[:, None, :], (num, k, k))
     block = np.take_along_axis(Z, at, axis=2)
-    accepted = 0
+    proposed = num * k
     if m.entry_law == "gaussian":
         # H is the Q factor of the Gaussian S block itself, its column signs
         # fixed by diag(R) so that it is Haar
@@ -250,9 +249,9 @@ def _tilted(m: MeasureSpec, cols: np.ndarray, steps: int, rng) -> tuple[np.ndarr
         H = Q * np.where(np.diagonal(G, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None, :]
         block = H @ _bartlett(num, k, k + 2, rng)
     else:
-        block, accepted = _chain(m.entry_law, block, steps, rng)
+        block, proposed = _rows(m.entry_law, num, k, rng)
     np.put_along_axis(Z, at, block, axis=2)
-    return apply_sqrt(m.spectrum, Z), accepted
+    return apply_sqrt(m.spectrum, Z), proposed
 
 
 def _by_size(m: MeasureSpec, n: float, num: int, rng, draw) -> list[np.ndarray]:
@@ -292,35 +291,30 @@ def _by_size(m: MeasureSpec, n: float, num: int, rng, draw) -> list[np.ndarray]:
             for X, e, end in zip(out, extra.tolist(), np.cumsum(extra).tolist())]
 
 
-def sample_surrogate_under_batch(m: MeasureSpec, n: float, num: int, chain_steps: int | None,
+def sample_surrogate_under_batch(m: MeasureSpec, n: float, num: int, ignored,
                                  seed) -> tuple[list[np.ndarray], float]:
     """num surrogate samples at expected size n, drawn by ``_by_size``: for
     n < d a block on a Bernoulli column set, for n >= d a d-row block plus
     Poisson(n - d) i.i.d. rows; the blocks of each size are one ``_tilted``
     batch.
 
-    For the ``gaussian`` law the draws are exact, the returned rate is 1.0
-    and ``chain_steps`` is ignored. For the other laws ``chain_steps=None``
-    means 100 k chain steps for size k (a desk-scale default; no mixing
-    theory is available), and the rate is the pooled acceptance rate. All
-    draws come from a single seeded stream, which keeps the batch
-    deterministic for a fixed (seed, num, chain_steps). A given
-    ``chain_steps`` below 1 raises ValueError.
+    The draws are exact for every entry law. The returned rate is the
+    accepted block rows over the proposed ones: 1.0 for the ``gaussian``
+    law, the pooled acceptance rate of ``_rows`` for the bounded laws, and
+    1.0 when no block row is drawn. All draws come from a single seeded
+    stream, which keeps the batch deterministic for a fixed (seed, num).
+    The fourth parameter is ignored by every law; it stays because
+    ``perfbench/workloads.py`` still passes a chain length there.
     """
-    if chain_steps is not None and chain_steps < 1:
-        raise ValueError(f"chain_steps must be at least 1, got {chain_steps}")
     rng = _resolve_rng(seed)
-    accepted = proposals = 0
+    rows = proposed = 0
 
     def draw(idx, cols):
-        nonlocal accepted, proposals
-        steps = 100 * cols.shape[1] if chain_steps is None else chain_steps
-        X, acc = _tilted(m, cols, steps, rng)
-        accepted += acc
-        proposals += idx.size * steps
+        nonlocal rows, proposed
+        X, p = _tilted(m, cols, rng)
+        rows += cols.size
+        proposed += p
         return X
 
     out = _by_size(m, n, num, rng, draw)
-    if m.entry_law == "gaussian":
-        return out, 1.0
-    return out, accepted / proposals if proposals else 0.0
+    return out, rows / proposed if proposed else 1.0

@@ -125,8 +125,8 @@ class RegressionProblem:
             raise ValueError("w_star dimension does not match the spectrum")
         if not np.all(np.isfinite(w)):
             raise ValueError("w_star has non-finite entries")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2!r}")
         object.__setattr__(self, "w_star", w)
 
 

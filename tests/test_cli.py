@@ -71,7 +71,8 @@ class TestOptionTable:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["sample", "--trials", "5"],
-                                      ["dp-verify", "--threads", "4"]])
+                                      ["dp-verify", "--threads", "4"],
+                                      ["sample", "--chain-steps", "5"]])
     def test_flag_the_command_never_reads_exit_1(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
@@ -88,10 +89,14 @@ class TestOptionTable:
         ["sample", "--profile", "diag_exp", "--kappa", "0"],
         ["sample", "--profile", "diag_exp", "--kappa=-3"],
         ["curve", "--d-values", "40,50,60", "--n", "50", "--snr", "0"],
-        ["sample", "--entry-law", "rademacher", "--chain-steps", "0"],
-        ["sample", "--entry-law", "rademacher", "--chain-steps=-5"],
         ["curve", "--d", "10", "--n-values", "5", "--trials", "30", "--threads", "0"],
         ["discrepancy", "--d-values", "10,20,40", "--trials", "100", "--threads=-1"],
+        ["sample", "--d", "4", "--n", "2", "--sigma2=-1"],
+        ["sample", "--d", "4", "--n", "2", "--sigma2", "nan"],
+        ["sample", "--d", "4", "--n", "2", "--sigma2", "inf"],
+        ["curve", "--no-mc", "--d", "10", "--n-values", "5", "--sigma2", "nan"],
+        ["discrepancy", "--d-values", "10,20,40", "--trials", "200", "--target-halfwidth", "nan"],
+        ["discrepancy", "--d-values", "10,20,40", "--trials", "200", "--target-halfwidth=-1"],
     ])
     def test_invalid_number_exit_1(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
@@ -484,14 +489,16 @@ class TestSampleCommand:
     # sha256 prefixes of stdout, sample.csv and sample_summary.txt, the output
     # directory written as OUT, recorded when sample.csv had its own writer;
     # the two files' pins were re-recorded when the header lost the key the
-    # run does not read (chain_steps, w_star), with that line the only change
+    # run does not read (chain_steps, w_star), with that line the only change;
+    # rademacher_over's were re-recorded when the bounded laws' tilted blocks
+    # became exact row-by-row draws
     PINNED = {
         "gaussian_under_y": (["--d", "5", "--n", "3", "--profile", "diag_exp", "--kappa", "10",
                               "--sigma2", "0.5", "--seed", "11"],
                              "b9c4c0131b598bb5", "120adb52b059519f", "1b2b506cdabc4289"),
         "rademacher_over": (["--d", "3", "--n", "6", "--entry-law", "rademacher",
-                             "--chain-steps", "20", "--seed", "12"],
-                            "1be7aae5a024ca8f", "c9581bdf9ad72b53", "1ef7ba440306e0e1"),
+                             "--seed", "12"],
+                            "aadf91b946ca9df0", "7adc109eb161c32c", "162c84589b7c68a3"),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
@@ -504,28 +511,25 @@ class TestSampleCommand:
         assert [digest(t.replace(str(out), "OUT")) for t in texts] == digests
 
     def test_unread_keys_left_out_and_rejected(self, tmp_path, capsys):
-        # the gaussian law runs no chain, and without sigma2 no response is
-        # drawn: chain_steps and w_star stay out of both headers, and
-        # setting one exits 1 before anything is written
+        # without sigma2 no response is drawn: w_star stays out of both
+        # headers, and setting it exits 1 before anything is written
         argv = ["sample", "--d", "3", "--n", "2", "--seed", "4"]
         out = tmp_path / "o"
         assert run(argv + ["--out", str(out)]) == 0
         for name in ("sample.csv", "sample_summary.txt"):
             keys = {ln[2:].split("=")[0] for ln in (out / name).read_text().splitlines()
                     if ln.startswith("#")}
-            assert not keys & {"chain_steps", "w_star"}, name
+            assert "w_star" not in keys, name
         cfg = tmp_path / "a.cfg"
         cfg.write_text("w_star = 1,2,3\n")
-        for extra, key in ((["--chain-steps", "50"], "chain_steps"),
-                           (["--w-star", "1,2,3"], "w_star"), (["--config", str(cfg)], "w_star"),
-                           (["--chain-steps", "5", "--sigma2", "1"], "chain_steps")):
+        for extra in (["--w-star", "1,2,3"], ["--config", str(cfg)]):
             assert run(argv + extra + ["--out", str(tmp_path / "x")]) == 1, extra
-            assert f"does not read {key}" in capsys.readouterr().err, extra
+            assert "does not read w_star" in capsys.readouterr().err, extra
         assert not (tmp_path / "x").exists()
 
     def test_read_keys_are_recorded_and_read(self, tmp_path):
-        # a chain law with sigma2 set reads both: each is in the header, and
-        # changing it changes the data rows
+        # with sigma2 set, w_star is read: it is in the header, and changing
+        # it changes the data rows
         def rows(*extra):
             out = tmp_path / "o"
             assert run(["sample", "--d", "3", "--n", "2", "--entry-law", "uniform_pm_sqrt3",
@@ -534,10 +538,9 @@ class TestSampleCommand:
             return ({ln[2:].split("=")[0] for ln in text.splitlines() if ln.startswith("#")},
                     [ln for ln in text.splitlines() if not ln.startswith("#")])
 
-        keys, ref = rows("--chain-steps", "3", "--w-star", "1,0,0")
-        assert {"chain_steps", "w_star", "sigma2"} <= keys
-        assert rows("--chain-steps", "4", "--w-star", "1,0,0")[1] != ref
-        assert rows("--chain-steps", "3", "--w-star", "0,1,0")[1] != ref
+        keys, ref = rows("--w-star", "1,0,0")
+        assert {"w_star", "sigma2"} <= keys
+        assert rows("--w-star", "0,1,0")[1] != ref
 
     def test_non_gaussian_under_runs_chain(self, tmp_path):
         out = tmp_path / "o"

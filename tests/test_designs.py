@@ -27,9 +27,9 @@ from ddlab.parallel import (
 from ddlab.surrogate import solve_lambda, surrogate_params, surrogate_size_pmf
 
 
-def one_draw(m, n, chain_steps, seed_or_rng):
+def one_draw(m, n, seed_or_rng):
     """The one surrogate sample of a batch of one."""
-    (X,), _ = sample_surrogate_under_batch(m, n, 1, chain_steps, seed_or_rng)
+    (X,), _ = sample_surrogate_under_batch(m, n, 1, None, seed_or_rng)
     return X
 
 
@@ -84,6 +84,11 @@ class TestGenResponses:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             gen_responses(np.eye(3), [1.0, 2.0], 1.0, 1)
+
+    @pytest.mark.parametrize("sigma2", [-1.0, float("nan"), float("inf")])
+    def test_invalid_sigma2_rejected(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2"):
+            gen_responses(np.eye(3), [1.0, 2.0, 3.0], sigma2, 1)
 
 
 class TestOracle:
@@ -163,68 +168,11 @@ class TestMonteCarloEstimate:
         assert float(MonteCarloEstimate(np.array(5.0), np.array(0.0), 100).z_score(2.0)) == np.inf
 
 
-def lockstep_reference(m, n, num, steps, seed):
-    """Reference stream of the batched chain, for n < d: each sample's
-    column set S is a Bernoulli mask that keeps column i with probability
-    tau_i / (tau_i + lambda_n); the samples of each size k, in increasing
-    k, draw their k x d entries from the law in one call; the k x k blocks
-    on their column sets advance in lockstep on the one stream, with weight
-    log det(B)^2 from the singular values with the shared rank cutoff and
-    singular starts redrawn without bound; each sample is its entries,
-    block written back, times Sigma^{1/2}."""
-    s = m.spectrum
-    law = m.entry_law
-
-    def weight(B):
-        sv = np.linalg.svd(B, compute_uv=False)
-        full = sv[..., -1] > np.finfo(float).eps * sv[..., 0] * B.shape[-1]
-        with np.errstate(divide="ignore"):
-            return np.where(full, 2.0 * np.sum(np.log(sv), axis=-1), -np.inf)
-
-    rng = trial_rng(seed, 0)
-    d = m.dim
-    tau = s.eigenvalues
-    S = rng.random((num, d)) < tau / (tau + solve_lambda(s, n))
-    ks = np.sum(S, axis=1)
-    out = [None] * num
-    accepted = proposals = 0
-    for k in np.unique(ks):
-        idx = np.flatnonzero(ks == k)
-        if k == 0:
-            for i in idx:
-                out[i] = np.zeros((0, d))
-            continue
-        B = idx.size
-        Z = designs._entries(law, (B, k, d), rng)
-        blocks = np.stack([Z[j][:, S[i]] for j, i in enumerate(idx)])
-        lw = weight(blocks)
-        bad = ~np.isfinite(lw)
-        while np.any(bad):
-            blocks[bad] = designs._entries(law, (int(np.sum(bad)), k, k), rng)
-            lw[bad] = weight(blocks[bad])
-            bad = ~np.isfinite(lw)
-        for _ in range(steps):
-            rows = rng.integers(k, size=B)
-            props = designs._entries(law, (B, k), rng)
-            prop = blocks.copy()
-            prop[np.arange(B), rows] = props
-            lwp = weight(prop)
-            acc = np.log(rng.uniform(size=B)) < (lwp - lw)
-            blocks[acc] = prop[acc]
-            lw[acc] = lwp[acc]
-            accepted += int(np.sum(acc))
-            proposals += B
-        for j, i in enumerate(idx):
-            Z[j][:, S[i]] = blocks[j]
-            out[i] = Z[j] * np.sqrt(tau)
-    return out, accepted / proposals
-
-
 class TestSamplerUnder:
     def test_rademacher_entries_and_sizes(self):
-        # the size pmf holds for every entry law, so other laws run the chain
+        # the size pmf holds for every entry law
         m = MeasureSpec(Spectrum(np.ones(3)), "rademacher")
-        samples, rate = sample_surrogate_under_batch(m, 1, 3000, 10, 1)
+        samples, rate = sample_surrogate_under_batch(m, 1, 3000, None, 1)
         assert all(set(np.unique(X)) <= {-1.0, 1.0} for X in samples)
         counts = np.bincount([X.shape[0] for X in samples], minlength=4)
         assert counts.size == 4
@@ -233,74 +181,44 @@ class TestSamplerUnder:
 
     def test_size_bounded_by_d(self):
         m = MeasureSpec(Spectrum(np.ones(3)))
-        samples, _ = sample_surrogate_under_batch(m, 2, 20, 20, 1)
+        samples, _ = sample_surrogate_under_batch(m, 2, 20, None, 1)
         assert all(X.shape[0] <= 3 for X in samples)
-
-    @pytest.mark.parametrize("s, n, num, steps", [
-        (Spectrum(np.array([1.0, 2.0, 3.0])), 2, 64, 25),
-        (make_profile("diag_exp", 10), 5, 50, 10),
-        (Spectrum(np.array([4.0, 3.0, 2.0, 1.0])), 2, 40, 10),
-    ])
-    def test_matches_lockstep_reference_bitwise(self, s, n, num, steps):
-        # the laws that still run the chain; gaussian draws exactly
-        for law in ("rademacher", "uniform_pm_sqrt3"):
-            m = MeasureSpec(s, law)
-            samples, rate = sample_surrogate_under_batch(m, n, num, steps, 37)
-            ref, ref_rate = lockstep_reference(m, n, num, steps, 37)
-            assert rate == ref_rate
-            for X, R in zip(samples, ref, strict=True):
-                np.testing.assert_array_equal(X, R)
 
     @pytest.mark.parametrize("law, digest, rate", [
         ("gaussian", "12bf1d4e600fd8cc", 1.0),
-        ("rademacher", "5bd44f539150b6c3", 0.5225),
-        ("uniform_pm_sqrt3", "2cdf15a90cbcda67", 0.46125),
+        ("rademacher", "69292877e627040a", 0.5175438596491229),
+        ("uniform_pm_sqrt3", "1eefef7aebd6fe10", 0.17251461988304093),
     ], ids=["gaussian", "rademacher", "uniform_pm_sqrt3"])
     def test_pinned_output(self, law, digest, rate):
         # sha256 of the sizes and bytes of one batch: the size draw and the
         # per-size draw order are part of the sampler's stream
         m = MeasureSpec(make_profile("diag_exp", 6), law)
-        samples, r = sample_surrogate_under_batch(m, 3, 40, 20, 41)
+        samples, r = sample_surrogate_under_batch(m, 3, 40, None, 41)
         h = hashlib.sha256()
         for X in samples:
             h.update(np.int64(X.shape[0]).tobytes())
             h.update(np.ascontiguousarray(X).tobytes())
         assert (h.hexdigest()[:16], r) == (digest, rate)
 
-    def test_default_steps_are_100_per_row(self):
-        m = MeasureSpec(Spectrum(np.array([1.0, 2.0, 3.0])), "uniform_pm_sqrt3")
-        samples, rate = sample_surrogate_under_batch(m, 2, 1, None, 5)
-        k = samples[0].shape[0]
-        explicit = sample_surrogate_under_batch(m, 2, 1, 100 * k, 5)
-        np.testing.assert_array_equal(samples[0], explicit[0][0])
-        assert rate == explicit[1]
-
-    def test_singular_rows_stop_the_chain(self, monkeypatch):
-        monkeypatch.setattr(designs, "_entries", lambda law, size, rng: np.zeros(size))
-        with pytest.raises(RuntimeError, match="full-rank"):
-            designs._chain("rademacher", np.zeros((4, 2, 2)), 5, trial_rng(1, 0))
-        with pytest.raises(RuntimeError, match="full-rank"):
-            one_draw(MeasureSpec(Spectrum(np.ones(3)), "rademacher"), 4.0, 5, 1)
-
     def test_size_frequencies_match_pmf(self):
         m = MeasureSpec(Spectrum(np.array([1.0, 2.0])))
         pmf = surrogate_size_pmf(m.spectrum, 1)
-        samples, _ = sample_surrogate_under_batch(m, 1, 20_000, 1, 29)
+        samples, _ = sample_surrogate_under_batch(m, 1, 20_000, None, 29)
         counts = np.bincount([s.shape[0] for s in samples], minlength=3)
         chi2 = stats.chisquare(counts, 20_000 * pmf)
         assert chi2.pvalue > 0.01
 
     def test_batch_mean_projection(self):
         m = MeasureSpec(Spectrum(np.ones(2)))
-        samples, rate = sample_surrogate_under_batch(m, 1, 8000, 60, 31)
+        samples, rate = sample_surrogate_under_batch(m, 1, 8000, None, 31)
         mats = np.stack([projection_complement(X) for X in samples])
         mean = mats.mean(axis=0)
         se = mats.std(axis=0, ddof=1) / math.sqrt(len(samples))
         target = np.diag(1.0 / (1.0 * np.ones(2) + 1.0))  # gamma = 1 at n=1, d=2
         assert np.max(np.abs((mean - target) / np.where(se > 0, se, np.inf))) < 4.0
-        assert rate == 1.0  # exact draws
+        assert rate == 1.0  # no row rejected
         _, rate = sample_surrogate_under_batch(MeasureSpec(m.spectrum, "uniform_pm_sqrt3"),
-                                               1, 8000, 60, 31)
+                                               1, 8000, None, 31)
         assert 0 < rate < 1
 
 
@@ -311,10 +229,10 @@ class TestChainTarget:
         (make_profile("diag_exp", 10, 1.0, 0.01), 5, 4000),
     ], ids=["d4", "diag_exp_d10"])
     def test_projection_and_sizes_at_d_ge_2(self, law, s, n, num):
-        # the chain at its default 100 k steps against the surrogate's
-        # targets, which do not depend on the law: det^2 expansions read only
-        # the rows' second moments. Each family member is tested at the
-        # Bonferroni split of a single 3-SE test's level
+        # the bounded laws' row-by-row draws against the surrogate's targets,
+        # which do not depend on the law: det^2 expansions read only the rows'
+        # second moments. Each family member is tested at the Bonferroni
+        # split of a single 3-SE test's level
         samples, _ = sample_surrogate_under_batch(MeasureSpec(s, law), n, num, None, 59)
         z = projection_and_size_z(samples, s, n)
         assert np.max(np.abs(z)) < stats.norm.isf(stats.norm.sf(3.0) / z.size)
@@ -368,30 +286,62 @@ class TestTiltedDraw:
         assert stats.chisquare(counts, num * law).pvalue > 0.01
 
     def test_block_second_moment(self):
-        # with k = d every column is in S; E[Z_S^T Z_S] = (k + 2) I
+        # with k = d every column is in S; E[Z_S^T Z_S] = (m4 + k - 1) I, m4
+        # the law's fourth moment: (k + 2) I for gaussian rows
         k, num = 3, 40_000
         cols = np.tile(np.arange(k), (num, 1))
-        Z, _ = designs._tilted(MeasureSpec(Spectrum(np.ones(k))), cols, 0, trial_rng(5, 0))
-        prods = np.einsum("bki,bkj->bij", Z, Z)
-        se = prods.std(axis=0, ddof=1) / math.sqrt(num)
-        assert np.max(np.abs((prods.mean(axis=0) - (k + 2) * np.eye(k)) / se)) < 4.0
+        for law, m4 in (("gaussian", 3.0), ("rademacher", 1.0), ("uniform_pm_sqrt3", 9 / 5)):
+            m = MeasureSpec(Spectrum(np.ones(k)), law)
+            Z, _ = designs._tilted(m, cols, trial_rng(5, 0))
+            prods = np.einsum("bki,bkj->bij", Z, Z)
+            # Rademacher diagonals are k on every draw: SE 0, scored 0 only if exact
+            est = MonteCarloEstimate(prods.mean(axis=0), prods.std(axis=0, ddof=1) / math.sqrt(num),
+                                     num)
+            assert np.max(np.abs(est.z_score((m4 + k - 1) * np.eye(k)))) < 4.0, law
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rademacher_block_matches_enumeration(self, k):
+        # all 2^(k^2) sign matrices, weighted by det^2: the singular ones are
+        # never drawn, and the others against their exact probabilities
+        num = 100_000
+        cols = np.tile(np.arange(k), (num, 1))
+        Z, _ = designs._tilted(MeasureSpec(Spectrum(np.ones(k)), "rademacher"), cols,
+                               trial_rng(61, k))
+        cells = np.sum((Z.reshape(num, -1) > 0) << np.arange(k * k), axis=1)
+        counts = np.bincount(cells, minlength=2 ** (k * k))
+        signs = ((np.arange(2 ** (k * k))[:, None] >> np.arange(k * k)) & 1) * 2.0 - 1.0
+        w = np.round(np.linalg.det(signs.reshape(-1, k, k)) ** 2)
+        assert np.all(counts[w == 0] == 0)
+        assert stats.chisquare(counts[w > 0], num * w[w > 0] / w.sum()).pvalue > 0.01
+
+    def test_rademacher_trace_matches_enumeration(self):
+        # E tr((X^T X)^+) at tau = (1, 2, 3), n = 2 depends on the law:
+        # 0.487327... for Rademacher rows (TestRademacherExact in
+        # test_surrogate), 0.812150... for Gaussian ones
+        m = MeasureSpec(Spectrum(np.array([1.0, 2.0, 3.0])), "rademacher")
+        samples, _ = sample_surrogate_under_batch(m, 2, 20_000, None, 67)
+        tr = np.array([np.sum(pseudo_inverse(X) ** 2) for X in samples])
+        se = tr.std(ddof=1) / math.sqrt(tr.size)
+        assert abs(tr.mean() - 0.4873271090869) < 4 * se
 
     def test_reruns_are_byte_identical(self):
         m = MeasureSpec(make_profile("diag_exp", 6))
         a, _ = sample_surrogate_under_batch(m, 3, 200, None, 8)
-        b, _ = sample_surrogate_under_batch(m, 3, 200, 7, 8)  # chain_steps is ignored
+        b, _ = sample_surrogate_under_batch(m, 3, 200, 7, 8)  # the fourth argument is ignored
         for X, Y in zip(a, b, strict=True):
             assert X.tobytes() == Y.tobytes()
-        assert one_draw(m, 9.0, None, 8).tobytes() == one_draw(m, 9.0, 5, 8).tobytes()
+        assert one_draw(m, 9.0, 8).tobytes() == \
+            sample_surrogate_under_batch(m, 9.0, 1, 5, 8)[0][0].tobytes()
 
     def test_figure_scale_projection_and_sizes(self):
         # d = 100 at n = 50: the 100 diagonal entries of E[I - X^+ X] and the
         # size frequencies, each family member at the Bonferroni split of a
         # single 3-SE test's level
         s = make_profile("diag_exp", 100)
-        samples, _ = sample_surrogate_under_batch(MeasureSpec(s), 50, 4000, None, 47)
-        z = projection_and_size_z(samples, s, 50)
-        assert np.max(np.abs(z)) < stats.norm.isf(stats.norm.sf(3.0) / z.size)
+        for law, num in (("gaussian", 4000), ("rademacher", 1500)):
+            samples, _ = sample_surrogate_under_batch(MeasureSpec(s, law), 50, num, None, 47)
+            z = projection_and_size_z(samples, s, 50)
+            assert np.max(np.abs(z)) < stats.norm.isf(stats.norm.sf(3.0) / z.size), law
 
 
 class TestChainWeight:
@@ -410,27 +360,24 @@ class TestChainWeight:
 class TestSamplerOver:
     def test_expected_total_rows(self):
         m = MeasureSpec(Spectrum(np.ones(2)))
-        ks = [one_draw(m, 5.0, 30, seed).shape[0] for seed in range(3000)]
+        ks = [one_draw(m, 5.0, seed).shape[0] for seed in range(3000)]
         se = np.std(ks, ddof=1) / math.sqrt(len(ks))
         assert abs(np.mean(ks) - 5.0) < 3 * se
 
     def test_d1_moment_ratio(self):
         # at d = n = 1 the sample is the block alone, with density prop. to
-        # x^2 mu(x): its second moment is E[x^4]/E[x^2]. The gaussian law
-        # draws it exactly; for uniform_pm_sqrt3 _chain is an independence
-        # sampler with weights x^2 <= 3 E[x^2], so after 12 steps it is
-        # within (2/3)^12 < 1 % of stationarity in total variation
+        # x^2 mu(x): its second moment is E[x^4]/E[x^2], drawn exactly for
+        # both laws
         rng = trial_rng(101, 0)
-        for law, second_moment, num, steps in (("gaussian", 3.0, 1000, None),
-                                               ("uniform_pm_sqrt3", 9 / 5, 600, 12)):
+        for law, second_moment, num in (("gaussian", 3.0, 1000), ("uniform_pm_sqrt3", 9 / 5, 600)):
             m = MeasureSpec(Spectrum(np.ones(1)), law)
-            vals = [one_draw(m, 1.0, steps, rng)[0, 0] ** 2 for _ in range(num)]
+            vals = [one_draw(m, 1.0, rng)[0, 0] ** 2 for _ in range(num)]
             se = np.std(vals, ddof=1) / math.sqrt(num)
             assert abs(np.mean(vals) - second_moment) < 3 * se, law
 
     def test_permutation_exchangeability(self):
         m = MeasureSpec(Spectrum(np.ones(2)))
-        first_norms = [np.linalg.norm(one_draw(m, 4.0, 40, s)[0]) for s in range(1500)]
+        first_norms = [np.linalg.norm(one_draw(m, 4.0, s)[0]) for s in range(1500)]
         # the appended rows are plain iid; under exchangeability the first row
         # must be indistinguishable from fresh iid norms mixed with block rows
         ks = stats.ks_2samp(first_norms[:750], first_norms[750:])
@@ -462,7 +409,7 @@ class TestSamplerOver:
     def test_rademacher_entries(self):
         m = MeasureSpec(Spectrum(np.ones(3)), "rademacher")
         for seed in range(5):
-            X = one_draw(m, 6.0, 40, seed)
+            X = one_draw(m, 6.0, seed)
             assert X.shape[0] >= 3 and X.shape[1] == 3
             assert set(np.unique(X)) <= {-1.0, 1.0}
 

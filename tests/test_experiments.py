@@ -277,6 +277,15 @@ class TestAdaptiveTrials:
         point = adaptive_trials(lambda t: self._fake_point(1.0, 10.0, t), cap=100, start=100)
         assert point.flagged
 
+    @pytest.mark.parametrize("target", [0.0, -1.0, float("nan")])
+    def test_nonpositive_target_rejected(self, target):
+        # a NaN or non-positive target would run every point to the cap; it
+        # is rejected before any trial
+        calls = []
+        with pytest.raises(ValueError):
+            adaptive_trials(lambda t: calls.append(t), target, cap=10_000, start=100)
+        assert calls == []
+
     def test_variance_d20_terminates_quickly(self):
         s = Spectrum(np.ones(20))
         point = adaptive_trials(discrepancy_point("variance", s, 20, 0.5, 9), cap=10_000)

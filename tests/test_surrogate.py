@@ -378,7 +378,8 @@ class TestRegressionProblem:
     def test_validation(self):
         with pytest.raises(ValueError):
             RegressionProblem(Spectrum(np.ones(3)), np.zeros(2), 1.0)
-        with pytest.raises(ValueError):
-            RegressionProblem(Spectrum(np.ones(3)), np.zeros(3), -1.0)
+        for sigma2 in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                RegressionProblem(Spectrum(np.ones(3)), np.zeros(3), sigma2)
         with pytest.raises(ValueError):
             RegressionProblem(Spectrum(np.ones(3)), np.array([1.0, np.inf, 0.0]), 1.0)
