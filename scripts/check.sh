@@ -3,13 +3,15 @@
 # ddlab's namespaces (for example designs.log_det_gram) that a deletion can
 # break while the suite stays green. Last, the dp-verify suite of
 # run_dp_suite.sh at verify_dp's minimum of 10^4 trials (the last --trials
-# wins), a smoke test of the documented commands and their keys. Then the
-# figure-1 curve at 50 trials runs at 1 and at 2 threads, and the two
-# curve.csv files must match byte for byte outside their "# threads=" and
-# "# out=" lines: the grid crosses n = d, so both Monte Carlo paths run at
-# d = 100. The figure-4 bias grid at a 3200-trial cap gets the same
-# comparison of its discrepancy.csv, and so does the figure-4 variance grid
-# (on the d-values of criterion 7's variance slopes) at an 800-trial cap.
+# wins), a smoke test of the documented commands and their keys; it prints
+# its elapsed seconds, which are mostly the start-up of its nine CLI
+# processes. Then the figure-1 curve at 50 trials runs at 1 and at 2
+# threads, and the two curve.csv files must match byte for byte outside
+# their "# threads=" and "# out=" lines: the grid crosses n = d, so both
+# Monte Carlo paths run at d = 100. The figure-4 bias grid at a 3200-trial
+# cap gets the same comparison of its discrepancy.csv, and so does the
+# figure-4 variance grid (on the d-values of criterion 7's variance slopes)
+# at an 800-trial cap.
 # Last, a figure-scale surrogate draw (d = 100, n = 50) runs twice for each
 # bounded entry law, and its sample.csv and sample_summary.txt must match
 # byte for byte outside their "# out=" lines.
@@ -33,7 +35,8 @@ print(f"env nproc={len(os.sched_getaffinity(0))} python={platform.python_version
 PY
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -rP --continue-on-collection-errors "$@"
 python3 -m pytest -p no:cacheprovider perfbench
-scripts/run_dp_suite.sh --trials 10000
+TIMEFORMAT='run_dp_suite.sh (nine dp-verify processes): %R s'
+time scripts/run_dp_suite.sh --trials 10000
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 for t in 1 2; do

@@ -268,9 +268,12 @@ def adaptive_trials(point_fn, target_rel_halfwidth: float = 0.125, cap: int = 10
 
     ``point_fn(trials)`` is called with each trial count in turn, and the
     counts only grow; a ``discrepancy_point`` computes each trial once
-    across the doublings. The target must be positive."""
+    across the doublings. The target must be positive, and the cap at
+    least the bootstrap's 30 samples."""
     if not target_rel_halfwidth > 0:
         raise ValueError(f"the target half-width must be positive, got {target_rel_halfwidth!r}")
+    if cap < 30:
+        raise ValueError(f"the trial cap must be at least 30, got {cap}")
     trials = min(start, cap)
     while True:
         point = point_fn(trials)

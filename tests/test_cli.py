@@ -1,7 +1,10 @@
 import hashlib
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +100,8 @@ class TestOptionTable:
         ["curve", "--no-mc", "--d", "10", "--n-values", "5", "--sigma2", "nan"],
         ["discrepancy", "--d-values", "10,20,40", "--trials", "200", "--target-halfwidth", "nan"],
         ["discrepancy", "--d-values", "10,20,40", "--trials", "200", "--target-halfwidth=-1"],
+        ["dp-verify", "--scenario", "normalization", "--d", "2", "--trials", "1"],
+        ["dp-verify", "--scenario", "normalization", "--d", "2", "--trials", "0"],
     ])
     def test_invalid_number_exit_1(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
@@ -305,6 +310,16 @@ class TestDiscrepancyCommand:
 
 
 class TestDpVerifyCommand:
+    @pytest.mark.parametrize("trials", ["0", "1", "99"])
+    def test_normalization_trial_floor(self, tmp_path, capsys, trials):
+        # below 100 trials the SE was NaN (1 trial) or numpy's concatenate
+        # failed (0 trials); the message names the floor
+        out = tmp_path / "o"
+        assert run(["dp-verify", "--scenario", "normalization", "--d", "2", "--trials", trials,
+                    "--out", str(out)]) == 1
+        assert "at least 100 trials" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_counterexample_detected(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = run(["dp-verify", "--scenario", "rank2_scaled_counterexample", "--d", "3",
@@ -596,3 +611,19 @@ class TestMeanRealizedSize:
         ks = np.array([s.shape[0] for s in samples])
         se = ks.std(ddof=1) / np.sqrt(ks.size)
         assert abs(ks.mean() - 2.0) < 3 * se
+
+
+def test_fresh_import_skips_scipy_stats():
+    # scipy.stats adds about 0.6 s to every CLI process; the only
+    # call ddlab needed from it, the normal quantile, is scipy.special.ndtri
+    code = ("import importlib, pkgutil, sys, ddlab, ddlab.cli\n"
+            "for mod in pkgutil.iter_modules(ddlab.__path__):\n"
+            "    importlib.import_module('ddlab.' + mod.name)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('ddlab.')))\n"
+            "print('scipy.stats' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert "'ddlab.cli'" in out[0] and "'ddlab.dpcheck'" in out[0]
+    assert out[1] == "False"

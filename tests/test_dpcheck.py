@@ -4,10 +4,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ddlab.covariance import Spectrum
 from ddlab.designs import MeasureSpec, sample_iid
 from ddlab.dpcheck import (
+    FAMILY_LEVEL,
+    _bonferroni_z,
     _cofactors,
     _select_minors,
     fixed_generator,
@@ -62,6 +65,21 @@ class TestVerifyDp:
     def test_minor_subsampling_cap(self):
         report = verify_dp(fixed_generator(np.eye(4)), [1, 2, 3, 4], 10_000, 5, max_minors=10)
         assert len(report.records) == 10
+
+
+class TestThreshold:
+    # the threshold is scipy.special.ndtri, so that ddlab need not import
+    # scipy.stats; it must equal scipy.stats.norm.ppf bit for bit
+    def test_equals_norm_ppf(self):
+        for m in range(1, 201):
+            assert _bonferroni_z(m) == float(stats.norm.ppf(1 - FAMILY_LEVEL / (2 * m)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 64, 200])
+    def test_report_threshold_equals_norm_ppf(self, m):
+        report = verify_dp(fixed_generator(np.diag([1.0, 2.0, 3.0, 4.0, 5.0])), [1, 2, 3],
+                           10_000, 6, max_minors=m)
+        assert len(report.records) == m
+        assert report.z_threshold == float(stats.norm.ppf(1 - FAMILY_LEVEL / (2 * m)))
 
 
 class TestSelectMinors:

@@ -286,6 +286,15 @@ class TestAdaptiveTrials:
             adaptive_trials(lambda t: calls.append(t), target, cap=10_000, start=100)
         assert calls == []
 
+    @pytest.mark.parametrize("cap", [0, 1, 29])
+    def test_cap_below_bootstrap_floor_rejected(self, cap):
+        # a cap under the bootstrap's 30 samples used to compute its trials
+        # first (a divide by zero at cap 0); it is rejected before any trial
+        calls = []
+        with pytest.raises(ValueError, match="at least 30"):
+            adaptive_trials(lambda t: calls.append(t), cap=cap, start=100)
+        assert calls == []
+
     def test_variance_d20_terminates_quickly(self):
         s = Spectrum(np.ones(20))
         point = adaptive_trials(discrepancy_point("variance", s, 20, 0.5, 9), cap=10_000)
