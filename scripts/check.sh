@@ -3,9 +3,10 @@
 # ddlab's namespaces (for example designs.log_det_gram) that a deletion can
 # break while the suite stays green. Last, the dp-verify suite of
 # run_dp_suite.sh at verify_dp's minimum of 10^4 trials (the last --trials
-# wins), a smoke test of the documented commands and their keys; it prints
-# its elapsed seconds, which are mostly the start-up of its nine CLI
-# processes. Then the figure-1 curve at 50 trials runs at 1 and at 2
+# wins) and its fixed seed (1): each of its nine verdicts must be the known
+# one, violated for rank2_scaled_counterexample and consistent for every
+# other scenario. It prints its elapsed seconds, which are mostly the
+# start-up of its nine CLI processes. Then the figure-1 curve at 50 trials runs at 1 and at 2
 # threads, and the two curve.csv files must match byte for byte outside
 # their "# threads=" and "# out=" lines: the grid crosses n = d, so both
 # Monte Carlo paths run at d = 100. The figure-4 bias grid at a 3200-trial
@@ -35,10 +36,19 @@ print(f"env nproc={len(os.sched_getaffinity(0))} python={platform.python_version
 PY
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -rP --continue-on-collection-errors "$@"
 python3 -m pytest -p no:cacheprovider perfbench
-TIMEFORMAT='run_dp_suite.sh (nine dp-verify processes): %R s'
-time scripts/run_dp_suite.sh --trials 10000
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+TIMEFORMAT='run_dp_suite.sh (nine dp-verify processes): %R s'
+time scripts/run_dp_suite.sh --trials 10000 | tee "$tmp/dp_suite.txt"
+awk 'match($0, /(verdict|->) (consistent|violated)/) {
+         n++
+         got = substr($0, RSTART, RLENGTH); sub(/.* /, "", got)
+         want = $1 == "rank2_scaled_counterexample:" ? "violated" : "consistent"
+         if (got != want) { print "dp-verify: expected " want ": " $0; bad = 1 }
+     }
+     END { if (n != 9) { print "dp-verify: expected 9 verdicts, got " n; bad = 1 }; exit bad }' \
+    "$tmp/dp_suite.txt"
+echo "dp-verify suite verdicts as expected"
 for t in 1 2; do
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m ddlab.cli curve \
         --config configs/figure1.cfg --trials 50 --threads "$t" --out "$tmp/t$t"

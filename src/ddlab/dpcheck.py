@@ -11,6 +11,16 @@ importing ``scipy.stats`` would add about 0.6 s to every process.
 The standard error of det(E[A_IJ]) comes from the delta method, with the
 cofactor matrix of the mean minor as the gradient of the determinant.
 
+Each stack of trials is transposed once to its entry vectors, a (d*d, T)
+array whose row i*d + j holds entry (i, j) of every trial, so that the
+determinants of a minor are vector arithmetic over the trials
+(``_minor_dets``). A minor of size k up to ``LAPLACE_MAX`` is expanded
+along its first row, built bottom-up from the determinants of its lower
+rows: k 2^(k-1) vector products, and no per-matrix call. Larger minors,
+where that count outgrows LAPACK's k^3, are gathered into a (T, k, k)
+stack for one ``np.linalg.det`` call. ``verify_normalization`` takes its
+Gram determinants from the same kernel.
+
 Matrices are drawn in blocks (``parallel.run_block_streams``): block b of
 a stream seeded ``seed`` draws all of its trials, in batched calls, from
 the Philox stream keyed (seed, 2^63 | b). The block size comes from d
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy import special
@@ -52,6 +63,10 @@ __all__ = [
 
 # family-wise level of the Bonferroni-corrected z threshold
 FAMILY_LEVEL = 0.01
+# largest minor whose determinants _minor_dets expands by cofactors; above
+# it the k 2^(k-1) vector products cost more than one LAPACK LU per trial
+# (crossover between k = 7 and 8 at 10^4 trials, BENCH_dp_minors.json)
+LAPLACE_MAX = 7
 
 
 @dataclass(frozen=True)
@@ -91,6 +106,11 @@ def scaled_fixed_generator(Z, scale_values) -> MatrixGenerator:
     return MatrixGenerator(Z.shape[0], sample)
 
 
+def _check_gamma(gamma: float) -> None:
+    if not (gamma > 0 and math.isfinite(gamma)):  # NaN fails both
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
+
+
 def poisson_gram_generator(m: MeasureSpec, gamma: float) -> MatrixGenerator:
     """X^T X with X an i.i.d. K x d design and K ~ Poisson(gamma); it is
     d.p., and its full-minor expectation is det(gamma Sigma).
@@ -98,8 +118,7 @@ def poisson_gram_generator(m: MeasureSpec, gamma: float) -> MatrixGenerator:
     A batch draws every K, then all the rows in one call, trial after trial;
     each Gram entry is the sum of its trial's row products, accumulated in
     row order (K = 0 gives the zero matrix)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     d = m.dim
 
     def sample(rng, count):
@@ -269,6 +288,43 @@ def _bonferroni_z(m: int) -> float:
     return float(special.ndtri(1.0 - FAMILY_LEVEL / (2 * m)))
 
 
+def _entry_vectors(stack: np.ndarray) -> np.ndarray:
+    """The (d*d, T) entry vectors of a (T, d, d) stack: row i*d + j holds
+    entry (i, j) of every trial, contiguous."""
+    count, d, _ = stack.shape
+    return np.ascontiguousarray(stack.reshape(count, d * d).T)
+
+
+def _minor_dets(entries: np.ndarray, d: int, I, J) -> np.ndarray:
+    """det(A_t[I, J]) of every trial t, from the entry vectors ``entries``
+    (``_entry_vectors``) of a stack of d x d matrices.
+
+    Up to k = LAPLACE_MAX, the expansion along row I[0] is built bottom-up:
+    level l holds the determinants of rows I[k-l:] against every l-subset
+    of the columns J, each the alternating sum over the subset's columns c
+    of entry (I[k-l], c) times the level-(l-1) determinant without c. Only
+    two levels are held at once, and none outlives the call. Above
+    LAPLACE_MAX the minor is gathered for one ``np.linalg.det`` call."""
+    k = len(I)
+    if k > LAPLACE_MAX:
+        return np.linalg.det(np.moveaxis(entries[np.add.outer(np.multiply(I, d), J)], -1, 0))
+    dets = {(c,): entries[I[-1] * d + j] for c, j in enumerate(J)}
+    term = np.empty(entries.shape[1])
+    for level in range(2, k + 1):
+        row = [entries[I[k - level] * d + j] for j in J]
+        below, dets = dets, {}
+        for S in combinations(range(k), level):
+            acc = row[S[0]] * below[S[1:]]
+            for p in range(1, level):
+                np.multiply(row[S[p]], below[S[:p] + S[p + 1:]], out=term)
+                if p % 2:
+                    acc -= term
+                else:
+                    acc += term
+            dets[S] = acc
+    return dets[tuple(range(k))]
+
+
 def verify_dp(g: MatrixGenerator, minor_sizes, trials: int, seed: int,
               max_minors: int = 200) -> DpReport:
     """Compare Monte Carlo E[det(minor)] against det(E[minor]) per minor.
@@ -286,19 +342,22 @@ def verify_dp(g: MatrixGenerator, minor_sizes, trials: int, seed: int,
     pairs = _select_minors(d, minor_sizes, max_minors, seed)
     if not pairs:
         raise ValueError("verify_dp needs at least one minor size")
-    stack1 = g.draw_stack(trials, seed)
+    entries1 = _entry_vectors(g.draw_stack(trials, seed))
     stack2 = g.draw_stack(trials, seed + 0x9E3779B9)  # independent stream
     mean2 = np.mean(stack2, axis=0)
+    entries2 = _entry_vectors(stack2)
+    del stack2
     threshold = _bonferroni_z(len(pairs))
     records = []
     for I, J in pairs:
-        rows, cols = list(I), list(J)
-        dets1 = np.linalg.det(stack1[:, rows][:, :, cols])
+        dets1 = _minor_dets(entries1, d, I, J)
         mc_mean = float(np.mean(dets1))
         mc_se = float(np.std(dets1, ddof=1) / math.sqrt(trials))
         mean_minor = mean2[np.ix_(I, J)]
         det2 = float(np.linalg.det(mean_minor))
-        linear = stack2[:, rows][:, :, cols].reshape(trials, -1) @ _cofactors(mean_minor).ravel()
+        # <C, A_t[I, J]>: the cofactors dotted with the minor's k^2 entry vectors
+        minor_rows = np.add.outer(np.multiply(I, d), J).ravel()
+        linear = _cofactors(mean_minor).ravel() @ entries2[minor_rows]
         se2 = float(np.std(linear, ddof=1) / math.sqrt(trials))
         denom = math.hypot(mc_se, se2)
         diff = mc_mean - det2
@@ -319,12 +378,13 @@ def verify_normalization(m: MeasureSpec, gamma: float, trials: int,
 
     Trials run in the blocks of ``run_block_streams``. A block draws every
     K, then, for k = 1..d in turn, the rows of the trials with K = k and
-    their k x k Gram determinants in one batched call. det(X X^T) is 1 for
+    their k x k Gram determinants (``_minor_dets``). det(X X^T) is 1 for
     the empty matrix and vanishes once K exceeds d, so those trials draw no
     rows. Like the oracle, it needs at least 100 trials.
     """
     if trials < 100:
         raise ValueError("verify_normalization needs at least 100 trials")
+    _check_gamma(gamma)
     d = m.dim
 
     def block(rng, lo, hi):
@@ -333,7 +393,8 @@ def verify_normalization(m: MeasureSpec, gamma: float, trials: int,
         for k in range(1, d + 1):
             hit = np.flatnonzero(K == k)
             X = sample_iid(m, hit.size * k, rng).reshape(hit.size, k, d)
-            vals[hit] = np.linalg.det(X @ np.swapaxes(X, 1, 2))
+            gram = _entry_vectors(X @ np.swapaxes(X, 1, 2))
+            vals[hit] = _minor_dets(gram, k, range(k), range(k))
         return vals
 
     vals = np.concatenate(run_block_streams(block, trials, seed, block_size(d * d)))

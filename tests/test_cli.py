@@ -403,6 +403,18 @@ class TestDpVerifyCommand:
         for flag, value in changed.items():
             assert target({**base, flag: value})[0] != ref, flag
 
+    @pytest.mark.parametrize("scenario", ["normalization", "poisson_gram"])
+    @pytest.mark.parametrize("gamma", ["0", "-1", "nan", "inf"])
+    def test_degenerate_gamma_exit_1(self, tmp_path, capsys, scenario, gamma):
+        # gamma = 0 used to pass normalization as "estimate 1 +- 0 ...
+        # consistent", and NaN or negative gamma surfaced numpy's own
+        # message from the Poisson draw
+        out = tmp_path / "o"
+        assert run(["dp-verify", "--scenario", scenario, "--d", "2", "--gamma", gamma,
+                    "--trials", "10000", "--out", str(out)]) == 1
+        assert "gamma must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scenario_exit_1(self, tmp_path):
         rc = run(["dp-verify", "--scenario", "mystery", "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -425,17 +437,20 @@ class TestDpVerifyCommand:
         assert len(rows) == 5 and rows[-1][:3] == ["0 1", "0 1", "2"]
 
     # sha256 prefixes of stdout and of the dp_report.csv data rows (header
-    # lines and any CR dropped) at --trials 10000 --seed 5, recorded when the
-    # CLI still built the scenarios itself; a change is a change of random
-    # stream or of output format
+    # lines and any CR dropped) at --trials 10000 --seed 5. The stdout pins
+    # were recorded when the CLI still built the scenarios itself; the row
+    # pins when the minor determinants moved from one LAPACK call per matrix
+    # to dpcheck._minor_dets, which changed the rows' last digits only
+    # (|dz| <= 4e-14, det_of_mean unchanged). A change is a change of random
+    # stream, of determinant arithmetic or of output format
     PINNED = {
-        "gaussian_entries": (["--d", "3"], "41530ea310a244d7", "5a2549a89815cc1f"),
-        "rank1_scaled": (["--d", "3"], "4fde5a15832455c0", "bd63c80550c9c887"),
-        "rank2_scaled_counterexample": (["--d", "3"], "3a13571cf9c38a14", "2f6a09ab7652ccd1"),
-        "closure_sum": (["--d", "3"], "736d7ed7e4efcb49", "3dc9aad1185bc379"),
-        "closure_product": (["--d", "3"], "65bf312103cc5103", "27f6246e43bebd2e"),
-        "poisson_gram": (["--d", "2", "--gamma", "3"], "3f3e38852a5f7421", "55aa3435ea87c014"),
-        "normalization": (["--d", "2"], "36ca2a6aa67ec7dc", "5c599be6495e250f"),
+        "gaussian_entries": (["--d", "3"], "41530ea310a244d7", "92372159a93e3d93"),
+        "rank1_scaled": (["--d", "3"], "4fde5a15832455c0", "f5aef9ed2ab7c80c"),
+        "rank2_scaled_counterexample": (["--d", "3"], "3a13571cf9c38a14", "c8fba97788e2bb15"),
+        "closure_sum": (["--d", "3"], "736d7ed7e4efcb49", "4828eee01b8c0c29"),
+        "closure_product": (["--d", "3"], "65bf312103cc5103", "a5928fb9bcdc5983"),
+        "poisson_gram": (["--d", "2", "--gamma", "3"], "3f3e38852a5f7421", "6f72711e46cbb3e9"),
+        "normalization": (["--d", "2"], "36ca2a6aa67ec7dc", "d2d0149059dcc310"),
     }
 
     @pytest.mark.parametrize("scenario", DP_SCENARIOS)

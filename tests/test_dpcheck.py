@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 from itertools import combinations
@@ -10,8 +11,11 @@ from ddlab.covariance import Spectrum
 from ddlab.designs import MeasureSpec, sample_iid
 from ddlab.dpcheck import (
     FAMILY_LEVEL,
+    LAPLACE_MAX,
     _bonferroni_z,
     _cofactors,
+    _entry_vectors,
+    _minor_dets,
     _select_minors,
     fixed_generator,
     fixed_k_gram_generator,
@@ -150,6 +154,114 @@ class TestDeltaMethodSe:
             assert rec.det_of_mean_se == pytest.approx(boot, rel=0.15)
 
 
+class TestMinorDets:
+    # one size past the switch to LAPACK, and the largest minor of a d x d
+    # stack with d two past it
+    D = LAPLACE_MAX + 2
+
+    @classmethod
+    def minor(cls, k, seed):
+        rng = np.random.default_rng(seed)
+        return (tuple(sorted(rng.choice(cls.D, k, replace=False).tolist())),
+                tuple(sorted(rng.choice(cls.D, k, replace=False).tolist())))
+
+    @staticmethod
+    def gathered(stack, I, J):
+        return stack[:, list(I)][:, :, list(J)]
+
+    @pytest.mark.parametrize("k", range(1, LAPLACE_MAX + 3))
+    def test_random_stack(self, k):
+        stack = np.random.default_rng(50 + k).standard_normal((300, self.D, self.D))
+        I, J = self.minor(k, 60 + k)
+        A = self.gathered(stack, I, J)
+        got = _minor_dets(_entry_vectors(stack), self.D, I, J)
+        # rounding is relative to Hadamard's bound, the product of row norms
+        hadamard = np.prod(np.linalg.norm(A, axis=2), axis=1)
+        assert got.shape == (300,)
+        assert np.all(np.abs(got - np.linalg.det(A)) <= 1e-13 * hadamard)
+
+    @pytest.mark.parametrize("k", range(2, LAPLACE_MAX + 3))
+    def test_rank1_stack_under_noise_floor(self, k):
+        # verify_dp reads |det| below 1e-10 * scale^k as zero
+        rng = np.random.default_rng(70 + k)
+        u, v = (10 * rng.standard_normal((300, self.D)) for _ in range(2))
+        stack = u[:, :, None] * v[:, None, :]
+        I, J = self.minor(k, 80 + k)
+        scale = np.maximum(1.0, np.max(np.abs(self.gathered(stack, I, J)), axis=(1, 2)))
+        assert np.all(np.abs(_minor_dets(_entry_vectors(stack), self.D, I, J))
+                      < 1e-10 * scale**k)
+
+    @pytest.mark.parametrize("k", [1, 2, LAPLACE_MAX, LAPLACE_MAX + 1])
+    def test_broadcast_fixed_stack(self, k):
+        Z = np.random.default_rng(90 + k).standard_normal((self.D, self.D))
+        I, J = self.minor(k, 91 + k)
+        got = _minor_dets(_entry_vectors(np.broadcast_to(Z, (50, self.D, self.D))), self.D, I, J)
+        assert np.all(got == got[0])
+        assert got[0] == pytest.approx(np.linalg.det(Z[np.ix_(I, J)]), rel=1e-12)
+
+    def test_empty_stack(self):
+        assert _minor_dets(_entry_vectors(np.empty((0, 3, 3))), 3, (0, 1), (1, 2)).shape == (0,)
+
+
+def gathered_verify_dp(g, minor_sizes, trials, seed, max_minors=200):
+    """verify_dp with each minor gathered from the (T, d, d) stacks and its
+    determinants taken in one np.linalg.det call: (pairs, z, verdict)."""
+    pairs = _select_minors(g.dim, minor_sizes, max_minors, seed)
+    stack1 = g.draw_stack(trials, seed)
+    stack2 = g.draw_stack(trials, seed + 0x9E3779B9)
+    mean2 = np.mean(stack2, axis=0)
+    threshold = _bonferroni_z(len(pairs))
+    zs = []
+    for I, J in pairs:
+        rows, cols = list(I), list(J)
+        dets1 = np.linalg.det(stack1[:, rows][:, :, cols])
+        mc_se = np.std(dets1, ddof=1) / math.sqrt(trials)
+        mean_minor = mean2[np.ix_(I, J)]
+        det2 = np.linalg.det(mean_minor)
+        linear = stack2[:, rows][:, :, cols].reshape(trials, -1) @ _cofactors(mean_minor).ravel()
+        denom = math.hypot(mc_se, np.std(linear, ddof=1) / math.sqrt(trials))
+        diff = np.mean(dets1) - det2
+        noise_floor = 1e-10 * max(1.0, float(np.max(np.abs(mean_minor)))) ** len(I)
+        zs.append(diff / denom if denom > 0 and abs(diff) > noise_floor else 0.0)
+    verdict = "violated" if max(map(abs, zs)) > threshold else "consistent"
+    return pairs, np.array(zs), verdict
+
+
+class TestAgainstGatheredDets:
+    M = MeasureSpec(Spectrum(np.ones(6)))
+
+    @pytest.mark.parametrize("name, d, sizes, max_minors", [
+        *[(name, 3, [1, 2, 3], 200)
+          for name in ("gaussian_entries", "rank1_scaled", "rank2_scaled_counterexample",
+                       "closure_sum", "closure_product")],
+        ("gaussian_entries", 6, range(1, 7), 200),
+        ("poisson_gram", 6, range(1, 7), 200),
+        # both sides of the kernel's size switch in one report
+        ("closure_sum", LAPLACE_MAX + 1, [LAPLACE_MAX, LAPLACE_MAX + 1], 12),
+    ])
+    def test_same_pairs_verdict_and_z(self, name, d, sizes, max_minors):
+        m = MeasureSpec(Spectrum(np.ones(d)))
+        g = scenario_generator(name, m, 2.0, 101)
+        report = verify_dp(g, sizes, 10_000, 102, max_minors=max_minors)
+        pairs, z, verdict = gathered_verify_dp(g, sizes, 10_000, 102, max_minors)
+        assert [(r.rows, r.cols) for r in report.records] == pairs
+        assert report.verdict == verdict
+        np.testing.assert_allclose([r.z for r in report.records], z, rtol=0, atol=1e-9)
+
+    def test_leaves_no_reference_cycles(self):
+        # a cycle (say, a recursive closure over a shared table) would hold
+        # every table until the collector runs, at up to C(k, k/2) trial
+        # vectors each
+        g = scenario_generator("closure_sum", self.M, 2.0, 103)
+        gc.collect()
+        gc.disable()
+        try:
+            verify_dp(g, range(1, 7), 10_000, 104, max_minors=40)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 BLOCK_KEY = 2**63
 
 
@@ -167,6 +279,25 @@ def gram_loop(rows, K):
     for row, t in zip(rows, np.repeat(np.arange(K.size), K)):
         G[t] += np.outer(row, row)
     return G
+
+
+def normalization_reference(m, gamma, trials, seed, det):
+    """verify_normalization's det(X X^T) of every trial, block by block,
+    with ``det`` taken of one k x k Gram matrix at a time."""
+    d = m.dim
+    root = np.sqrt(m.spectrum.eigenvalues)
+    vals = []
+    for c, rng in block_rngs(trials, d, seed):
+        K = rng.poisson(gamma, size=c)
+        v = np.where(K == 0, 1.0, 0.0)
+        for k in range(1, d + 1):
+            hit = np.flatnonzero(K == k)
+            X = rng.standard_normal((hit.size * k, d)) * root
+            for j, t in enumerate(hit):
+                Xt = X[j * k:(j + 1) * k]
+                v[t] = det(Xt @ Xt.T)
+        vals.append(v)
+    return np.concatenate(vals)
 
 
 class TestDrawStack:
@@ -342,24 +473,32 @@ class TestNormalization:
 
     def test_matches_block_reference(self):
         # K = 0 gives 1 and K > d gives 0 without drawing rows; the trials of
-        # each size k draw their rows together, k = 1..d in turn
+        # each size k draw their rows together, k = 1..d in turn; a 2 x 2
+        # determinant is the first-row expansion of _minor_dets
         m = MeasureSpec(Spectrum(np.array([1.0, 2.0])))
-        root = np.sqrt(m.spectrum.eigenvalues)
-        vals = []
-        for c, rng in block_rngs(10_000, 2, 16):
-            K = rng.poisson(1.5, size=c)
-            v = np.where(K == 0, 1.0, 0.0)
-            for k in (1, 2):
-                hit = np.flatnonzero(K == k)
-                X = rng.standard_normal((hit.size * k, 2)) * root
-                for j, t in enumerate(hit):
-                    Xt = X[j * k:(j + 1) * k]
-                    v[t] = np.linalg.det(Xt @ Xt.T)
-            vals.append(v)
-        vals = np.concatenate(vals)
+        vals = normalization_reference(m, 1.5, 10_000, 16, lambda G: G[0, 0] if len(G) == 1
+                                       else G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0])
         est, _ = verify_normalization(m, 1.5, 10_000, 16)
         assert float(est.mean) == float(np.mean(vals))
         assert float(est.std_error) == float(np.std(vals, ddof=1) / math.sqrt(10_000))
+
+    @pytest.mark.parametrize("d", [3, LAPLACE_MAX + 1])
+    def test_gram_determinants_match_lapack(self, d):
+        # both sides of the kernel's size switch: at gamma = d every size
+        # k = 1..d is drawn
+        m = MeasureSpec(Spectrum(np.arange(1.0, d + 1.0)))
+        vals = normalization_reference(m, float(d), 400, 19, np.linalg.det)
+        est, _ = verify_normalization(m, float(d), 400, 19)
+        assert float(est.mean) == pytest.approx(float(np.mean(vals)), rel=1e-12)
+        assert float(est.std_error) == pytest.approx(float(np.std(vals, ddof=1) / 20), rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_degenerate_gamma_rejected(self, gamma):
+        m = MeasureSpec(Spectrum(np.ones(2)))
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            verify_normalization(m, gamma, 1000, 1)
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            poisson_gram_generator(m, gamma)
 
     def test_small_gamma_limit(self):
         m = MeasureSpec(Spectrum(np.ones(2)))
