@@ -17,9 +17,9 @@ determinants of a minor are vector arithmetic over the trials
 (``_minor_dets``). A minor of size k up to ``LAPLACE_MAX`` is expanded
 along its first row, built bottom-up from the determinants of its lower
 rows: k 2^(k-1) vector products, and no per-matrix call. Larger minors,
-where that count outgrows LAPACK's k^3, are gathered into a (T, k, k)
-stack for one ``np.linalg.det`` call. ``verify_normalization`` takes its
-Gram determinants from the same kernel.
+where those products cost more than one LAPACK LU per trial, are gathered
+into a (T, k, k) stack for one ``np.linalg.det`` call.
+``verify_normalization`` takes its Gram determinants from the same kernel.
 
 Matrices are drawn in blocks (``parallel.run_block_streams``): block b of
 a stream seeded ``seed`` draws all of its trials, in batched calls, from

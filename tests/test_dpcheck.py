@@ -155,8 +155,7 @@ class TestDeltaMethodSe:
 
 
 class TestMinorDets:
-    # one size past the switch to LAPACK, and the largest minor of a d x d
-    # stack with d two past it
+    # d x d stacks whose minors reach two sizes past the switch to LAPACK
     D = LAPLACE_MAX + 2
 
     @classmethod
@@ -198,9 +197,6 @@ class TestMinorDets:
         got = _minor_dets(_entry_vectors(np.broadcast_to(Z, (50, self.D, self.D))), self.D, I, J)
         assert np.all(got == got[0])
         assert got[0] == pytest.approx(np.linalg.det(Z[np.ix_(I, J)]), rel=1e-12)
-
-    def test_empty_stack(self):
-        assert _minor_dets(_entry_vectors(np.empty((0, 3, 3))), 3, (0, 1), (1, 2)).shape == (0,)
 
 
 def gathered_verify_dp(g, minor_sizes, trials, seed, max_minors=200):
