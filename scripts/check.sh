@@ -18,13 +18,14 @@
 # byte for byte outside their "# out=" lines.
 # The first line printed is the environment the run's timings belong to,
 # with both BLAS builds: numpy and scipy each bundle their own, and ddlab's
-# LAPACK calls run on both. -rP prints the captured output of passed tests
-# too, so every ACCEPTANCE criterion line shows; pyproject's
-# --durations=15 lists the slowest tests.
+# LAPACK calls run on both. The second is the start-up every CLI process
+# pays: the median wall time of `import ddlab.cli` in 5 fresh interpreters.
+# -rP prints the captured output of passed tests too, so every ACCEPTANCE
+# criterion line shows; pyproject's --durations=15 lists the slowest tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-python - <<'PY'
-import os, platform, numpy, scipy
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - <<'PY'
+import os, platform, statistics, subprocess, sys, time, numpy, scipy
 def blas(pkg):
     b = pkg.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"{b.get('name')} {b.get('version')}"
@@ -33,6 +34,13 @@ threads = " ".join(f"{k}={os.environ.get(k, 'unset')}"
 print(f"env nproc={len(os.sched_getaffinity(0))} python={platform.python_version()} "
       f"numpy={numpy.__version__} scipy={scipy.__version__} "
       f"numpy_blas={blas(numpy)} scipy_blas={blas(scipy)} {threads}", flush=True)
+runs = []
+for _ in range(5):
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "import ddlab.cli"], check=True)
+    runs.append(time.perf_counter() - start)
+print(f"import ddlab.cli: median {statistics.median(runs):.3f} s over 5 fresh interpreters ("
+      + " ".join(f"{t:.3f}" for t in runs) + ")", flush=True)
 PY
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -rP --continue-on-collection-errors "$@"
 python3 -m pytest -p no:cacheprovider perfbench

@@ -31,7 +31,7 @@ import numpy as np
 from .covariance import Spectrum, apply_sqrt
 from .linalg import log_det_gram
 from .parallel import block_size, run_block_streams, trial_rng
-from .surrogate import solve_lambda, surrogate_size_pmf
+from .surrogate import SurrogateParams, _size_pmf, surrogate_params
 
 __all__ = [
     "MeasureSpec",
@@ -133,14 +133,15 @@ def surrogate_expectation_oracle(f, m: MeasureSpec, n: float, trials: int, seed:
     if trials < 100:
         raise ValueError("fewer than 100 trials makes the weighted estimate meaningless")
     d = m.dim
+    sp = surrogate_params(m.spectrum, n)
     # log k! e_k(Sigma) up to a constant, which the self-normalized estimate
     # cancels: log e_k = log P(K = k) + k log lambda_n + log det(I + gamma_n
     # Sigma) for n < d, and for n >= d only k = d occurs
     log_norm = np.array([math.lgamma(k + 1) for k in range(d + 1)])
     if n < d:
         with np.errstate(divide="ignore"):  # sizes of probability 0 are never drawn
-            log_norm += np.log(surrogate_size_pmf(m.spectrum, n))
-        log_norm += np.arange(d + 1) * math.log(solve_lambda(m.spectrum, n))
+            log_norm += np.log(_size_pmf(m.spectrum, sp.lambda_n))
+        log_norm += np.arange(d + 1) * math.log(sp.lambda_n)
 
     def block(rng, lo, hi):
         logw = np.full(hi - lo, -log_norm[0])  # an empty block has det 1
@@ -151,7 +152,7 @@ def surrogate_expectation_oracle(f, m: MeasureSpec, n: float, trials: int, seed:
             logw[idx] = log_det_gram(X) - log_norm[k]
             return X
 
-        designs = _by_size(m, n, hi - lo, rng, draw)
+        designs = _by_size(m, sp, hi - lo, rng, draw)
         return logw, np.stack([np.asarray(f(X), dtype=float) for X in designs])
 
     parts = run_block_streams(block, trials, seed, block_size(d * math.ceil(max(n, d))), threads)
@@ -254,9 +255,9 @@ def _tilted(m: MeasureSpec, cols: np.ndarray, rng) -> tuple[np.ndarray, int]:
     return apply_sqrt(m.spectrum, Z), proposed
 
 
-def _by_size(m: MeasureSpec, n: float, num: int, rng, draw) -> list[np.ndarray]:
-    """num designs with the surrogate's size law at expected size n, in
-    draw order.
+def _by_size(m: MeasureSpec, sp: SurrogateParams, num: int, rng, draw) -> list[np.ndarray]:
+    """num designs with the surrogate's size law at expected size n = sp.n,
+    in draw order, from the solved parameters ``sp`` of m's spectrum.
 
     For n < d each design's column set S holds column i independently with
     probability p_i = tau_i / (tau_i + lambda_n): P(K = k, S) is proportional
@@ -270,10 +271,10 @@ def _by_size(m: MeasureSpec, n: float, num: int, rng, draw) -> list[np.ndarray]:
     the volume-rescaled decomposition of the surrogate design (Derezinski,
     Warmuth and Hsu, 2019).
     """
-    d = m.dim
+    d, n = m.dim, sp.n
     if n < d:
         t = m.spectrum.eigenvalues
-        S = rng.random((num, d)) < t / (t + solve_lambda(m.spectrum, n))
+        S = rng.random((num, d)) < t / (t + sp.lambda_n)
     else:
         S = np.ones((num, d), dtype=bool)
     ks = np.sum(S, axis=1)
@@ -316,5 +317,5 @@ def sample_surrogate_under_batch(m: MeasureSpec, n: float, num: int, ignored,
         proposed += p
         return X
 
-    out = _by_size(m, n, num, rng, draw)
+    out = _by_size(m, surrogate_params(m.spectrum, n), num, rng, draw)
     return out, rows / proposed if proposed else 1.0

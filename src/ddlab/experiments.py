@@ -28,9 +28,9 @@ from .linalg import min_norm_stats, projection_complements, triangular_trace_inv
 from .parallel import block_size, run_block_streams, trial_rng
 from .surrogate import (
     RegressionProblem,
+    _implicit_mean,
+    _mse,
     bias_factors,
-    implicit_reg_mean,
-    surrogate_mse,
     surrogate_params,
     variance_term,
 )
@@ -315,10 +315,10 @@ def _curve_point(p: RegressionProblem, n: int, vals=None, seed: int = 0) -> Curv
         mse_mc = float(np.mean(vals))
         mse_mc_se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
         ci_low, ci_high = bootstrap_ci(vals, seed=seed)
-    return CurvePoint(n=n, d=s.dim, mse_surrogate=surrogate_mse(p, n), mse_mc=mse_mc,
+    return CurvePoint(n=n, d=s.dim, mse_surrogate=_mse(p, sp), mse_mc=mse_mc,
                       mse_mc_se=mse_mc_se, ci_low=ci_low, ci_high=ci_high,
                       lambda_n=sp.lambda_n, alpha_or_beta=sp.alpha_n if n < s.dim else sp.beta_n,
-                      norm_implicit_mean=float(np.linalg.norm(implicit_reg_mean(p, n))))
+                      norm_implicit_mean=float(np.linalg.norm(_implicit_mean(p, sp))))
 
 
 def curve_double_descent(p: RegressionProblem, m: MeasureSpec, n_values, trials: int,

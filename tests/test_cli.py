@@ -642,3 +642,23 @@ def test_fresh_import_skips_scipy_stats():
                          check=True).stdout.splitlines()
     assert "'ddlab.cli'" in out[0] and "'ddlab.dpcheck'" in out[0]
     assert out[1] == "False"
+
+
+def test_closed_form_run_skips_scipy_optimize(tmp_path):
+    # scipy.optimize cost about 0.28 s of every CLI process while brentq
+    # solved lambda_n; the solver is numpy Newton now
+    code = ("import importlib, pkgutil, sys, ddlab, ddlab.cli\n"
+            "for mod in pkgutil.iter_modules(ddlab.__path__):\n"
+            "    importlib.import_module('ddlab.' + mod.name)\n"
+            "from ddlab.covariance import make_profile\n"
+            "from ddlab.surrogate import surrogate_params\n"
+            "surrogate_params(make_profile('diag_exp', 10), 4)\n"
+            "rc = ddlab.cli.main(['curve', '--no-mc', '--d', '20', '--n-values', '5:40:5',\n"
+            f"                     '--out', {str(tmp_path / 'o')!r}])\n"
+            "print(rc, 'scipy.optimize' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out[-1] == "0 False"
+    assert (tmp_path / "o" / "curve.csv").exists()

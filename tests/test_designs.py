@@ -279,7 +279,7 @@ class TestTiltedDraw:
             np.add.at(counts, np.sum(1 << cols, axis=1), 1)
             return np.zeros((idx.size, cols.shape[1], 5))
 
-        designs._by_size(MeasureSpec(s), 2.0, num, trial_rng(4, 0), draw)
+        designs._by_size(MeasureSpec(s), surrogate_params(s, 2.0), num, trial_rng(4, 0), draw)
         counts[0] = num - counts.sum()  # draw is not called for the empty set
         bits = (np.arange(32)[:, None] >> np.arange(5)) & 1
         law = np.prod(np.where(bits == 1, p, q), axis=1)
@@ -395,7 +395,7 @@ class TestSamplerOver:
             return lambda idx, cols: sample_iid(m, idx.size * d, rng).reshape(idx.size, d, d)
 
         rng = trial_rng(29, 0)
-        out = designs._by_size(m, n, num, rng, blocks(rng))
+        out = designs._by_size(m, surrogate_params(m.spectrum, n), num, rng, blocks(rng))
         ref_rng = trial_rng(29, 0)
         ref = list(blocks(ref_rng)(np.arange(num), None))
         extra = ref_rng.poisson(n - d, size=num)

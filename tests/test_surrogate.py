@@ -1,12 +1,16 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddlab import surrogate
 from ddlab.covariance import Spectrum, make_profile, scale_trace_inverse
+from ddlab.designs import MeasureSpec, surrogate_expectation_oracle
+from ddlab.experiments import curve_double_descent
 from ddlab.linalg import projection_complement, pseudo_inverse
 from ddlab.surrogate import (
     RegressionProblem,
@@ -105,6 +109,54 @@ class TestSolveLambda:
         s = scale_trace_inverse(make_profile("diag_exp", d, 1.0, 1e-12), d)
         n = d - gap
         assert self.relative_residual(s, n, solve_lambda(s, n)) <= 1e-13
+
+    @pytest.mark.parametrize("s, n, match", [
+        # 2 d tau_1 / n = 2e309
+        (Spectrum(np.ones(10)), 1e-308, "overflows"),
+        # subnormal eigenvalues: lambda_n is below every normal double
+        (Spectrum(np.full(3, 1e-320)), 1.0, "positive double"),
+        (Spectrum(np.array([1.0, 1e-320])), 1.5, "positive double"),
+    ])
+    def test_out_of_double_range_raises(self, s, n, match):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=match):
+            solve_lambda(s, n)
+
+
+class TestSolveCount:
+    """Each closed-form evaluation at n < d solves for lambda_n once."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # counts the calls through every ddlab module that binds the solver
+        calls = []
+
+        def counted(s, n):
+            calls.append(n)
+            return solve(s, n)
+
+        solve = surrogate.solve_lambda
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("ddlab") and getattr(mod, "solve_lambda", None) is solve:
+                monkeypatch.setattr(mod, "solve_lambda", counted)
+        return calls
+
+    def test_surrogate_mse(self, solves):
+        s = make_profile("diag_exp", 20)
+        surrogate_mse(RegressionProblem(s, np.ones(20), 1.0), 7)
+        assert solves == [7]
+
+    def test_curve_without_monte_carlo(self, solves):
+        s = make_profile("diag_exp", 20)
+        ns = [5, 10, 19, 20, 21, 40]
+        curve_double_descent(RegressionProblem(s, np.ones(20), 1.0), MeasureSpec(s), ns, 100, 1,
+                             with_mc=False)
+        assert solves == [5, 10, 19]
+
+    def test_oracle(self, solves):
+        m = MeasureSpec(make_profile("diag_exp", 10))
+        # 4000 trials span several blocks of the trial engine
+        surrogate_expectation_oracle(lambda X: X.shape[0], m, 5, 4000, 3, threads=1)
+        assert solves == [5]
 
 
 class TestSurrogateParams:
