@@ -20,6 +20,9 @@
 # with both BLAS builds: numpy and scipy each bundle their own, and ddlab's
 # LAPACK calls run on both. The second is the start-up every CLI process
 # pays: the median wall time of `import ddlab.cli` in 5 fresh interpreters.
+# The next two time `surrogate_size_pmf` at d = 10^4 and 10^5 (diag_exp,
+# condition number 1e12, n = d / 2); the script stops if either pmf has a
+# negative entry, or a sum or a mean off 1 and n by more than 1e-9 relative.
 # -rP prints the captured output of passed tests too, so every ACCEPTANCE
 # criterion line shows; pyproject's --durations=15 lists the slowest tests.
 set -euo pipefail
@@ -41,6 +44,20 @@ for _ in range(5):
     runs.append(time.perf_counter() - start)
 print(f"import ddlab.cli: median {statistics.median(runs):.3f} s over 5 fresh interpreters ("
       + " ".join(f"{t:.3f}" for t in runs) + ")", flush=True)
+from ddlab.covariance import make_profile
+from ddlab.surrogate import surrogate_size_pmf
+bad = False
+for d in (10**4, 10**5):
+    n, s = d / 2, make_profile("diag_exp", d, 1.0, 1e-12)
+    start = time.perf_counter()
+    pmf = surrogate_size_pmf(s, n)
+    wall = time.perf_counter() - start
+    total, mean = float(pmf.sum()), float(numpy.arange(d + 1) @ pmf)
+    ok = bool(numpy.all(pmf >= 0)) and abs(total - 1) <= 1e-9 and abs(mean - n) <= 1e-9 * n
+    bad |= not ok
+    print(f"surrogate_size_pmf d={d} n={n:g}: {wall:.3f} s, sum {total!r}, mean {mean!r}"
+          + ("" if ok else " FAILED"), flush=True)
+sys.exit(bad)
 PY
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -rP --continue-on-collection-errors "$@"
 python3 -m pytest -p no:cacheprovider perfbench

@@ -1,14 +1,17 @@
 """Closed-form quantities of the determinantal surrogate design:
 
 * the implicit ridge level lambda_n matching the effective dimension to n,
-  by a numpy Newton iteration, to below 3e-15 relative error from n -> 0
+  by a numpy Newton iteration, to below 1e-15 relative error from n -> 0
   to n -> d and up to condition number 1e12 (checked against a 50-digit
-  mpmath root),
+  mpmath root), and to 1e-14 at condition numbers up to 1e300 (checked
+  against the exact root at d = 2),
 * the derived scalars (gamma_n, lambda_n, alpha_n, beta_n),
 * the exact surrogate MSE and its variance/bias split,
 * the expected minimum-norm estimator (implicit regularization mean),
 * the realized-sample-size distribution for any row measure with i.i.d.
-  zero-mean, unit-variance entries.
+  zero-mean, unit-variance entries: a Poisson-binomial over the columns,
+  formed as a blocked product of per-column factors, all of whose terms
+  are non-negative.
 
 Everything here is evaluated in the eigenbasis of the covariance, so all
 matrix expressions reduce to per-eigenvalue scalar operations. Every
@@ -51,10 +54,19 @@ def solve_lambda(s: Spectrum, n: float) -> float:
     every tangent lies above the residual. The start is the Jensen bound of
     x / (1 + x) in x tau (below d / 2) or in x / tau (above), the root for
     a flat spectrum and left of it otherwise. The iteration stops when an
-    iterate no longer rises, which leaves below 3e-15 relative error against
-    a 50-digit reference. A call raises ValueError when 2 d tau_1 / n
-    overflows a double, or when lam or 1 / lam falls outside the positive
-    doubles (a spectrum of subnormal eigenvalues).
+    iterate no longer rises.
+
+    A term over 1/2 (tau_i > lam) is summed as 1 minus its complement,
+    lam / (tau_i + lam), so the residual keeps its small parts at every
+    condition number: the result is within 1e-15 relative of a 50-digit
+    root for d up to 300, condition numbers up to 1e12 and n from 1e-6 to
+    d - 1e-6, and within 1e-14 of the exact root sqrt(tau_1 tau_2) at d = 2,
+    n = 1 for tau_1 / tau_2 from 1e12 to 1e300. Far from the flat spectrum
+    the start is far left of the root and each step about doubles x, so a
+    condition number of 1e300 takes about 500 steps. A call raises
+    ValueError when 2 d tau_1 / n overflows a double, or when lam or 1 / lam
+    falls outside the positive doubles or the residual there is not finite
+    (a spectrum of subnormal eigenvalues).
     """
     d = s.dim
     if not (0 < n < d):
@@ -64,19 +76,34 @@ def solve_lambda(s: Spectrum, n: float) -> float:
         raise ValueError(f"solve_lambda: 2 d tau_1 / n overflows at n={n}, d={d}")
     low = n <= d / 2
     if low:
-        x, m = n / ((d - n) * float(np.mean(t))), n
+        x = n / ((d - n) * float(np.mean(t)))
     else:
-        x, m = (d - n) / (n * float(np.mean(1.0 / t))), d - n
+        x = (d - n) / (n * float(np.mean(1.0 / t)))
+    neg = -t  # ascending, for counting the eigenvalues above lambda
     while x < math.inf:  # x overflows only on subnormal eigenvalues
-        e = 1.0 + x * t if low else t + x
-        h = float(np.sum((x * t if low else x) / e)) - m
-        step = x - h / float(np.sum(t / (e * e)))
+        # sum p_i - n with p_i = tau_i / (tau_i + lam) and q_i = 1 - p_i; the
+        # k terms with tau_i > lam, whose p_i is over 1/2, are summed as
+        # 1 - q_i, so that their small parts are not rounded away
+        if low:
+            xt = x * t
+            q = 1.0 / (1.0 + xt)
+            p = xt * q
+        else:
+            r = 1.0 / (t + x)
+            p, q = t * r, x * r
+        k = int(neg.searchsorted(-1.0 / x if low else -x))
+        h = (k - n) + float(p[k:].sum()) - float(q[:k].sum())
+        if not low:
+            h = -h
+        # the slope of either residual in its x is sum p_i q_i / x
+        step = x - h * x / float(p @ q)
         if not step > x:
             break
         x = step
     lam = 1.0 / x if low else x
-    if not 0 < lam < math.inf:
-        raise ValueError(f"solve_lambda: lambda_n is not a positive double at n={n}, d={d}")
+    if not (0 < lam < math.inf and math.isfinite(h)):
+        raise ValueError(f"solve_lambda: no positive double lambda_n has a finite residual "
+                         f"at n={n}, d={d}")
     return lam
 
 
@@ -222,9 +249,20 @@ def surrogate_size_pmf(s: Spectrum, n: float) -> np.ndarray:
     exactly, whatever the entry law, so P(k) is proportional to
     gamma_n^k e_k; the normalizer is det(I + gamma_n Sigma). So K is the
     size of a column set holding column i independently with probability
-    p_i = tau_i / (tau_i + lambda_n): a Poisson-binomial, built one column
-    at a time in linear space (every term is a probability). q_i = 1 - p_i
-    is taken as lambda_n / (tau_i + lambda_n), accurate as n -> d.
+    p_i = tau_i / (tau_i + lambda_n): a Poisson-binomial, the coefficients
+    of prod_i (q_i + p_i x). q_i = 1 - p_i is taken as
+    lambda_n / (tau_i + lambda_n), accurate as n -> d.
+
+    The product is blocked: the columns fall into chunks of c = isqrt(d),
+    the last padded with p = 0, q = 1; all chunk polynomials are built at
+    once by c vectorised recursion steps, then folded together by
+    ``np.convolve`` (a direct sum, not an FFT), dropping the exactly-zero
+    leading and trailing coefficients of the running product. Every term
+    is a product or a sum of non-negatives, so there is no cancellation:
+    no entry is negative, and each entry keeps the relative accuracy of
+    the column-by-column recursion (within 1e-13 relative of it, and of a
+    60-digit reference, on every entry above 1e-300). On 2 cores it costs
+    about 0.07-0.16 ms at d = 100-300 and 0.45 s at d = 1e5.
     """
     if not 0 < n < s.dim:
         raise ValueError("surrogate_size_pmf needs 0 < n < d")
@@ -234,10 +272,24 @@ def surrogate_size_pmf(s: Spectrum, n: float) -> np.ndarray:
 def _size_pmf(s: Spectrum, lam: float) -> np.ndarray:
     """``surrogate_size_pmf`` at the solved lambda_n ``lam``."""
     d, t = s.dim, s.eigenvalues
-    p, q = t / (t + lam), lam / (t + lam)
+    c = math.isqrt(d)
+    m = -(-d // c)
+    p, q = np.zeros(m * c), np.ones(m * c)  # the last chunk padded with p = 0, q = 1
+    p[:d], q[:d] = t / (t + lam), lam / (t + lam)
+    p, q = p.reshape(m, c), q.reshape(m, c)
+    chunks = np.zeros((m, c + 1))
+    chunks[:, 0] = 1.0
+    for i in range(c):
+        chunks[:, 1:i + 2] = chunks[:, 1:i + 2] * q[:, i, None] + chunks[:, :i + 1] * p[:, i, None]
+        chunks[:, 0] *= q[:, i]
+    # acc holds the coefficients lo, lo + 1, ... of the running product
+    acc, lo = chunks[0], 0
+    for poly in chunks[1:]:
+        acc = np.convolve(acc, poly)
+        if not (acc[0] and acc[-1]):  # drop exact zeros: underflow and padding
+            nz = np.flatnonzero(acc)
+            lo += nz[0]
+            acc = acc[nz[0]:nz[-1] + 1]
     pmf = np.zeros(d + 1)
-    pmf[0] = 1.0
-    for i in range(d):
-        pmf[1:i + 2] = pmf[1:i + 2] * q[i] + pmf[:i + 1] * p[i]
-        pmf[0] *= q[i]
+    pmf[lo:lo + acc.size] = acc
     return pmf

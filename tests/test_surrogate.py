@@ -33,6 +33,19 @@ def esp_by_enumeration(vals, k):
     return sum(math.prod(c) for c in itertools.combinations(vals, k))
 
 
+def column_recursion(s, lam):
+    """The size pmf at lambda_n ``lam`` by the Poisson-binomial recursion,
+    one column at a time: the float reference for the blocked product."""
+    t = s.eigenvalues
+    p, q = t / (t + lam), lam / (t + lam)
+    pmf = np.zeros(s.dim + 1)
+    pmf[0] = 1.0
+    for i in range(s.dim):
+        pmf[1:i + 2] = pmf[1:i + 2] * q[i] + pmf[:i + 1] * p[i]
+        pmf[0] *= q[i]
+    return pmf
+
+
 class TestSolveLambda:
     def test_isotropic_closed_form(self):
         s = Spectrum(np.ones(100))
@@ -109,6 +122,16 @@ class TestSolveLambda:
         s = scale_trace_inverse(make_profile("diag_exp", d, 1.0, 1e-12), d)
         n = d - gap
         assert self.relative_residual(s, n, solve_lambda(s, n)) <= 1e-13
+
+    def test_exact_root_at_extreme_condition(self):
+        # d = 2, n = 1: tau_1 / (tau_1 + lam) + tau_2 / (tau_2 + lam) = 1 at
+        # lam = sqrt(tau_1 tau_2), for condition numbers 1e12 to 1e300; the
+        # term of tau_1 = 1 is 1 - lam / (1 + lam), which a residual summing it
+        # as a probability rounds to 1 once lam is below eps
+        for k in range(12, 301):
+            tau_2 = 10.0 ** -k
+            lam = solve_lambda(Spectrum(np.array([1.0, tau_2])), 1)
+            assert abs(lam / math.sqrt(tau_2) - 1) <= 1e-14, (k, lam)
 
     @pytest.mark.parametrize("s, n, match", [
         # 2 d tau_1 / n = 2e309
@@ -349,13 +372,14 @@ class TestSizePmf:
         expected = [gamma**k * esp_by_enumeration(tau, k) / norm for k in range(s.dim + 1)]
         np.testing.assert_allclose(surrogate_size_pmf(s, n), expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("d", [10, 100, 300])
-    def test_matches_high_precision_reference(self, d):
+    @pytest.mark.parametrize("d, kappa", [(10, 1e4), (100, 1e4), (300, 1e4), (300, 1e12)],
+                             ids=["10", "100", "300", "300-kappa1e12"])
+    def test_matches_high_precision_reference(self, d, kappa):
         # the Poisson-binomial recursion in 60-digit arithmetic at the same
         # lambda_n; entries that double precision can hold are within 1e-13
         # relative, up to n = d - 1e-3 where every q_i is tiny
         mpmath = pytest.importorskip("mpmath")
-        s = make_profile("diag_exp", d)
+        s = make_profile("diag_exp", d, 1.0, 1.0 / kappa)
         with mpmath.workdps(60):
             tau = [mpmath.mpf(float(t)) for t in s.eigenvalues]
             for n in (d / 2, d - 1, d - 1e-3):
@@ -369,6 +393,27 @@ class TestSizePmf:
                 big = [k for k in range(d + 1) if ref[k] > mpmath.mpf("1e-300")]
                 err = max(float(abs(pmf[k] - ref[k]) / ref[k]) for k in big)
                 assert err < 1e-13, (n, err)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 15, 16, 17, 97])
+    def test_matches_column_recursion(self, d):
+        # the blocked product splits d into chunks of isqrt(d) columns: d at
+        # a square, one either side of it, and a prime, from n -> 0 to n -> d
+        s = Spectrum(np.geomspace(1.0, 1e-4, d))
+        for n in (1e-9, d / 2, d - 1e-3):
+            lam = solve_lambda(s, n)
+            pmf, ref = surrogate_size_pmf(s, n), column_recursion(s, lam)
+            assert pmf.shape == (d + 1,)
+            assert np.all(pmf >= 0)
+            big = ref > 1e-300
+            np.testing.assert_allclose(pmf[big], ref[big], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [5000.0, 9999.0])
+    def test_large_d_extreme_condition(self, n):
+        d = 10**4
+        pmf = surrogate_size_pmf(make_profile("diag_exp", d, 1.0, 1e-12), n)
+        assert pmf.shape == (d + 1,) and np.all(pmf >= 0)
+        assert abs(float(np.sum(pmf)) - 1.0) <= 1e-9
+        assert abs(float(np.arange(d + 1) @ pmf) - n) <= 1e-9 * n
 
     def test_large_d_no_overflow(self):
         pmf = surrogate_size_pmf(make_profile("diag_exp", 200), 100)
