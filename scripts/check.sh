@@ -13,9 +13,11 @@
 # cap gets the same comparison of its discrepancy.csv, and so does the
 # figure-4 variance grid (on the d-values of criterion 7's variance slopes)
 # at an 800-trial cap.
-# Last, a figure-scale surrogate draw (d = 100, n = 50) runs twice for each
+# Then a figure-scale surrogate draw (d = 100, n = 50) runs twice for each
 # bounded entry law, and its sample.csv and sample_summary.txt must match
 # byte for byte outside their "# out=" lines.
+# Last, run_figure2.sh writes the formula-only dimension sweep with --svg:
+# curve.svg must exist, and mse_surrogate in curve.csv must peak at d = n = 100.
 # The first line printed is the environment the run's timings belong to,
 # with both BLAS builds: numpy and scipy each bundle their own, and ddlab's
 # LAPACK calls run on both. The second is the start-up every CLI process
@@ -105,3 +107,10 @@ for law in rademacher uniform_pm_sqrt3; do
     done
     echo "$law sample.csv and sample_summary.txt identical on rerun"
 done
+scripts/run_figure2.sh --out "$tmp/fig2"
+test -s "$tmp/fig2/curve.svg" || { echo "run_figure2.sh: no curve.svg"; exit 1; }
+awk -F, '/^#/ || $1 == "n" { next }
+         !seen || $3 + 0 > best { seen = 1; best = $3 + 0; n = $1; d = $2 }
+         END { if (n != 100 || d != 100) { print "figure 2: mse_surrogate peaks at n=" n ", d=" d; exit 1 }
+               print "figure 2: curve.svg written, mse_surrogate peaks at d = n = 100" }' \
+    "$tmp/fig2/curve.csv"

@@ -125,6 +125,15 @@ def _parse_values(text: str) -> list[float]:
     return out
 
 
+def _sizes(key: str, text: str) -> list[int]:
+    """The values of a size key (n_values, d_values, or the sweep's one n),
+    which must be whole numbers: 5.5 rows cannot be drawn."""
+    values = _parse_values(text)
+    if not all(v.is_integer() for v in values):
+        raise ValueError(f"{key} must be whole numbers, got {text!r}")
+    return [int(v) for v in values]
+
+
 def _bool(text: str) -> bool:
     if text.lower() in ("1", "true", "yes", "on"):
         return True
@@ -207,7 +216,7 @@ def cmd_curve(cfg: dict[str, str]) -> int:
     # columns follow the given law
     gaussian_form_only = law != "gaussian" and _bool(cfg.get("mc", "false"))
     if "d_values" in cfg:
-        n = int(float(cfg["n"]))
+        (n,) = _sizes("n", cfg["n"])
         snr = float(cfg["snr"])
         if not snr > 0:
             raise ValueError(f"snr must be positive, got {snr!r}")
@@ -218,7 +227,7 @@ def cmd_curve(cfg: dict[str, str]) -> int:
             sigma2 = float(np.dot(w, w)) / snr
             return RegressionProblem(s, w, sigma2), n
 
-        points = experiments.curve_dimension_sweep(make_problem, [int(v) for v in _parse_values(cfg["d_values"])])
+        points = experiments.curve_dimension_sweep(make_problem, _sizes("d_values", cfg["d_values"]))
         xs = [p.d for p in points]
         xlabel = "d"
     else:
@@ -230,7 +239,7 @@ def cmd_curve(cfg: dict[str, str]) -> int:
         if gaussian_form_only:
             log.warning("mse_surrogate is the Gaussian closed form; %s rows need not follow it",
                         law)
-        n_values = [int(v) for v in _parse_values(cfg.get("n_values", "10:190:10"))]
+        n_values = _sizes("n_values", cfg.get("n_values", "10:190:10"))
         points = experiments.curve_double_descent(p, m, n_values, int(cfg["trials"]),
                                                   int(cfg["seed"]), int(cfg["threads"]),
                                                   _bool(cfg["mc"]))
@@ -261,7 +270,7 @@ def cmd_discrepancy(cfg: dict[str, str]) -> int:
     cap = int(cfg["trials"])
     target = float(cfg["target_halfwidth"])
     aspects = _parse_values(cfg["aspect"])
-    d_values = [int(v) for v in _parse_values(cfg["d_values"])]
+    d_values = _sizes("d_values", cfg["d_values"])
     if len(set(d_values)) < 3:
         raise ValueError("need at least 3 distinct d-values for the log-log slope fit")
     points = []

@@ -59,6 +59,9 @@ class DiscrepancyPoint:
     ci_low: float
     ci_high: float
     trials_used: int
+    # half the gap between the means of the even and the odd batches, in
+    # the units of value: the size of a value that is noise alone
+    noise_floor: float
     flagged: bool = False
 
 
@@ -188,7 +191,10 @@ def discrepancy_point(kind: str, s: Spectrum, d: int, aspect: float, seed: int,
     is ||B^{-1/2} E[I - X^+X] B^{-1/2} - I||, valued at the mean of all
     trials. The CI is a percentile bootstrap (``bootstrap_ci`` or
     ``bootstrap_opnorm_ci``) over the min(trials, BIAS_BATCHES) batch
-    means, where trial t joins batch t mod BIAS_BATCHES.
+    means, where trial t joins batch t mod BIAS_BATCHES. The noise floor
+    is half the gap between the trial means of the even and of the odd
+    batches, |A - B| / (2 V) for "variance" and ||W (A - B) W|| / 2, W =
+    B^{-1/2}, for "bias".
 
     Trial t comes from block t // block_size(n d), drawn once: the point
     keeps per-batch sums and holds a last block's statistics beyond
@@ -211,6 +217,9 @@ def discrepancy_point(kind: str, s: Spectrum, d: int, aspect: float, seed: int,
 
         def ci(means):
             return bootstrap_ci(means, VARIANCE_RESAMPLES, seed=seed, stat=discrepancy)
+
+        def floor(gap):
+            return abs(gap) / (2.0 * target)
     elif kind == "bias":
         white, shape = 1.0 / np.sqrt(bias_factors(s, n)), (d, d)
         stats = projection_complements
@@ -223,6 +232,9 @@ def discrepancy_point(kind: str, s: Spectrum, d: int, aspect: float, seed: int,
 
         def ci(means):
             return bootstrap_opnorm_ci(means, BIAS_RESAMPLES, seed=seed, transform=whitened_dev)
+
+        def floor(gap):
+            return np.linalg.norm(white[:, None] * gap * white[None, :], ord=2) / 2.0
     else:
         raise ValueError(f"unknown discrepancy kind {kind!r}")
     m = MeasureSpec(s, "gaussian")
@@ -254,8 +266,11 @@ def discrepancy_point(kind: str, s: Spectrum, d: int, aspect: float, seed: int,
         counts = trials // BIAS_BATCHES + (np.arange(batches) < trials % BIAS_BATCHES)
         value = float(discrepancy(sums.sum(axis=0) / trials))
         lo, hi = ci(sums[:batches] / counts.reshape((batches,) + (1,) * len(shape)))
+        even = sums[:batches:2].sum(axis=0) / counts[::2].sum()
+        odd = sums[1:batches:2].sum(axis=0) / counts[1::2].sum()
         return DiscrepancyPoint(d=d, n=n, aspect=aspect, kind=kind, value=value,
-                                ci_low=lo, ci_high=hi, trials_used=trials)
+                                ci_low=lo, ci_high=hi, trials_used=trials,
+                                noise_floor=float(floor(even - odd)))
 
     return point
 

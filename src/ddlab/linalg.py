@@ -7,10 +7,8 @@ use a shared singular-value cutoff so that the same matrix is never
 "full rank" in one routine and "deficient" in another.
 
 Which LAPACK runs: ``pseudo_inverse`` and ``projection_complement`` call
-scipy's ``dgesdd`` directly for matrices of at most SMALL_SVD entries,
-skipping most of the per-call cost of ``np.linalg.svd``, and
-``np.linalg.svd`` (numpy's LAPACK) above that, where scipy's bundled
-OpenBLAS is the slower one. Both take the rank r once from
+scipy's ``dgesdd`` directly, skipping most of the per-call cost of
+``np.linalg.svd``. Both take the rank r once from
 ``zero_threshold`` on the descending singular values and keep s[:r], so
 a full-rank matrix, the common case at the oracle's sizes, builds no
 mask and no masked reciprocal. ``log_det_gram`` and the stacked QR of
@@ -37,10 +35,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-# entries (k * d) up to which an SVD calls scipy's dgesdd directly: above it
-# scipy's bundled OpenBLAS is slower than numpy's, and their results can
-# differ in the last bits
-SMALL_SVD = 1024
 
 
 def _as_matrix(A, ndim: int = 2) -> np.ndarray:
@@ -70,16 +64,10 @@ def _svd(A: np.ndarray):
     """Thin SVD U, s, Vt of a non-empty k x d matrix, and the number r of
     singular values above the shared zero threshold: s descends, so the
     kept ones are s[:r].
-
-    At most SMALL_SVD entries: scipy's dgesdd, called directly; above that,
-    np.linalg.svd.
     """
-    if A.size <= SMALL_SVD:
-        U, s, Vt, info = lapack.dgesdd(A, compute_uv=1, full_matrices=0)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dgesdd failed (info={info})")
-    else:
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    U, s, Vt, info = lapack.dgesdd(A, compute_uv=1, full_matrices=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgesdd failed (info={info})")
     cut = zero_threshold(s, A.shape)
     return U, s, Vt, s.size if s[-1] > cut else int(np.count_nonzero(s > cut))
 

@@ -173,7 +173,16 @@ class RegressionProblem:
 
 
 def variance_term(s: Spectrum, n: float) -> float:
-    """Variance factor (1 - alpha_n) / lambda_n of the surrogate MSE, n < d."""
+    """Variance factor (1 - alpha_n) / lambda_n of the surrogate MSE, n < d.
+
+    It is the det-weighted E tr adj(X X^T) / det(X X^T), whose numerator's
+    mean, k! e_{k-1} at size k, holds for rows Sigma^{1/2} z with any i.i.d.
+    zero-mean, unit-variance entries z. So it is E tr((X^T X)^+) for every
+    entry law whose tilted blocks are almost surely nonsingular (the
+    Gaussian one among them), and exceeds it by exactly the singular mass,
+    the weighted tr adj(X X^T) of the singular blocks, otherwise (Rademacher
+    rows: 0.812 against 0.487 at tau = (1, 2, 3), n = 2).
+    """
     p = surrogate_params(s, n)
     if not n < s.dim:
         raise ValueError("variance_term is defined for n < d")
@@ -199,6 +208,11 @@ def surrogate_mse(p: RegressionProblem, n: float) -> float:
     Under-determined: sigma^2 (1-alpha_n)/lambda_n + lambda_n w*^T (Sigma+lambda_n I)^{-1} w*.
     At n = d: sigma^2 tr(Sigma^{-1}).
     Over-determined: sigma^2 tr(Sigma^{-1}) (1 - e^{d-n}) / (n - d).
+
+    The bias term holds for every i.i.d. entry law; the under-determined
+    variance term holds for laws whose tilted blocks are almost surely
+    nonsingular and otherwise misses by exactly their singular mass (see
+    ``variance_term``).
     """
     return _mse(p, surrogate_params(p.spectrum, n))
 

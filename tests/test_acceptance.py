@@ -292,7 +292,8 @@ def test_criterion_7_discrepancy_slopes(kind, profile, d_values, bounds):
     ok = bounds[0] <= slope <= bounds[1] and not flagged
     report(7, f"{kind} discrepancy slope ({profile})", ok,
            f"slope {slope:.3f} in {list(bounds)}, r2 {r2:.3f}, "
-           f"trials {[p.trials_used for p in points]}, flagged {flagged}")
+           f"trials {[p.trials_used for p in points]}, flagged {flagged}, "
+           f"noise/value {[round(p.noise_floor / p.value, 3) for p in points]}")
 
 
 def test_criterion_8_double_descent_shape():

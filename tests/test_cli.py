@@ -102,11 +102,23 @@ class TestOptionTable:
         ["discrepancy", "--d-values", "10,20,40", "--trials", "200", "--target-halfwidth=-1"],
         ["dp-verify", "--scenario", "normalization", "--d", "2", "--trials", "1"],
         ["dp-verify", "--scenario", "normalization", "--d", "2", "--trials", "0"],
+        # sizes with a fraction were truncated to the whole rows below them
+        ["curve", "--no-mc", "--d", "10", "--n-values", "5.5,7.9"],
+        ["curve", "--d-values", "10.5,20,40", "--n", "12"],
+        ["discrepancy", "--d-values", "10.5,20.2,40.9", "--trials", "200"],
     ])
     def test_invalid_number_exit_1(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert run(argv + ["--out", str(out)]) == 1
         assert "invalid input" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fractional_sweep_n_in_config_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("d_values = 40,50,60\nn = 100.5\n")
+        out = tmp_path / "o"
+        assert run(["curve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "n must be whole numbers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_only_keys_have_flags(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from ddlab import experiments, parallel
 from ddlab.covariance import Spectrum, make_profile
 from ddlab.designs import MeasureSpec, sample_iid
-from ddlab.linalg import min_norm_stats, triangular_trace_inv
+from ddlab.linalg import min_norm_stats, projection_complement, pseudo_inverse, triangular_trace_inv
 from ddlab.parallel import BLOCK_KEY, block_size, trial_rng
 from ddlab.experiments import (
     DiscrepancyPoint,
@@ -20,7 +20,7 @@ from ddlab.experiments import (
     loglog_slope,
     mse_trial_samples,
 )
-from ddlab.surrogate import RegressionProblem, surrogate_mse, variance_term
+from ddlab.surrogate import RegressionProblem, bias_factors, surrogate_mse, variance_term
 
 
 def iso_problem(d, sigma2=1.0):
@@ -252,7 +252,8 @@ class TestAdaptiveTrials:
     @staticmethod
     def _fake_point(value, half, trials):
         return DiscrepancyPoint(d=10, n=5, aspect=0.5, kind="variance", value=value,
-                                ci_low=value - half, ci_high=value + half, trials_used=trials)
+                                ci_low=value - half, ci_high=value + half, trials_used=trials,
+                                noise_floor=0.0)
 
     def test_zero_variance_stops_immediately(self):
         calls = []
@@ -341,6 +342,28 @@ class _PointCases:
         point(500)
         with pytest.raises(ValueError):
             point(499)
+
+    def test_noise_floor_matches_recomputation(self):
+        # trial t joins batch t mod 200, so the even batches hold the even
+        # trials; each design's statistic is recomputed alone through the SVD
+        trials, size, n = 1000, 655, 5
+        stats = []
+        for lo in range(0, trials, size):
+            count = min(size, trials - lo)
+            rows = sample_iid(MeasureSpec(self.S), count * n, trial_rng(4, BLOCK_KEY | lo // size))
+            for j in range(count):
+                X = rows[j * n:(j + 1) * n]
+                stats.append(np.sum(pseudo_inverse(X) ** 2) if self.KIND == "variance"
+                             else projection_complement(X))
+        gap = np.mean(stats[::2], axis=0) - np.mean(stats[1::2], axis=0)
+        if self.KIND == "variance":
+            expected = abs(gap) / (2 * variance_term(self.S, n))
+        else:
+            white = 1 / np.sqrt(bias_factors(self.S, n))
+            expected = np.linalg.norm(white[:, None] * gap * white[None, :], ord=2) / 2
+        point = self.point()(trials)
+        assert point.noise_floor == pytest.approx(expected, rel=1e-9)
+        assert 0 < point.noise_floor < point.value
 
 
 class TestVariancePoint(_PointCases):

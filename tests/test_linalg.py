@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ddlab import linalg
 from ddlab.linalg import (
-    SMALL_SVD,
     _r_factor,
     _tri_inv,
     log_det_gram,
@@ -90,7 +89,8 @@ def assert_near(out, ref, tol):
 
 
 class TestSmallSvd:
-    """The kernels on both SVD routes, against numpy's SVD."""
+    """The kernels on the small per-design SVD, scipy's dgesdd, against
+    numpy's SVD."""
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_small_shapes_match_numpy_svd(self, k):
@@ -109,13 +109,13 @@ class TestSmallSvd:
 
     @pytest.mark.parametrize("shape", [(30, 30), (10, 100), (64, 64), (200, 100)])
     def test_larger_shapes_match_numpy_svd(self, shape):
-        # the first two at most SMALL_SVD entries, the last two above it
+        # square, wide and tall, up to the curve's 200 x 100 designs
         A = rng_for(sum(shape)).standard_normal(shape)
         P, C = svd_reference(A)
         assert_near(pseudo_inverse(A), P, 1e-12 * np.linalg.norm(P))
         assert_near(projection_complement(A), C, 1e-12 * np.linalg.norm(C))
 
-    def test_routes_split_at_small_svd(self, monkeypatch):
+    def test_dgesdd_sees_every_per_design_svd(self, monkeypatch):
         shapes, dgesdd = [], linalg.lapack.dgesdd
 
         def counted(A, **kw):
@@ -123,9 +123,9 @@ class TestSmallSvd:
             return dgesdd(A, **kw)
 
         monkeypatch.setattr(linalg.lapack, "dgesdd", counted)
-        pseudo_inverse(np.ones((1, SMALL_SVD)))
-        projection_complement(np.ones((2, SMALL_SVD // 2 + 1)))
-        assert shapes == [(1, SMALL_SVD)]
+        pseudo_inverse(np.ones((1, 1024)))
+        projection_complement(np.ones((2, 513)))
+        assert shapes == [(1, 1024), (2, 513)]
 
     def test_empty_and_one_by_one(self):
         np.testing.assert_array_equal(pseudo_inverse(np.zeros((0, 3))), np.zeros((3, 0)))
@@ -157,11 +157,8 @@ class TestSmallSvd:
 
 def masked_reference(A):
     """pseudo_inverse and projection_complement by the general masked
-    formula, on the SVD that the kernels' route computes for A."""
-    if A.size <= SMALL_SVD:
-        U, s, Vt, _ = linalg.lapack.dgesdd(A, compute_uv=1, full_matrices=0)
-    else:
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    formula, on the dgesdd SVD that the kernels compute for A."""
+    U, s, Vt, _ = linalg.lapack.dgesdd(A, compute_uv=1, full_matrices=0)
     keep = s > zero_threshold(s, A.shape)
     P = (Vt.T * np.divide(1.0, s, out=np.zeros_like(s), where=keep)) @ U.T
     V = Vt[keep]
@@ -184,8 +181,8 @@ def bit_identity_inputs():
         "gram of a 2x3 design": X23.T @ X23,
         "zero": np.zeros((3, 2)),
         "1x1": np.array([[-0.7]]),
-        "above SMALL_SVD": tall,
-        "above SMALL_SVD, duplicated row": tall_dup,
+        "full rank 40x30": tall,
+        "duplicated row 40x30": tall_dup,
     }
 
 

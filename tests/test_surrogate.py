@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from ddlab import surrogate
 from ddlab.covariance import Spectrum, make_profile, scale_trace_inverse
-from ddlab.designs import MeasureSpec, surrogate_expectation_oracle
+from ddlab.designs import MeasureSpec, sample_surrogate_under_batch, surrogate_expectation_oracle
 from ddlab.experiments import curve_double_descent
-from ddlab.linalg import projection_complement, pseudo_inverse
+from ddlab.linalg import min_norm_stats, projection_complement, pseudo_inverse
 from ddlab.surrogate import (
     RegressionProblem,
     bias_factors,
@@ -469,6 +469,100 @@ class TestRademacherExact:
         # E tr((X^T X)^+) = E ||X^+||_F^2 is not the Gaussian form 0.812150...
         assert tr == pytest.approx(0.4873271090869, abs=1e-12)
         assert variance_term(s, n) == pytest.approx(0.8121503937441, abs=1e-12)
+
+
+def int_dets(A):
+    """Exact determinants of a (N, k, k) stack of int64 matrices, by the
+    Leibniz sum; the empty 0 x 0 matrix has determinant 1."""
+    N, k, _ = A.shape
+    out = np.zeros(N, dtype=np.int64)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = np.ones(N, dtype=np.int64)
+        for i, j in enumerate(perm):
+            term = term * A[:, i, j]
+        out += -term if inversions % 2 else term
+    return out
+
+
+class TestRademacherSingularMass:
+    """Where the variance form holds for Rademacher rows. With X = Z
+    Sigma^{1/2} and G = X X^T, tr adj(G) is a polynomial in the entries
+    whose mean, (k - 1)! e_{k-1} per principal minor by Cauchy-Binet, does
+    not depend on the entry law; so the det-weighted, pmf-mixed sum of tr
+    adj(G) over all sign matrices is the Gaussian variance form. On a
+    nonsingular block det(G) tr((X^T X)^+) = tr adj(G), and a singular one
+    carries weight det(G) = 0: the true E tr((X^T X)^+) is the same sum over
+    the nonsingular blocks only, and the form misses it by exactly the
+    singular mass. Integer tau makes G integer, so every sum is exact."""
+
+    @pytest.mark.parametrize("tau, full, nonsingular", [
+        ((1, 2, 3), 0.8121503937437269, 0.48732710908675),
+        ((1, 2, 3, 4), 0.42502581665323097, 0.3142777098157555),
+    ])
+    def test_variance_form_is_full_sum_of_adjugate_traces(self, tau, full, nonsingular):
+        s, n, d = Spectrum(np.array(tau, dtype=float)), 2, len(tau)
+        pmf = surrogate_size_pmf(s, n)
+        total = kept = 0.0
+        for k in range(1, d + 1):
+            Z = np.array(list(itertools.product((-1, 1), repeat=k * d))).reshape(-1, k, d)
+            G = (Z * np.array(tau)) @ np.swapaxes(Z, 1, 2)  # Z diag(tau) Z^T
+            adj_trace = sum(int_dets(np.delete(np.delete(G, i, 1), i, 2)) for i in range(k))
+            # rank Z = k iff some k x k minor of Z is nonzero
+            full_rank = np.zeros(len(Z), dtype=bool)
+            for cols in itertools.combinations(range(d), k):
+                full_rank |= int_dets(Z[:, :, cols]) != 0
+            # E tr adj(G) = k! e_{k-1}, exactly, on the signs as on any law
+            assert int(adj_trace.sum()) == len(Z) * math.factorial(k) * esp_by_enumeration(tau, k - 1)
+            norm = pmf[k] / (len(Z) * math.factorial(k) * esp_by_enumeration(tau, k))
+            total += norm * int(adj_trace.sum())
+            kept += norm * int(adj_trace[full_rank].sum())
+        assert total == pytest.approx(variance_term(s, n), abs=1e-13)
+        assert total == pytest.approx(full, abs=1e-13)
+        assert kept == pytest.approx(nonsingular, abs=1e-13)
+
+
+class TestTheoremOneAtFigureScale:
+    """Theorem 1 and the implicit-ridge mean at the figures' d = 100, on
+    exact gaussian surrogate draws: trace-normalised diag_exp at kappa 1e4,
+    uniform w, sigma^2 = 1. Each draw is stacked with the others of its
+    size, as the kernels take them."""
+
+    @staticmethod
+    def draws(n, num):
+        d = 100
+        s = scale_trace_inverse(make_profile("diag_exp", d, 1.0, 1e-4), float(d))
+        p = RegressionProblem(s, np.full(d, 1.0 / math.sqrt(d)), 1.0)
+        Xs, _ = sample_surrogate_under_batch(MeasureSpec(s), n, num, None, seed=n)
+        stacks = {}
+        for X in Xs:
+            stacks.setdefault(X.shape, []).append(X)
+        return p, [np.stack(group) for group in stacks.values()]
+
+    @pytest.mark.parametrize("n", [25, 50, 90])
+    def test_mse_and_implicit_mean(self, n):
+        p, stacks = self.draws(n, 2000)
+        w = p.w_star
+        mse, fit = [], []
+        for X in stacks:
+            tr, resid = min_norm_stats(X, w)
+            mse.append(p.sigma2 * tr + resid)
+            Q = np.linalg.qr(np.swapaxes(X, 1, 2))[0]  # X^+ X = Q Q^T
+            fit.append(np.einsum("bdk,bk->bd", Q, np.einsum("bdk,d->bk", Q, w)))
+        mse, fit = np.concatenate(mse), np.concatenate(fit)
+        z = (mse.mean() - surrogate_mse(p, n)) / (mse.std(ddof=1) / math.sqrt(mse.size))
+        assert abs(z) <= 4
+        zs = (fit.mean(0) - implicit_reg_mean(p, n)) / (fit.std(0, ddof=1) / math.sqrt(len(fit)))
+        assert np.max(np.abs(zs)) <= 4
+
+    def test_over_determined_fit_is_w(self):
+        # a check by value needs fewer draws than the means above, and 2000
+        # draws of about 150 x 100 would take several seconds more
+        p, stacks = self.draws(150, 200)
+        for X in stacks:
+            Q, R = np.linalg.qr(X)  # X^+ X w = R^{-1} Q^T X w for full-rank X
+            fit = np.linalg.solve(R, np.einsum("bnk,bn->bk", Q, X @ p.w_star)[..., None])[..., 0]
+            assert np.max(np.abs(fit - p.w_star)) <= 1e-9
 
 
 class TestRegressionProblem:
