@@ -22,6 +22,9 @@
 # with both BLAS builds: numpy and scipy each bundle their own, and ddlab's
 # LAPACK calls run on both. The second is the start-up every CLI process
 # pays: the median wall time of `import ddlab.cli` in 5 fresh interpreters.
+# The third is the median wall time of 5 fresh closed-form CLI processes,
+# `curve --no-mc` on the figure-1 problem at d = 1000 (n = 50:1950:50),
+# which never load scipy.linalg or scipy.special.
 # The next two time `surrogate_size_pmf` at d = 10^4 and 10^5 (diag_exp,
 # condition number 1e12, n = d / 2); the script stops if either pmf has a
 # negative entry, or a sum or a mean off 1 and n by more than 1e-9 relative.
@@ -30,7 +33,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - <<'PY'
-import os, platform, statistics, subprocess, sys, time, numpy, scipy
+import os, platform, statistics, subprocess, sys, tempfile, time, numpy, scipy
 def blas(pkg):
     b = pkg.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"{b.get('name')} {b.get('version')}"
@@ -45,6 +48,17 @@ for _ in range(5):
     subprocess.run([sys.executable, "-c", "import ddlab.cli"], check=True)
     runs.append(time.perf_counter() - start)
 print(f"import ddlab.cli: median {statistics.median(runs):.3f} s over 5 fresh interpreters ("
+      + " ".join(f"{t:.3f}" for t in runs) + ")", flush=True)
+with tempfile.TemporaryDirectory() as out:
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "ddlab.cli", "curve", "--no-mc", "--d", "1000",
+                        "--profile", "diag_exp", "--kappa", "10000", "--sigma2", "1",
+                        "--n-values", "50:1950:50", "--out", out],
+                       check=True, stdout=subprocess.DEVNULL)
+        runs.append(time.perf_counter() - start)
+print(f"curve --no-mc --d 1000: median {statistics.median(runs):.3f} s over 5 fresh processes ("
       + " ".join(f"{t:.3f}" for t in runs) + ")", flush=True)
 from ddlab.covariance import make_profile
 from ddlab.surrogate import surrogate_size_pmf

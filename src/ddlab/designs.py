@@ -236,12 +236,17 @@ def _tilted(m: MeasureSpec, cols: np.ndarray, rng) -> tuple[np.ndarray, int]:
     ``gaussian`` law by H R, H Haar and R the Bartlett factor of
     Wishart_k(k + 2, I) (R_ii^2 ~ chi^2_{k+3-i}, N(0, 1) above the
     diagonal), with no row rejected; for the bounded laws by the row-by-row
-    rejection sampler ``_rows``, whose envelope is k max z^2.
+    rejection sampler ``_rows``, whose envelope is k max z^2. When k = d,
+    S is every column and Z is the block itself, with no gather or scatter.
     """
     num, k = cols.shape
     Z = _entries(m.entry_law, (num, k, m.dim), rng)
-    at = np.broadcast_to(cols[:, None, :], (num, k, k))
-    block = np.take_along_axis(Z, at, axis=2)
+    whole = k == m.dim
+    if whole:
+        block = Z
+    else:
+        at = np.broadcast_to(cols[:, None, :], (num, k, k))
+        block = np.take_along_axis(Z, at, axis=2)
     proposed = num * k
     if m.entry_law == "gaussian":
         # H is the Q factor of the Gaussian S block itself, its column signs
@@ -251,7 +256,10 @@ def _tilted(m: MeasureSpec, cols: np.ndarray, rng) -> tuple[np.ndarray, int]:
         block = H @ _bartlett(num, k, k + 2, rng)
     else:
         block, proposed = _rows(m.entry_law, num, k, rng)
-    np.put_along_axis(Z, at, block, axis=2)
+    if whole:
+        Z = block
+    else:
+        np.put_along_axis(Z, at, block, axis=2)
     return apply_sqrt(m.spectrum, Z), proposed
 
 

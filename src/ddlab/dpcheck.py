@@ -8,6 +8,8 @@ then reports z-scores with a Bonferroni-corrected family-wise threshold,
 the standard normal quantile ``scipy.special.ndtri(1 - FAMILY_LEVEL / 2m)``
 over m minors. ``scipy.stats.norm.ppf`` is the same function, but
 importing ``scipy.stats`` would add about 0.6 s to every process.
+``scipy.special`` itself is imported by the first threshold, not with this
+module, so only runs that verify load it.
 The standard error of det(E[A_IJ]) comes from the delta method, with the
 cofactor matrix of the mean minor as the gradient of the determinant.
 
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import special
 
 from .designs import MeasureSpec, MonteCarloEstimate, sample_iid
 from .parallel import block_size, run_block_streams, trial_rng
@@ -285,7 +286,9 @@ def _cofactors(M: np.ndarray) -> np.ndarray:
 
 def _bonferroni_z(m: int) -> float:
     """The two-sided z threshold at family level FAMILY_LEVEL over m tests."""
-    return float(special.ndtri(1.0 - FAMILY_LEVEL / (2 * m)))
+    from scipy.special import ndtri
+
+    return float(ndtri(1.0 - FAMILY_LEVEL / (2 * m)))
 
 
 def _entry_vectors(stack: np.ndarray) -> np.ndarray:

@@ -17,12 +17,17 @@ their triangular inverses, and those of ``triangular_trace_inv``, call
 scipy's ``dtrtri`` through one helper with one rank guard. The numpy and
 scipy wheels each bundle their own OpenBLAS; the trial engine
 (``parallel.run_block_streams``) holds both at one thread.
+
+Importing this module loads no part of scipy: ``scipy.linalg.lapack`` is
+imported by the first kernel call that needs ``dgesdd`` or ``dtrtri``, so
+a closed-form run never pays for it. ``linalg.lapack`` names that module.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.linalg import lapack
 
 __all__ = [
     "zero_threshold",
@@ -35,6 +40,20 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+
+
+@functools.cache
+def _lapack():
+    """scipy.linalg.lapack, imported on the first call."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+def __getattr__(name: str):
+    if name == "lapack":
+        return _lapack()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _as_matrix(A, ndim: int = 2) -> np.ndarray:
@@ -65,7 +84,7 @@ def _svd(A: np.ndarray):
     singular values above the shared zero threshold: s descends, so the
     kept ones are s[:r].
     """
-    U, s, Vt, info = lapack.dgesdd(A, compute_uv=1, full_matrices=0)
+    U, s, Vt, info = _lapack().dgesdd(A, compute_uv=1, full_matrices=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgesdd failed (info={info})")
     cut = zero_threshold(s, A.shape)
@@ -138,9 +157,10 @@ def _tri_inv(R: np.ndarray, X: np.ndarray):
     B, k, _ = R.shape
     Rinv = np.empty((B, k, k))
     singular = np.zeros(B, dtype=bool)
+    dtrtri = _lapack().dtrtri
     for b in range(B):
         # triangular inverse: a sixth of the flops of a general one
-        Rinv[b], info = lapack.dtrtri(R[b])
+        Rinv[b], info = dtrtri(R[b])
         singular[b] = info != 0
     with np.errstate(over="ignore", invalid="ignore"):
         tr = np.einsum("bij,bij->b", Rinv, Rinv)

@@ -24,6 +24,11 @@ one thread, so the workers' small LAPACK calls neither share nor wait
 for BLAS threads; the previous counts are restored afterwards. Block
 boundaries never depend on ``threads``, so the output does not depend on
 ``--threads`` either, and no generator is shared between threads.
+
+The module does not import scipy. The first engine run finds scipy's
+OpenBLAS from the package's location (``importlib.util.find_spec``) and
+loads it to hold it at one thread; ``scipy.linalg`` itself is imported
+later, by the first kernel that calls it, and picks up that same library.
 """
 
 from __future__ import annotations
@@ -31,12 +36,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import importlib.util
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import scipy
 
 __all__ = [
     "trial_rng", "run_block_streams", "run_trials", "block_size", "default_threads",
@@ -92,14 +97,15 @@ def _thread_api(path: str):
 def _openblas_threads() -> dict:
     """{package: (get, set)} for each of numpy and scipy whose wheel bundles
     an OpenBLAS with thread control; the two may load separate builds.
-    Looked up on first use, not at import."""
+    Looked up on first use, not at import, and without importing scipy."""
     apis = {}
-    for pkg in (np, scipy):
-        libdir = os.path.join(os.path.dirname(pkg.__file__), os.pardir, f"{pkg.__name__}.libs")
+    for name in ("numpy", "scipy"):
+        pkgdir = os.path.dirname(importlib.util.find_spec(name).origin)
+        libdir = os.path.join(pkgdir, os.pardir, f"{name}.libs")
         for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
             api = _thread_api(path)
             if api is not None:
-                apis[pkg.__name__] = api
+                apis[name] = api
                 break
     return apis
 

@@ -640,6 +640,14 @@ class TestMeanRealizedSize:
         assert abs(ks.mean() - 2.0) < 3 * se
 
 
+def _fresh(code: str) -> list[str]:
+    """Standard output lines of ``code`` run in a fresh interpreter on src/."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.splitlines()
+
+
 def test_fresh_import_skips_scipy_stats():
     # scipy.stats adds about 0.6 s to every CLI process; the only
     # call ddlab needed from it, the normal quantile, is scipy.special.ndtri
@@ -648,10 +656,7 @@ def test_fresh_import_skips_scipy_stats():
             "    importlib.import_module('ddlab.' + mod.name)\n"
             "print(sorted(m for m in sys.modules if m.startswith('ddlab.')))\n"
             "print('scipy.stats' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout.splitlines()
+    out = _fresh(code)
     assert "'ddlab.cli'" in out[0] and "'ddlab.dpcheck'" in out[0]
     assert out[1] == "False"
 
@@ -668,9 +673,57 @@ def test_closed_form_run_skips_scipy_optimize(tmp_path):
             "rc = ddlab.cli.main(['curve', '--no-mc', '--d', '20', '--n-values', '5:40:5',\n"
             f"                     '--out', {str(tmp_path / 'o')!r}])\n"
             "print(rc, 'scipy.optimize' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout.splitlines()
+    out = _fresh(code)
     assert out[-1] == "0 False"
     assert (tmp_path / "o" / "curve.csv").exists()
+
+
+def test_closed_form_run_skips_scipy_linalg_and_special(tmp_path):
+    # scipy.linalg and scipy.special cost about 0.3 s of every CLI process
+    # when ddlab imported them; a closed-form run calls neither, and the
+    # first kernel that does loads its subpackage then
+    code = ("import sys, ddlab.cli\n"
+            "import numpy as np\n"
+            "def loaded():\n"
+            "    return ' '.join(str(m in sys.modules) for m in ('scipy.linalg', 'scipy.special'))\n"
+            "rc = ddlab.cli.main(['curve', '--no-mc', '--d', '20', '--n-values', '5:40:5',\n"
+            f"                     '--out', {str(tmp_path / 'o')!r}])\n"
+            "print(rc, loaded())\n"
+            "from ddlab.linalg import pseudo_inverse\n"
+            "P = pseudo_inverse(np.arange(12.0).reshape(3, 4))\n"
+            "print('scipy.linalg' in sys.modules, P.tobytes().hex())\n"
+            "from ddlab.dpcheck import gaussian_entries_generator, verify_dp\n"
+            "r = verify_dp(gaussian_entries_generator(3), [1, 2], 10_000, 2)\n"
+            "print('scipy.special' in sys.modules, repr(r.z_threshold), repr(r.max_abs_z),\n"
+            "      r.verdict)\n")
+    out = _fresh(code)
+    assert out[-3] == "0 False False"
+    assert (tmp_path / "o" / "curve.csv").exists()
+    from ddlab.dpcheck import gaussian_entries_generator, verify_dp
+    from ddlab.linalg import pseudo_inverse
+
+    P = pseudo_inverse(np.arange(12.0).reshape(3, 4))
+    assert np.allclose(P, np.linalg.pinv(np.arange(12.0).reshape(3, 4)))
+    assert out[-2] == f"True {P.tobytes().hex()}"
+    r = verify_dp(gaussian_entries_generator(3), [1, 2], 10_000, 2)
+    assert out[-1] == f"True {r.z_threshold!r} {r.max_abs_z!r} {r.verdict}"
+
+
+def test_first_lapack_use_inside_worker_threads():
+    # the first scipy LAPACK call of a fresh process runs in a 2-worker
+    # engine run at n < d (min_norm_stats' dtrtri); its statistics must
+    # equal the 1-worker ones
+    code = ("import sys\n"
+            "from ddlab.covariance import make_profile\n"
+            "from ddlab.designs import MeasureSpec\n"
+            "from ddlab.experiments import mse_trial_samples\n"
+            "from ddlab.surrogate import RegressionProblem\n"
+            "import numpy as np\n"
+            "s = make_profile('diag_exp', 20)\n"
+            "p, m = RegressionProblem(s, np.ones(20), 1.0), MeasureSpec(s)\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "two = mse_trial_samples(p, m, 10, 1000, 7, threads=2)\n"
+            "one = mse_trial_samples(p, m, 10, 1000, 7, threads=1)\n"
+            "print('scipy.linalg' in sys.modules, np.array_equal(one, two), two.size)\n")
+    for _ in range(3):
+        assert _fresh(code)[-2:] == ["False", "True True 1000"]

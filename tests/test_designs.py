@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from ddlab import designs
-from ddlab.covariance import Spectrum, make_profile
+from ddlab.covariance import Spectrum, apply_sqrt, make_profile
 from ddlab.designs import (
     MeasureSpec,
     MonteCarloEstimate,
@@ -298,6 +298,31 @@ class TestTiltedDraw:
             est = MonteCarloEstimate(prods.mean(axis=0), prods.std(axis=0, ddof=1) / math.sqrt(num),
                                      num)
             assert np.max(np.abs(est.z_score((m4 + k - 1) * np.eye(k)))) < 4.0, law
+
+    @pytest.mark.parametrize("law", designs.ENTRY_LAWS)
+    def test_whole_block_matches_gather_and_scatter(self, law):
+        # k = d takes Z itself as the block; the general path gathers the S
+        # columns and scatters the tilted block back, from the same stream
+        def reference(m, cols, rng):
+            num, k = cols.shape
+            Z = designs._entries(m.entry_law, (num, k, m.dim), rng)
+            at = np.broadcast_to(cols[:, None, :], (num, k, k))
+            block = np.take_along_axis(Z, at, axis=2)
+            proposed = num * k
+            if m.entry_law == "gaussian":
+                Q, G = np.linalg.qr(block)
+                H = Q * np.where(np.diagonal(G, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None, :]
+                block = H @ designs._bartlett(num, k, k + 2, rng)
+            else:
+                block, proposed = designs._rows(m.entry_law, num, k, rng)
+            np.put_along_axis(Z, at, block, axis=2)
+            return apply_sqrt(m.spectrum, Z), proposed
+
+        m = MeasureSpec(make_profile("diag_exp", 6), law)
+        cols = np.tile(np.arange(6), (40, 1))
+        Z, p = designs._tilted(m, cols, trial_rng(9, 0))
+        ref, q = reference(m, cols, trial_rng(9, 0))
+        assert p == q and np.array_equal(Z, ref)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_rademacher_block_matches_enumeration(self, k):
