@@ -20,11 +20,12 @@
 # curve.svg must exist, and mse_surrogate in curve.csv must peak at d = n = 100.
 # The first line printed is the environment the run's timings belong to,
 # with both BLAS builds: numpy and scipy each bundle their own, and ddlab's
-# LAPACK calls run on both. The second is the start-up every CLI process
-# pays: the median wall time of `import ddlab.cli` in 5 fresh interpreters.
-# The third is the median wall time of 5 fresh closed-form CLI processes,
-# `curve --no-mc` on the figure-1 problem at d = 1000 (n = 50:1950:50),
-# which never load scipy.linalg or scipy.special.
+# LAPACK calls run on both. The second is the size of the library, the
+# total line count of src/ddlab/*.py. The third is the start-up every CLI
+# process pays: the median wall time of `import ddlab.cli` in 5 fresh
+# interpreters. The fourth is the median wall time of 5 fresh closed-form
+# CLI processes, `curve --no-mc` on the figure-1 problem at d = 1000
+# (n = 50:1950:50), which never load scipy.linalg or scipy.special.
 # The next two time `surrogate_size_pmf` at d = 10^4 and 10^5 (diag_exp,
 # condition number 1e12, n = d / 2); the script stops if either pmf has a
 # negative entry, or a sum or a mean off 1 and n by more than 1e-9 relative.
@@ -33,7 +34,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - <<'PY'
-import os, platform, statistics, subprocess, sys, tempfile, time, numpy, scipy
+import glob, os, platform, statistics, subprocess, sys, tempfile, time, numpy, scipy
 def blas(pkg):
     b = pkg.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"{b.get('name')} {b.get('version')}"
@@ -42,6 +43,8 @@ threads = " ".join(f"{k}={os.environ.get(k, 'unset')}"
 print(f"env nproc={len(os.sched_getaffinity(0))} python={platform.python_version()} "
       f"numpy={numpy.__version__} scipy={scipy.__version__} "
       f"numpy_blas={blas(numpy)} scipy_blas={blas(scipy)} {threads}", flush=True)
+lines = sum(open(f).read().count("\n") for f in glob.glob("src/ddlab/*.py"))
+print(f"src/ddlab/*.py: {lines} lines", flush=True)
 runs = []
 for _ in range(5):
     start = time.perf_counter()

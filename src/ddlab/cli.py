@@ -47,9 +47,9 @@ DP_COLUMNS = ["I", "J", "size", "mc_mean", "mc_se", "det_of_mean", "z"]
 
 # key -> default, kept as the string the header records. A None default
 # keeps the key out of the header until it is set; a callable one is
-# called when the command runs. curve has two modes, each with its own
-# keys: a given d_values selects the dimension sweep at fixed n, else the
-# n-grid runs at fixed d.
+# called when the command runs without the key. curve has two modes, each
+# with its own keys: a given d_values selects the dimension sweep at fixed
+# n, else the n-grid runs at fixed d.
 _CURVE_COMMON = {"profile": "identity", "kappa": "1", "normalize_trace_inv": "true",
                   "w_star": "uniform", "out": "out", "svg": "false"}
 _CURVE_SWEEP = {"d_values": None, "n": "100", "snr": "1", **_CURVE_COMMON}
@@ -160,7 +160,8 @@ def _resolve(args) -> dict[str, str]:
     unknown = sorted(set(given) - set(table))
     if unknown:
         raise ValueError(f"{name} does not read {', '.join(unknown)}")
-    defaults = {k: str(v() if callable(v) else v) for k, v in table.items() if v is not None}
+    defaults = {k: str(v() if callable(v) else v) for k, v in table.items()
+                if v is not None and k not in given}
     cfg = {**defaults, **given}
     if "threads" in cfg and int(cfg["threads"]) < 1:
         raise ValueError(f"threads must be at least 1, got {cfg['threads']}")

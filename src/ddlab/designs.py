@@ -88,12 +88,15 @@ def _entries(law: str, size, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size)
 
 
-def sample_iid(m: MeasureSpec, n: int, seed_or_rng) -> np.ndarray:
-    """n i.i.d. rows from the measure; deterministic given a seed."""
-    if n < 0:
+def sample_iid(m: MeasureSpec, n: int | tuple[int, int], seed_or_rng) -> np.ndarray:
+    """n i.i.d. rows from the measure, or for n = (count, k) a (count, k, d)
+    stack of k-row designs, equal to count * k rows drawn in order;
+    deterministic given a seed."""
+    shape = tuple(np.atleast_1d(n))
+    if min(shape) < 0:
         raise ValueError("n must be nonnegative")
     rng = _resolve_rng(seed_or_rng)
-    return apply_sqrt(m.spectrum, _entries(m.entry_law, (n, m.dim), rng))
+    return apply_sqrt(m.spectrum, _entries(m.entry_law, (*shape, m.dim), rng))
 
 
 def gen_responses(X, w_star, sigma2: float, seed_or_rng) -> np.ndarray:
@@ -148,7 +151,7 @@ def surrogate_expectation_oracle(f, m: MeasureSpec, n: float, trials: int, seed:
 
         def draw(idx, cols):
             k = cols.shape[1]
-            X = sample_iid(m, idx.size * k, rng).reshape(idx.size, k, d)
+            X = sample_iid(m, (idx.size, k), rng)
             logw[idx] = log_det_gram(X) - log_norm[k]
             return X
 

@@ -140,7 +140,7 @@ def fixed_k_gram_generator(m: MeasureSpec, k: int) -> MatrixGenerator:
     corrects the k^d versus k-falling-d factor)."""
 
     def sample(rng, count):
-        X = sample_iid(m, count * k, rng).reshape(count, k, m.dim)
+        X = sample_iid(m, (count, k), rng)
         return np.swapaxes(X, 1, 2) @ X
 
     return MatrixGenerator(m.dim, sample)
@@ -395,7 +395,7 @@ def verify_normalization(m: MeasureSpec, gamma: float, trials: int,
         vals = (K == 0).astype(float)
         for k in range(1, d + 1):
             hit = np.flatnonzero(K == k)
-            X = sample_iid(m, hit.size * k, rng).reshape(hit.size, k, d)
+            X = sample_iid(m, (hit.size, k), rng)
             gram = _entry_vectors(X @ np.swapaxes(X, 1, 2))
             vals[hit] = _minor_dets(gram, k, range(k), range(k))
         return vals
@@ -405,5 +405,6 @@ def verify_normalization(m: MeasureSpec, gamma: float, trials: int,
     se = float(np.std(vals, ddof=1) / math.sqrt(trials))
     t = m.spectrum.eigenvalues
     target = math.exp(-gamma + float(np.sum(np.log1p(gamma * t))))
-    est = MonteCarloEstimate(mean=np.asarray(mean), std_error=np.asarray(se), trials=trials)
+    est = MonteCarloEstimate(mean=np.asarray(mean), std_error=np.asarray(se), trials=trials,
+                             effective_sample_size=float(trials))
     return est, target

@@ -4,15 +4,16 @@ intervals, adaptive trial escalation, and log-log slope fits.
 
 The i.i.d. designs come from the block streams of
 ``parallel.run_block_streams``: a block of ``count`` trials draws all its
-designs in one ``sample_iid(m, count * n, rng)`` call, reshaped to
-(count, n, d), so a trial's design depends on its block and its place in
-it. The one exception is ``mse_trial_samples`` for the ``gaussian`` law at
-n > d, whose blocks draw ``count`` Bartlett factors of X^T X from the
-same streams instead of designs. A discrepancy point's trial t comes
-from block t // block_size(n d) and joins batch t mod BIAS_BATCHES. The
-bootstraps keep their own single streams, keyed (seed, 0xB5) and
-(seed, 0xB6), apart from every block stream. The covariance is diagonal,
-so w* and the bias whitening factors act in the designs' own coordinates.
+designs in one ``sample_iid(m, (count, n), rng)`` call, so a trial's
+design depends on its block and its place in it. The one exception is
+``mse_trial_samples`` for the ``gaussian`` law at n > d, whose blocks draw
+``count`` Bartlett factors of X^T X from the same streams instead of
+designs. A discrepancy point's trial t comes from block t // block_size(n d)
+and joins batch t mod BATCHES. Every CI comes from the one ``bootstrap_ci``,
+on a single stream its caller passes, apart from every block stream: a
+curve point and a variance point key theirs (seed, 0xB5), a bias point
+(seed, 0xB6). The covariance is diagonal, so w* and the bias whitening
+factors act in the designs' own coordinates.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "mse_trial_samples",
     "discrepancy_point",
     "bootstrap_ci",
-    "bootstrap_opnorm_ci",
     "adaptive_trials",
     "loglog_slope",
     "curve_double_descent",
@@ -79,11 +79,6 @@ class CurvePoint:
     norm_implicit_mean: float
 
 
-def _block_designs(m: MeasureSpec, n: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, n, d) stack of i.i.d. designs drawn from ``rng`` in one call."""
-    return sample_iid(m, count * n, rng).reshape(count, n, m.dim)
-
-
 def mse_trial_samples(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
                       seed: int, threads: int | None = None) -> np.ndarray:
     """Per-trial Rao-Blackwellized MSE statistics for an i.i.d. design:
@@ -108,7 +103,7 @@ def mse_trial_samples(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
         size = block_size(d * d)
     else:
         def block(rng, lo, hi):
-            tr, resid = min_norm_stats(_block_designs(m, n, rng, hi - lo), p.w_star)
+            tr, resid = min_norm_stats(sample_iid(m, (hi - lo, n), rng), p.w_star)
             return p.sigma2 * tr + resid
 
         size = block_size(n * d)
@@ -119,65 +114,46 @@ def mse_trial_samples(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
 _RESAMPLE_CHUNK = 2**17
 # coverage of the percentile bootstrap CIs
 CI_LEVEL = 0.95
-# bootstrap resamples of a variance discrepancy point
+# bootstrap resamples of a curve point and of a variance discrepancy point
+CURVE_RESAMPLES = 2000
 VARIANCE_RESAMPLES = 1000
 # batches of a discrepancy point, whose means its CI bootstraps, and the
 # bootstrap resamples of a bias point
-BIAS_BATCHES = 200
+BATCHES = 200
 BIAS_RESAMPLES = 500
 # statistics, in floats, a discrepancy point computes per engine call (16 MB)
 _POINT_CHUNK_FLOATS = 2**21
 
 
-def _resample_chunks(rng: np.random.Generator, T: int, resamples: int, width: int):
-    """Bootstrap index rows, ``resamples`` of them in all, drawn in chunks of
-    at most _RESAMPLE_CHUNK // width rows. The stream is the same as drawing
-    one row of T indices at a time."""
-    rows = max(1, _RESAMPLE_CHUNK // width)
-    for start in range(0, resamples, rows):
-        yield rng.integers(T, size=(min(rows, resamples - start), T))
+def bootstrap_ci(samples, resamples: int, rng: np.random.Generator,
+                 stat=None) -> tuple[float, float]:
+    """Percentile bootstrap CI, at level CI_LEVEL, of the mean of (T,) or
+    (T, ...) samples, or of ``stat`` applied to each stack of resampled
+    means, which must give one value per resample for (T, ...) samples.
 
-
-def bootstrap_ci(samples, resamples: int = 2000, seed: int = 0, stat=None) -> tuple[float, float]:
-    """Percentile bootstrap CI, at level CI_LEVEL, of the sample mean (or of
-    ``stat`` applied to the array of resampled means)."""
+    The index rows come from ``rng`` in chunks of at most
+    _RESAMPLE_CHUNK // max(T, sample size) rows, the same stream as one row
+    of T indices at a time. Scalar samples gather and average each row,
+    the faster kernel for them; other shapes take a chunk's means as one
+    product of its resample counts and the flattened samples, which never
+    holds a gathered copy of the samples per resample."""
     samples = np.asarray(samples, dtype=float)
     T = samples.shape[0]
     if T < 30:
         raise ValueError("need at least 30 samples to bootstrap")
-    rng = trial_rng(seed, 0xB5)
-    means = np.concatenate([samples[idx].mean(axis=1)
-                            for idx in _resample_chunks(rng, T, resamples, T)])
-    if stat is not None:
-        means = stat(means)
-    lo, hi = np.quantile(means, [(1 - CI_LEVEL) / 2, 1 - (1 - CI_LEVEL) / 2])
-    return float(lo), float(hi)
-
-
-def bootstrap_opnorm_ci(matrix_samples, resamples: int = 2000, seed: int = 0,
-                        transform=None) -> tuple[float, float]:
-    """Percentile bootstrap, at level CI_LEVEL, over resampled matrix means,
-    with the spectral norm (optionally of a transformed mean) computed per
-    resample. ``transform`` is applied to a stack of means at once.
-
-    Each chunk's means are one product of resample counts and the flattened
-    samples, and their norms one batched SVD."""
-    stack = np.asarray(matrix_samples, dtype=float)
-    T = stack.shape[0]
-    if T < 30:
-        raise ValueError("need at least 30 matrix samples to bootstrap")
-    flat = stack.reshape(T, -1)
-    rng = trial_rng(seed, 0xB6)
-    norms = []
-    for idx in _resample_chunks(rng, T, resamples, max(T, flat.shape[1])):
-        rows = idx.shape[0]
-        offsets = (idx + T * np.arange(rows)[:, None]).ravel()
-        counts = np.bincount(offsets, minlength=rows * T).reshape(rows, T)
-        means = (counts @ flat / T).reshape((rows,) + stack.shape[1:])
-        if transform is not None:
-            means = transform(means)
-        norms.append(np.linalg.norm(means, ord=2, axis=(1, 2)))
-    lo, hi = np.quantile(np.concatenate(norms), [(1 - CI_LEVEL) / 2, 1 - (1 - CI_LEVEL) / 2])
+    flat = samples.reshape(T, -1)
+    rows = max(1, _RESAMPLE_CHUNK // max(T, flat.shape[1]))
+    values = []
+    for start in range(0, resamples, rows):
+        idx = rng.integers(T, size=(min(rows, resamples - start), T))
+        if samples.ndim == 1:
+            means = samples[idx].mean(axis=1)
+        else:
+            offsets = (idx + T * np.arange(len(idx))[:, None]).ravel()
+            counts = np.bincount(offsets, minlength=idx.size).reshape(idx.shape)
+            means = (counts @ flat / T).reshape(idx.shape[:1] + samples.shape[1:])
+        values.append(means if stat is None else stat(means))
+    lo, hi = np.quantile(np.concatenate(values), [(1 - CI_LEVEL) / 2, 1 - (1 - CI_LEVEL) / 2])
     return float(lo), float(hi)
 
 
@@ -188,13 +164,13 @@ def discrepancy_point(kind: str, s: Spectrum, d: int, aspect: float, seed: int,
     ``adaptive_trials`` takes.
 
     ``kind`` "variance" is |E[tr((X^T X)^+)] / V(Sigma, n) - 1| and "bias"
-    is ||B^{-1/2} E[I - X^+X] B^{-1/2} - I||, valued at the mean of all
-    trials. The CI is a percentile bootstrap (``bootstrap_ci`` or
-    ``bootstrap_opnorm_ci``) over the min(trials, BIAS_BATCHES) batch
-    means, where trial t joins batch t mod BIAS_BATCHES. The noise floor
-    is half the gap between the trial means of the even and of the odd
-    batches, |A - B| / (2 V) for "variance" and ||W (A - B) W|| / 2, W =
-    B^{-1/2}, for "bias".
+    is ||W E[I - X^+X] W - I||, W = B^{-1/2}: the norm of a whitened mean
+    less the identity, valued at the mean of all trials. The CI is the
+    percentile ``bootstrap_ci`` of that discrepancy over the
+    min(trials, BATCHES) batch means, where trial t joins batch t mod
+    BATCHES, with VARIANCE_RESAMPLES or BIAS_RESAMPLES resamples. The noise
+    floor is half the norm of the whitened gap between the trial means of
+    the even and of the odd batches, |A - B| / (2 V) or ||W (A - B) W|| / 2.
 
     Trial t comes from block t // block_size(n d), drawn once: the point
     keeps per-batch sums and holds a last block's statistics beyond
@@ -212,41 +188,37 @@ def discrepancy_point(kind: str, s: Spectrum, d: int, aspect: float, seed: int,
         def stats(X):
             return min_norm_stats(X)[0]
 
-        def discrepancy(mean):
-            return np.abs(mean / target - 1.0)
+        def whiten(mean):
+            return mean / target
 
-        def ci(means):
-            return bootstrap_ci(means, VARIANCE_RESAMPLES, seed=seed, stat=discrepancy)
-
-        def floor(gap):
-            return abs(gap) / (2.0 * target)
+        resamples, key = VARIANCE_RESAMPLES, 0xB5
     elif kind == "bias":
         white, shape = 1.0 / np.sqrt(bias_factors(s, n)), (d, d)
         stats = projection_complements
 
-        def whitened_dev(mean):
-            return (white[:, None] * mean * white[None, :]) - np.eye(d)
+        def whiten(mean):
+            return white[:, None] * mean * white[None, :]
 
-        def discrepancy(mean):
-            return np.linalg.norm(whitened_dev(mean), ord=2)
-
-        def ci(means):
-            return bootstrap_opnorm_ci(means, BIAS_RESAMPLES, seed=seed, transform=whitened_dev)
-
-        def floor(gap):
-            return np.linalg.norm(white[:, None] * gap * white[None, :], ord=2) / 2.0
+        resamples, key = BIAS_RESAMPLES, 0xB6
     else:
         raise ValueError(f"unknown discrepancy kind {kind!r}")
+
+    def norm(x):  # |x|, or the spectral norm of each matrix of a stack
+        return np.linalg.norm(x, ord=2, axis=(-2, -1)) if shape else np.abs(x)
+
+    def discrepancy(mean):
+        return norm(whiten(mean) - (np.eye(d) if shape else 1.0))
+
     m = MeasureSpec(s, "gaussian")
     size = block_size(n * d)
     # blocks per engine call: bounds the statistics held at once
     chunk = size * max(1, _POINT_CHUNK_FLOATS // (size * math.prod(shape)))
-    sums = np.zeros((BIAS_BATCHES, *shape))
+    sums = np.zeros((BATCHES, *shape))
     used = 0
     held = np.empty((0, *shape))  # computed statistics of trials used, used + 1, ...
 
     def block(rng, lo, hi):
-        return stats(_block_designs(m, n, rng, hi - lo))
+        return stats(sample_iid(m, (hi - lo, n), rng))
 
     def point(trials: int) -> DiscrepancyPoint:
         nonlocal used, held
@@ -257,20 +229,21 @@ def discrepancy_point(kind: str, s: Spectrum, d: int, aspect: float, seed: int,
                 end = min(used + chunk, -(-trials // size) * size)
                 held = np.concatenate(run_block_streams(block, end, seed, size, threads,
                                                         start=used))
-            # trial t joins batch t mod BIAS_BATCHES; each sum adds in index order
-            b = used % BIAS_BATCHES
-            k = min(BIAS_BATCHES - b, trials - used, len(held))
+            # trial t joins batch t mod BATCHES; each sum adds in index order
+            b = used % BATCHES
+            k = min(BATCHES - b, trials - used, len(held))
             sums[b:b + k] += held[:k]
             held, used = held[k:], used + k
-        batches = min(trials, BIAS_BATCHES)
-        counts = trials // BIAS_BATCHES + (np.arange(batches) < trials % BIAS_BATCHES)
+        batches = min(trials, BATCHES)
+        counts = trials // BATCHES + (np.arange(batches) < trials % BATCHES)
         value = float(discrepancy(sums.sum(axis=0) / trials))
-        lo, hi = ci(sums[:batches] / counts.reshape((batches,) + (1,) * len(shape)))
+        lo, hi = bootstrap_ci(sums[:batches] / counts.reshape((batches,) + (1,) * len(shape)),
+                              resamples, trial_rng(seed, key), discrepancy)
         even = sums[:batches:2].sum(axis=0) / counts[::2].sum()
         odd = sums[1:batches:2].sum(axis=0) / counts[1::2].sum()
         return DiscrepancyPoint(d=d, n=n, aspect=aspect, kind=kind, value=value,
                                 ci_low=lo, ci_high=hi, trials_used=trials,
-                                noise_floor=float(floor(even - odd)))
+                                noise_floor=float(norm(whiten(even - odd)) / 2.0))
 
     return point
 
@@ -283,12 +256,12 @@ def adaptive_trials(point_fn, target_rel_halfwidth: float = 0.125, cap: int = 10
 
     ``point_fn(trials)`` is called with each trial count in turn, and the
     counts only grow; a ``discrepancy_point`` computes each trial once
-    across the doublings. The target must be positive, and the cap at
-    least the bootstrap's 30 samples."""
+    across the doublings. The target must be positive, and the start and
+    the cap at least the bootstrap's 30 samples."""
     if not target_rel_halfwidth > 0:
         raise ValueError(f"the target half-width must be positive, got {target_rel_halfwidth!r}")
-    if cap < 30:
-        raise ValueError(f"the trial cap must be at least 30, got {cap}")
+    if cap < 30 or start < 30:
+        raise ValueError(f"the start and the trial cap must be at least 30, got {start} and {cap}")
     trials = min(start, cap)
     while True:
         point = point_fn(trials)
@@ -321,15 +294,15 @@ def loglog_slope(points) -> tuple[float, float, float]:
 
 def _curve_point(p: RegressionProblem, n: int, vals=None, seed: int = 0) -> CurvePoint:
     """Closed-form curve point at n; the Monte Carlo columns are filled from
-    per-trial MSE statistics ``vals`` (bootstrap CI seeded by ``seed``)
-    when given and left empty otherwise."""
+    per-trial MSE statistics ``vals`` (bootstrap CI on the stream keyed
+    (seed, 0xB5)) when given and left empty otherwise."""
     s = p.spectrum
     sp = surrogate_params(s, n)
     mse_mc = mse_mc_se = ci_low = ci_high = None
     if vals is not None:
         mse_mc = float(np.mean(vals))
         mse_mc_se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-        ci_low, ci_high = bootstrap_ci(vals, seed=seed)
+        ci_low, ci_high = bootstrap_ci(vals, CURVE_RESAMPLES, trial_rng(seed, 0xB5))
     return CurvePoint(n=n, d=s.dim, mse_surrogate=_mse(p, sp), mse_mc=mse_mc,
                       mse_mc_se=mse_mc_se, ci_low=ci_low, ci_high=ci_high,
                       lambda_n=sp.lambda_n, alpha_or_beta=sp.alpha_n if n < s.dim else sp.beta_n,

@@ -63,10 +63,12 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DDLAB_THREADS", "1")))
-    except ValueError:
-        return 1
+    """DDLAB_THREADS, or 1 when it is unset or empty; any other value that
+    is not a whole number of at least 1 raises."""
+    text = os.environ.get("DDLAB_THREADS") or "1"
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"DDLAB_THREADS must be a whole number at least 1, got {text!r}")
+    return int(text)
 
 
 def block_size(floats_per_trial: int) -> int:

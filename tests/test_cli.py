@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ddlab.cli import OPTIONS, _parse_values, _resolve, build_parser, main, parse_config
+from ddlab.parallel import default_threads
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -112,6 +113,21 @@ class TestOptionTable:
         assert run(argv + ["--out", str(out)]) == 1
         assert "invalid input" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_invalid_ddlab_threads_exit_1(self, tmp_path, capsys, monkeypatch, value):
+        # these used to fall back to one thread without a word
+        monkeypatch.setenv("DDLAB_THREADS", value)
+        with pytest.raises(ValueError, match="DDLAB_THREADS"):
+            default_threads()
+        out = tmp_path / "o"
+        assert run(["curve", "--d", "10", "--n-values", "5", "--trials", "30",
+                    "--out", str(out)]) == 1
+        assert "DDLAB_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+        # the variable is only the default: a given --threads does not read it
+        assert run(["curve", "--d", "10", "--n-values", "5", "--trials", "30",
+                    "--threads", "1", "--out", str(out)]) == 0
 
     def test_fractional_sweep_n_in_config_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

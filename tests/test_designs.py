@@ -62,6 +62,13 @@ class TestSampleIid:
         m = MeasureSpec(Spectrum(np.ones(3)))
         np.testing.assert_array_equal(sample_iid(m, 5, 7), sample_iid(m, 5, 7))
 
+    @pytest.mark.parametrize("law", ["gaussian", "rademacher", "uniform_pm_sqrt3"])
+    def test_stack_equals_reshaped_rows(self, law):
+        m = MeasureSpec(Spectrum(np.array([0.5, 1.0, 2.0])), law)
+        X = sample_iid(m, (4, 5), 8)
+        assert X.shape == (4, 5, 3)
+        np.testing.assert_array_equal(X, sample_iid(m, 20, 8).reshape(4, 5, 3))
+
     def test_unknown_entry_law(self):
         with pytest.raises(ValueError):
             MeasureSpec(Spectrum(np.ones(3)), "cauchy")

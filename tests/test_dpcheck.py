@@ -477,6 +477,8 @@ class TestNormalization:
         est, _ = verify_normalization(m, 1.5, 10_000, 16)
         assert float(est.mean) == float(np.mean(vals))
         assert float(est.std_error) == float(np.std(vals, ddof=1) / math.sqrt(10_000))
+        # an unweighted mean: every trial counts in full
+        assert est.effective_sample_size == 10_000
 
     @pytest.mark.parametrize("d", [3, LAPLACE_MAX + 1])
     def test_gram_determinants_match_lapack(self, d):

@@ -13,7 +13,6 @@ from ddlab.experiments import (
     DiscrepancyPoint,
     adaptive_trials,
     bootstrap_ci,
-    bootstrap_opnorm_ci,
     curve_dimension_sweep,
     curve_double_descent,
     discrepancy_point,
@@ -140,14 +139,18 @@ class TestMseMonteCarlo:
 LEVELS = [(1 - 0.95) / 2, 1 - (1 - 0.95) / 2]
 
 
+def opnorm(means):
+    return np.linalg.norm(means, ord=2, axis=(-2, -1))
+
+
 class TestBootstrap:
     def test_constant_samples_degenerate(self):
-        lo, hi = bootstrap_ci(np.full(100, 2.5))
+        lo, hi = bootstrap_ci(np.full(100, 2.5), 2000, trial_rng(0, 0xB5))
         assert lo == hi == 2.5
 
     def test_opnorm_fixed_matrices_degenerate(self):
         M = np.diag([3.0, 1.0])
-        lo, hi = bootstrap_opnorm_ci(np.stack([M] * 50))
+        lo, hi = bootstrap_ci(np.stack([M] * 50), 2000, trial_rng(0, 0xB6), opnorm)
         assert lo == pytest.approx(3.0)
         assert hi == pytest.approx(3.0)
 
@@ -157,7 +160,7 @@ class TestBootstrap:
         reps = 200
         for r in range(reps):
             samples = np.random.default_rng(r).standard_normal(400)
-            lo, hi = bootstrap_ci(samples, resamples=400, seed=r)
+            lo, hi = bootstrap_ci(samples, 400, trial_rng(r, 0xB5))
             hits += lo <= 0.0 <= hi
         assert 0.90 <= hits / reps <= 0.99
 
@@ -169,7 +172,7 @@ class TestBootstrap:
         means = np.array([np.mean(samples[rng.integers(T, size=T)]) for _ in range(2000)])
         for f, ref in ((None, means), (stat, np.array([stat(v) for v in means]))):
             expected = tuple(float(q) for q in np.quantile(ref, LEVELS))
-            assert bootstrap_ci(samples, seed=4, stat=f) == expected
+            assert bootstrap_ci(samples, 2000, trial_rng(4, 0xB5), f) == expected
 
     @pytest.mark.parametrize("T,d", [(50, 3), (200, 8)])
     def test_opnorm_matches_reference_loop(self, T, d):
@@ -180,14 +183,25 @@ class TestBootstrap:
         norms = [np.linalg.norm(transform(np.mean(stack[rng.integers(T, size=T)], axis=0)), ord=2)
                  for _ in range(300)]
         expected = np.quantile(norms, LEVELS)
-        got = bootstrap_opnorm_ci(stack, 300, seed=6, transform=transform)
+        got = bootstrap_ci(stack, 300, trial_rng(6, 0xB6), lambda M: opnorm(transform(M)))
         np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("T", [50, 1000])
+    def test_gather_kernel_matches_product_kernel(self, T):
+        # scalar samples gather and average; the same samples as (T, 1, 1)
+        # matrices take the counts-by-samples product, on the same stream
+        samples = np.random.default_rng(T).standard_normal(T)
+        stat = lambda mu: np.abs(mu / 0.5 - 1.0)
+        gather = bootstrap_ci(samples, 700, trial_rng(5, 0xB5), stat)
+        product = bootstrap_ci(samples.reshape(T, 1, 1), 700, trial_rng(5, 0xB5),
+                               lambda M: stat(M[:, 0, 0]))
+        np.testing.assert_allclose(gather, product, rtol=1e-12)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            bootstrap_ci(np.ones(10))
+            bootstrap_ci(np.ones(10), 2000, trial_rng(0, 0xB5))
         with pytest.raises(ValueError):
-            bootstrap_opnorm_ci(np.ones((5, 2, 2)))
+            bootstrap_ci(np.ones((5, 2, 2)), 2000, trial_rng(0, 0xB6), opnorm)
 
 
 class TestDiscrepancies:
@@ -287,13 +301,15 @@ class TestAdaptiveTrials:
             adaptive_trials(lambda t: calls.append(t), target, cap=10_000, start=100)
         assert calls == []
 
-    @pytest.mark.parametrize("cap", [0, 1, 29])
-    def test_cap_below_bootstrap_floor_rejected(self, cap):
-        # a cap under the bootstrap's 30 samples used to compute its trials
-        # first (a divide by zero at cap 0); it is rejected before any trial
+    @pytest.mark.parametrize("cap,start", [(0, 100), (1, 100), (29, 100), (100, 10)],
+                             ids=["0", "1", "29", "start10"])
+    def test_cap_below_bootstrap_floor_rejected(self, cap, start):
+        # a cap or a start under the bootstrap's 30 samples used to compute
+        # its trials first (a divide by zero at cap 0, a failing bootstrap at
+        # start 10); it is rejected before any trial
         calls = []
         with pytest.raises(ValueError, match="at least 30"):
-            adaptive_trials(lambda t: calls.append(t), cap=cap, start=100)
+            adaptive_trials(lambda t: calls.append(t), cap=cap, start=start)
         assert calls == []
 
     def test_variance_d20_terminates_quickly(self):
