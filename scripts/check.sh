@@ -2,8 +2,9 @@
 # The test suite, then the benchmark harness's own tests: those pin names in
 # ddlab's namespaces (for example designs.log_det_gram) that a deletion can
 # break while the suite stays green. Last, the dp-verify suite of
-# run_dp_suite.sh at verify_dp's minimum of 10^4 trials (the last --trials
-# wins) and its fixed seed (1): each of its nine verdicts must be the known
+# run_dp_suite.sh at verify_dp's minimum of 10^4 trials and its fixed seed
+# (1), its reports written under the check's temporary directory (the last
+# --trials and --out win): each of its nine verdicts must be the known
 # one, violated for rank2_scaled_counterexample and consistent for every
 # other scenario. It prints its elapsed seconds, which are mostly the
 # start-up of its nine CLI processes. Then the figure-1 curve at 50 trials runs at 1 and at 2
@@ -83,7 +84,7 @@ python3 -m pytest -p no:cacheprovider perfbench
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 TIMEFORMAT='run_dp_suite.sh (nine dp-verify processes): %R s'
-time scripts/run_dp_suite.sh --trials 10000 | tee "$tmp/dp_suite.txt"
+time scripts/run_dp_suite.sh --trials 10000 --out "$tmp/dp" | tee "$tmp/dp_suite.txt"
 awk 'match($0, /(verdict|->) (consistent|violated)/) {
          n++
          got = substr($0, RSTART, RLENGTH); sub(/.* /, "", got)

@@ -222,13 +222,11 @@ def cmd_curve(cfg: dict[str, str]) -> int:
         if not snr > 0:
             raise ValueError(f"snr must be positive, got {snr!r}")
 
-        def make_problem(d):
-            s = _build_spectrum(cfg, d)
-            w = _build_w_star(cfg, d)
-            sigma2 = float(np.dot(w, w)) / snr
-            return RegressionProblem(s, w, sigma2), n
-
-        points = experiments.curve_dimension_sweep(make_problem, _sizes("d_values", cfg["d_values"]))
+        points = []
+        for d in _sizes("d_values", cfg["d_values"]):
+            s, w = _build_spectrum(cfg, d), _build_w_star(cfg, d)
+            p = RegressionProblem(s, w, float(np.dot(w, w)) / snr)
+            points.append(experiments.curve_point(p, n))
         xs = [p.d for p in points]
         xlabel = "d"
     else:
@@ -236,14 +234,14 @@ def cmd_curve(cfg: dict[str, str]) -> int:
         s = _build_spectrum(cfg, d)
         w = _build_w_star(cfg, d)
         p = RegressionProblem(s, w, float(cfg["sigma2"]))
-        m = MeasureSpec(s, law)
         if gaussian_form_only:
             log.warning("mse_surrogate is the Gaussian closed form; %s rows need not follow it",
                         law)
         n_values = _sizes("n_values", cfg.get("n_values", "10:190:10"))
-        points = experiments.curve_double_descent(p, m, n_values, int(cfg["trials"]),
-                                                  int(cfg["seed"]), int(cfg["threads"]),
-                                                  _bool(cfg["mc"]))
+        trials = int(cfg["trials"])  # parsed under --no-mc too: a bad count exits 1
+        points = experiments.curve_double_descent(p, law, n_values,
+                                                  trials if _bool(cfg["mc"]) else None,
+                                                  int(cfg["seed"]), int(cfg["threads"]))
         xs = [p_.n for p_ in points]
         xlabel = "n"
     rows = [[int(pt.n), pt.d, pt.mse_surrogate, pt.mse_mc, pt.mse_mc_se, pt.ci_low,
@@ -279,7 +277,7 @@ def cmd_discrepancy(cfg: dict[str, str]) -> int:
         for i, d in enumerate(d_values):
             s = _build_spectrum(cfg, d)
             point_seed = seed + 7919 * i + round(1e6 * aspect)
-            fn = experiments.discrepancy_point(kind, s, d, aspect, point_seed, threads)
+            fn = experiments.discrepancy_point(kind, s, aspect, point_seed, threads)
             points.append(experiments.adaptive_trials(fn, target, cap))
     columns = ["d", "n", "aspect", "kind", "value", "ci_low", "ci_high", "trials", "flagged"]
     rows = [[pt.d, pt.n, pt.aspect, pt.kind, pt.value, pt.ci_low, pt.ci_high,

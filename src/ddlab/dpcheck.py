@@ -37,6 +37,7 @@ keyed (seed, 0xF1).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -49,11 +50,9 @@ __all__ = [
     "MatrixGenerator",
     "MinorRecord",
     "DpReport",
-    "fixed_generator",
     "gaussian_entries_generator",
     "scaled_fixed_generator",
     "poisson_gram_generator",
-    "fixed_k_gram_generator",
     "gen_sum",
     "gen_product",
     "reads_measure",
@@ -85,11 +84,6 @@ class MatrixGenerator:
         blocks = run_block_streams(lambda rng, lo, hi: self.sample(rng, hi - lo), trials, seed,
                                    block_size(self.dim**2))
         return np.concatenate(blocks)
-
-
-def fixed_generator(Z) -> MatrixGenerator:
-    Z = np.asarray(Z, dtype=float)
-    return MatrixGenerator(Z.shape[0], lambda rng, count: np.broadcast_to(Z, (count, *Z.shape)))
 
 
 def gaussian_entries_generator(d: int) -> MatrixGenerator:
@@ -133,17 +127,6 @@ def poisson_gram_generator(m: MeasureSpec, gamma: float) -> MatrixGenerator:
         return G
 
     return MatrixGenerator(d, sample)
-
-
-def fixed_k_gram_generator(m: MeasureSpec, k: int) -> MatrixGenerator:
-    """X^T X at fixed sample size k; not d.p. (the Poisson size is what
-    corrects the k^d versus k-falling-d factor)."""
-
-    def sample(rng, count):
-        X = sample_iid(m, (count, k), rng)
-        return np.swapaxes(X, 1, 2) @ X
-
-    return MatrixGenerator(m.dim, sample)
 
 
 def gen_sum(a: MatrixGenerator, b: MatrixGenerator) -> MatrixGenerator:
@@ -254,7 +237,14 @@ def _select_minors(d: int, minor_sizes, max_minors: int, seed: int):
     total = sum(counts)
     if total > max_minors:
         rng = trial_rng(seed, 0xD5)
-        picks = sorted(int(i) for i in rng.choice(total, size=max_minors, replace=False))
+        if total < 2**63:
+            picks = sorted(int(i) for i in rng.choice(total, size=max_minors, replace=False))
+        else:  # past int64 (sizes 1..d at d >= 34): Python ints seeded from rng
+            draw = random.Random(int(rng.integers(2**63))).randrange
+            picks = set()
+            while len(picks) < max_minors:
+                picks.add(draw(total))
+            picks = sorted(picks)
     else:
         picks = range(total)
     pairs = []

@@ -13,7 +13,10 @@ and joins batch t mod BATCHES. Every CI comes from the one ``bootstrap_ci``,
 on a single stream its caller passes, apart from every block stream: a
 curve point and a variance point key theirs (seed, 0xB5), a bias point
 (seed, 0xB6). The covariance is diagonal, so w* and the bias whitening
-factors act in the designs' own coordinates.
+factors act in the designs' own coordinates. Each entry point takes each
+input once: the Monte Carlo of a curve draws rows of
+``MeasureSpec(p.spectrum, entry_law)``, the covariance of the closed form
+beside it, and a discrepancy point reads d from its spectrum.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ __all__ = [
     "bootstrap_ci",
     "adaptive_trials",
     "loglog_slope",
+    "curve_point",
     "curve_double_descent",
-    "curve_dimension_sweep",
 ]
 
 
@@ -79,9 +82,10 @@ class CurvePoint:
     norm_implicit_mean: float
 
 
-def mse_trial_samples(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
+def mse_trial_samples(p: RegressionProblem, entry_law: str, n: int, trials: int,
                       seed: int, threads: int | None = None) -> np.ndarray:
-    """Per-trial Rao-Blackwellized MSE statistics for an i.i.d. design:
+    """Per-trial Rao-Blackwellized MSE statistics for an i.i.d. design with
+    rows of ``MeasureSpec(p.spectrum, entry_law)``:
     sigma^2 tr((X^T X)^+) + ||(I - X^+X) w*||^2, exact over the response
     noise and random only in X, which removes all noise-sampling variance
     from the Monte Carlo.
@@ -95,8 +99,9 @@ def mse_trial_samples(p: RegressionProblem, m: MeasureSpec, n: int, trials: int,
     block_size(n d) trials."""
     if trials < 30:
         raise ValueError("need at least 30 trials")
+    m = MeasureSpec(p.spectrum, entry_law)
     d = m.dim
-    if m.entry_law == "gaussian" and n > d:
+    if entry_law == "gaussian" and n > d:
         def block(rng, lo, hi):
             return p.sigma2 * triangular_trace_inv(gram_factor(m, n, hi - lo, rng))
 
@@ -157,10 +162,10 @@ def bootstrap_ci(samples, resamples: int, rng: np.random.Generator,
     return float(lo), float(hi)
 
 
-def discrepancy_point(kind: str, s: Spectrum, d: int, aspect: float, seed: int,
+def discrepancy_point(kind: str, s: Spectrum, aspect: float, seed: int,
                       threads: int | None = None):
-    """A discrepancy point of a Gaussian i.i.d. design at n = round(aspect d),
-    as the function ``point(trials)`` of the trial count that
+    """A discrepancy point of a Gaussian i.i.d. design at d = s.dim and
+    n = round(aspect d), as the function ``point(trials)`` of the trial count that
     ``adaptive_trials`` takes.
 
     ``kind`` "variance" is |E[tr((X^T X)^+)] / V(Sigma, n) - 1| and "bias"
@@ -177,8 +182,7 @@ def discrepancy_point(kind: str, s: Spectrum, d: int, aspect: float, seed: int,
     ``trials`` for the next call. So a grown point equals one called once
     at its count, and a count below one already used raises.
     """
-    if s.dim != d:
-        raise ValueError("spectrum dimension does not match d")
+    d = s.dim
     n = round(aspect * d)
     if not 0 < n < d:
         raise ValueError("aspect must give 0 < n < d")
@@ -292,7 +296,7 @@ def loglog_slope(points) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _curve_point(p: RegressionProblem, n: int, vals=None, seed: int = 0) -> CurvePoint:
+def curve_point(p: RegressionProblem, n: int, vals=None, seed: int = 0) -> CurvePoint:
     """Closed-form curve point at n; the Monte Carlo columns are filled from
     per-trial MSE statistics ``vals`` (bootstrap CI on the stream keyed
     (seed, 0xB5)) when given and left empty otherwise."""
@@ -309,22 +313,16 @@ def _curve_point(p: RegressionProblem, n: int, vals=None, seed: int = 0) -> Curv
                       norm_implicit_mean=float(np.linalg.norm(_implicit_mean(p, sp))))
 
 
-def curve_double_descent(p: RegressionProblem, m: MeasureSpec, n_values, trials: int,
-                         seed: int, threads: int | None = None,
-                         with_mc: bool = True) -> list[CurvePoint]:
-    """Surrogate MSE curve over sample sizes, optionally accompanied by
-    i.i.d.-design Monte Carlo estimates with bootstrap CIs."""
+def curve_double_descent(p: RegressionProblem, entry_law: str, n_values, trials: int | None,
+                         seed: int, threads: int | None = None) -> list[CurvePoint]:
+    """Surrogate MSE curve over sample sizes with, unless ``trials`` is None,
+    i.i.d.-design Monte Carlo estimates of ``entry_law`` rows and bootstrap
+    CIs."""
+    MeasureSpec(p.spectrum, entry_law)  # an unknown law raises, with or without trials
     points = []
     for i, n in enumerate(n_values):
         n, point_seed = int(n), seed + 1000 * i
-        vals = mse_trial_samples(p, m, n, trials, point_seed, threads) if with_mc else None
-        points.append(_curve_point(p, n, vals, point_seed))
+        vals = (None if trials is None
+                else mse_trial_samples(p, entry_law, n, trials, point_seed, threads))
+        points.append(curve_point(p, n, vals, point_seed))
     return points
-
-
-def curve_dimension_sweep(make_problem, d_values) -> list[CurvePoint]:
-    """Surrogate-only curve over dimensions at fixed n.
-
-    ``make_problem(d)`` must return (RegressionProblem, n).
-    """
-    return [_curve_point(*make_problem(int(d))) for d in d_values]

@@ -20,7 +20,7 @@ scipy wheels each bundle their own OpenBLAS; the trial engine
 
 Importing this module loads no part of scipy: ``scipy.linalg.lapack`` is
 imported by the first kernel call that needs ``dgesdd`` or ``dtrtri``, so
-a closed-form run never pays for it. ``linalg.lapack`` names that module.
+a closed-form run never pays for it.
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ def _lapack():
     from scipy.linalg import lapack
 
     return lapack
-
-
-def __getattr__(name: str):
-    if name == "lapack":
-        return _lapack()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _as_matrix(A, ndim: int = 2) -> np.ndarray:

@@ -19,7 +19,6 @@ from ddlab.designs import (
     surrogate_expectation_oracle,
 )
 from ddlab.dpcheck import (
-    fixed_k_gram_generator,
     poisson_gram_generator,
     scaled_fixed_generator,
     verify_dp,
@@ -27,7 +26,7 @@ from ddlab.dpcheck import (
 )
 from ddlab.experiments import (
     adaptive_trials,
-    curve_dimension_sweep,
+    curve_point,
     discrepancy_point,
     loglog_slope,
     mse_trial_samples,
@@ -44,6 +43,8 @@ from ddlab.surrogate import (
     surrogate_size_pmf,
     variance_term,
 )
+
+from dp_generators import fixed_k_gram_generator
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -102,14 +103,13 @@ def test_criterion_3_figure_1a_reproduction():
     s = scale_trace_inverse(make_profile("diag_exp", d), float(d))
     w = np.full(d, 1 / math.sqrt(d))
     p = RegressionProblem(s, w, 1.0)
-    m = MeasureSpec(s)
     peak = surrogate_mse(p, d)
     ok = abs(peak - 100.0) < 1e-9
     details = [f"surrogate peak {peak:.6f}"]
     boot = trial_rng(202, 0xACC3)
     for i, n in enumerate((25, 50, 75, 150, 200)):
         target = surrogate_mse(p, n)
-        vals = mse_trial_samples(p, m, n, 1000, 202 + 1000 * i)
+        vals = mse_trial_samples(p, "gaussian", n, 1000, 202 + 1000 * i)
         mean = float(np.mean(vals))
         boot_means = [np.mean(vals[boot.integers(1000, size=1000)]) for _ in range(500)]
         se = float(np.std(boot_means, ddof=1))
@@ -285,7 +285,7 @@ def test_criterion_7_discrepancy_slopes(kind, profile, d_values, bounds):
     for i, d in enumerate(d_values):
         s = Spectrum(np.ones(d)) if profile == "identity" else make_profile("diag_exp", d)
         cap = 100_000 if kind == "variance" else 400_000
-        points.append(adaptive_trials(discrepancy_point(kind, s, d, 0.5, 51 + 7919 * i),
+        points.append(adaptive_trials(discrepancy_point(kind, s, 0.5, 51 + 7919 * i),
                                       target_rel_halfwidth=0.125, cap=cap, start=400))
     slope, _, r2 = loglog_slope(points)
     flagged = [p.d for p in points if p.flagged]
@@ -321,12 +321,11 @@ def test_criterion_8_double_descent_shape():
     # dimension sweep at fixed n = 100 peaks at d = n
     n_fixed = 100
 
-    def make_problem(dd):
+    def problem(dd):
         ss = scale_trace_inverse(make_profile("diag_exp", dd), float(dd))
-        ww = np.full(dd, 1 / math.sqrt(dd))
-        return RegressionProblem(ss, ww, 1.0), n_fixed
+        return RegressionProblem(ss, np.full(dd, 1 / math.sqrt(dd)), 1.0)
 
-    points = curve_dimension_sweep(make_problem, range(40, 201, 4))
+    points = [curve_point(problem(dd), n_fixed) for dd in range(40, 201, 4)]
     d_peak = max(points, key=lambda pt: pt.mse_surrogate).d
     if d_peak != n_fixed:
         ok = False

@@ -27,6 +27,12 @@ def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def rows_digest(path):
+    """digest of a CSV's column and data lines, its header lines dropped"""
+    lines = path.read_text().splitlines()
+    return digest("\n".join(ln for ln in lines if not ln.startswith("#")))
+
+
 def read_rows(path):
     lines = path.read_text().splitlines()
     body = [ln for ln in lines if not ln.startswith("#")]
@@ -282,6 +288,27 @@ class TestCurveCommand:
         assert ("surrogate (Gaussian closed form)" in (out / "curve.svg").read_text()) == warns
         assert capsys.readouterr().out == f"wrote {out / 'curve.csv'} (2 points)\n"
 
+    @pytest.mark.parametrize("line", ["trials = abc", "entry_law = cauchy"])
+    def test_no_mc_still_checks_trials_and_law(self, tmp_path, capsys, line):
+        # neither is used without Monte Carlo, but a bad value is still an error
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"d = 10\nn_values = 5\n{line}\n")
+        out = tmp_path / "o"
+        assert run(["curve", "--config", str(cfg), "--no-mc", "--out", str(out)]) == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pinned_monte_carlo_rows(self, tmp_path):
+        # sha256 prefix of the curve.csv data rows of the figure-1 problem
+        # (d = 100) at 60 trials on 2 workers. n = 50 runs the n <= d design
+        # path, n = 150 the Bartlett path, n = 100 the peak. A change is a
+        # change of random stream, of MSE arithmetic or of output format
+        out = tmp_path / "o"
+        assert run(["curve", "--config", str(ROOT / "configs/figure1.cfg"),
+                    "--n-values", "50,100,150", "--trials", "60", "--threads", "2",
+                    "--out", str(out)]) == 0
+        assert rows_digest(out / "curve.csv") == "14557608f206aa09"
+
 
 class TestDiscrepancyCommand:
     def test_variance_small_grid(self, tmp_path, capsys):
@@ -335,6 +362,24 @@ class TestDiscrepancyCommand:
         assert run(args + ["--out", str(b)]) == 0
         assert (a / "discrepancy.csv").read_text().replace(str(a), "OUT") == \
             (b / "discrepancy.csv").read_text().replace(str(b), "OUT")
+
+    # sha256 prefixes of the discrepancy.csv data rows at an 800-trial cap,
+    # which every point reaches (so each escalates through its doublings).
+    # A change is a change of random stream, of discrepancy or bootstrap
+    # arithmetic, of the escalation rule or of output format
+    PINNED = {
+        "variance": (["--d-values", "8,12,16", "--aspect", "0.25,0.5", "--seed", "3"],
+                     "e97cce190aefc971"),
+        "bias": (["--d-values", "6,8,10", "--seed", "4"], "c366d79729ea9459"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_pinned_rows(self, tmp_path, kind):
+        argv, pin = self.PINNED[kind]
+        out = tmp_path / "o"
+        assert run(["discrepancy", "--kind", kind, "--profile", "diag_exp", "--kappa", "10000",
+                    *argv, "--trials", "800", "--out", str(out)]) == 0
+        assert rows_digest(out / "discrepancy.csv") == pin
 
 
 class TestDpVerifyCommand:
@@ -483,14 +528,13 @@ class TestDpVerifyCommand:
 
     @pytest.mark.parametrize("scenario", DP_SCENARIOS)
     def test_pinned_output(self, tmp_path, capsys, scenario):
-        extra, stdout_digest, rows_digest = self.PINNED[scenario]
+        extra, stdout_digest, rows_pin = self.PINNED[scenario]
         out = tmp_path / "o"
         rc = run(["dp-verify", "--scenario", scenario, *extra, "--trials", "10000",
                   "--seed", "5", "--out", str(out)])
         assert rc == 0
         assert digest(capsys.readouterr().out) == stdout_digest
-        lines = (out / "dp_report.csv").read_text().splitlines()
-        assert digest("\n".join(ln for ln in lines if not ln.startswith("#"))) == rows_digest
+        assert rows_digest(out / "dp_report.csv") == rows_pin
 
 
 class TestSampleCommand:
@@ -731,15 +775,13 @@ def test_first_lapack_use_inside_worker_threads():
     # equal the 1-worker ones
     code = ("import sys\n"
             "from ddlab.covariance import make_profile\n"
-            "from ddlab.designs import MeasureSpec\n"
             "from ddlab.experiments import mse_trial_samples\n"
             "from ddlab.surrogate import RegressionProblem\n"
             "import numpy as np\n"
-            "s = make_profile('diag_exp', 20)\n"
-            "p, m = RegressionProblem(s, np.ones(20), 1.0), MeasureSpec(s)\n"
+            "p = RegressionProblem(make_profile('diag_exp', 20), np.ones(20), 1.0)\n"
             "print('scipy.linalg' in sys.modules)\n"
-            "two = mse_trial_samples(p, m, 10, 1000, 7, threads=2)\n"
-            "one = mse_trial_samples(p, m, 10, 1000, 7, threads=1)\n"
+            "two = mse_trial_samples(p, 'gaussian', 10, 1000, 7, threads=2)\n"
+            "one = mse_trial_samples(p, 'gaussian', 10, 1000, 7, threads=1)\n"
             "print('scipy.linalg' in sys.modules, np.array_equal(one, two), two.size)\n")
     for _ in range(3):
         assert _fresh(code)[-2:] == ["False", "True True 1000"]

@@ -17,8 +17,6 @@ from ddlab.dpcheck import (
     _entry_vectors,
     _minor_dets,
     _select_minors,
-    fixed_generator,
-    fixed_k_gram_generator,
     gaussian_entries_generator,
     gen_product,
     gen_sum,
@@ -29,6 +27,8 @@ from ddlab.dpcheck import (
     verify_normalization,
 )
 from ddlab.parallel import trial_rng
+
+from dp_generators import fixed_generator, fixed_k_gram_generator
 
 TRIALS = 20_000
 
@@ -111,6 +111,15 @@ class TestSelectMinors:
         assert time.perf_counter() - start < 1.0
         assert len(pairs) == len(set(pairs)) == 200
         assert all(len(I) == len(J) and list(I) == sorted(set(I)) for I, J in pairs)
+
+    def test_pair_count_past_int64(self):
+        # C(80, 40) - 1 > 2^63 pairs at d = 40: too many for rng.choice
+        assert math.comb(80, 40) - 1 >= 2**63
+        pairs = _select_minors(40, range(1, 41), 200, 3)
+        assert pairs == _select_minors(40, range(1, 41), 200, 3)
+        assert len(pairs) == len(set(pairs)) == 200
+        assert all(len(I) == len(J) and list(I) == sorted(set(I)) for I, J in pairs)
+        assert len({len(I) for I, _ in pairs}) > 1
 
     def test_size_out_of_range(self):
         with pytest.raises(ValueError):

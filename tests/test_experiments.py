@@ -13,8 +13,8 @@ from ddlab.experiments import (
     DiscrepancyPoint,
     adaptive_trials,
     bootstrap_ci,
-    curve_dimension_sweep,
     curve_double_descent,
+    curve_point,
     discrepancy_point,
     loglog_slope,
     mse_trial_samples,
@@ -41,35 +41,32 @@ def record_stream_keys(monkeypatch, *modules):
 
 
 def mean_and_se(vals):
-    """Mean and standard error of per-trial statistics, as ``_curve_point`` takes them."""
+    """Mean and standard error of per-trial statistics, as ``curve_point`` takes them."""
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
 
 
 class TestMseMonteCarlo:
     def test_noiseless_overdetermined_zero(self):
         p = iso_problem(3, sigma2=0.0)
-        m = MeasureSpec(p.spectrum)
-        mean, _ = mean_and_se(mse_trial_samples(p, m, 10, 50, 1))
+        mean, _ = mean_and_se(mse_trial_samples(p, "gaussian", 10, 50, 1))
         assert mean == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_surrogate_at_d100(self):
         p = iso_problem(100)
-        m = MeasureSpec(p.spectrum)
-        mean, se = mean_and_se(mse_trial_samples(p, m, 50, 1000, 2))
+        mean, se = mean_and_se(mse_trial_samples(p, "gaussian", 50, 1000, 2))
         target = surrogate_mse(p, 50)
         assert abs(mean - target) < max(3 * se, 0.05 * target)
 
     def test_peak_completes_with_finite_mean(self):
         p = iso_problem(20)
-        m = MeasureSpec(p.spectrum)
-        mean, se = mean_and_se(mse_trial_samples(p, m, 20, 100, 3))
+        mean, se = mean_and_se(mse_trial_samples(p, "gaussian", 20, 100, 3))
         assert np.isfinite(mean)
         assert se > 0
 
     def test_too_few_trials(self):
         p = iso_problem(4)
         with pytest.raises(ValueError):
-            mse_trial_samples(p, MeasureSpec(p.spectrum), 2, 10, 1)
+            mse_trial_samples(p, "gaussian", 2, 10, 1)
 
     @pytest.mark.parametrize("law,n,trials", [
         pytest.param(law, 4, 700, id=law) for law in ("gaussian", "rademacher", "uniform_pm_sqrt3")
@@ -94,7 +91,7 @@ class TestMseMonteCarlo:
             for j in range(count):
                 tr, resid = min_norm_stats(rows[None, j * n:(j + 1) * n], p.w_star)
                 ref.append(p.sigma2 * tr[0] + resid[0])
-        got = mse_trial_samples(p, m, n, trials, seed, threads=3)
+        got = mse_trial_samples(p, law, n, trials, seed, threads=3)
         assert got.tobytes() == np.array(ref).tobytes()
 
     def test_gaussian_tall_matches_bartlett_stream_reference(self):
@@ -107,7 +104,6 @@ class TestMseMonteCarlo:
         d, n, trials, seed = 12, 20, 300, 23
         tau = np.linspace(0.5, 2.0, d)
         p = RegressionProblem(Spectrum(tau), np.linspace(-1, 1, d), 0.5)
-        m = MeasureSpec(p.spectrum)
         size = block_size(d * d)
         assert size < trials < 2 * size
         ref, plain = [], []
@@ -121,7 +117,7 @@ class TestMseMonteCarlo:
             for j in range(count):
                 ref.append(p.sigma2 * triangular_trace_inv(T[None, j])[0])
                 plain.append(p.sigma2 * np.sum(np.linalg.inv(T[j]) ** 2))
-        got = mse_trial_samples(p, m, n, trials, seed, threads=3)
+        got = mse_trial_samples(p, "gaussian", n, trials, seed, threads=3)
         assert got.tobytes() == np.array(ref).tobytes()
         np.testing.assert_allclose(got, plain, rtol=1e-12)
 
@@ -130,7 +126,7 @@ class TestMseMonteCarlo:
         # E tr((X^T X)^{-1}) = tr(Sigma^{-1}) / (n - d - 1) for Gaussian rows
         s = make_profile("diag_exp", d, 1.0, 1e-2)
         p = RegressionProblem(s, np.full(d, 1 / math.sqrt(d)), 1.0)
-        mean, se = mean_and_se(mse_trial_samples(p, MeasureSpec(s), n, 4000, seed))
+        mean, se = mean_and_se(mse_trial_samples(p, "gaussian", n, 4000, seed))
         exact = s.trace_inverse() / (n - d - 1)
         assert abs(mean - exact) < 4 * se
 
@@ -216,7 +212,7 @@ class TestDiscrepancies:
         # the discrepancy converges to |(d/n-1)/(1-alpha) * n/(d-n-1) - 1|
         d, n = 10, 5
         s = Spectrum(np.ones(d))
-        point = discrepancy_point("variance", s, d, 0.5, 7)(20_000)
+        point = discrepancy_point("variance", s, 0.5, 7)(20_000)
         exact = abs((n / (d - n - 1)) / variance_term(s, n) - 1.0)
         assert point.ci_low <= exact <= point.ci_high or abs(point.value - exact) < 0.02
         assert point.ci_low <= point.value <= point.ci_high
@@ -224,42 +220,37 @@ class TestDiscrepancies:
     def test_variance_invalid_aspect(self):
         s = Spectrum(np.ones(10))
         with pytest.raises(ValueError):
-            discrepancy_point("variance", s, 10, 1.0, 1)
+            discrepancy_point("variance", s, 1.0, 1)
 
     def test_bias_positive_finite_small_d(self):
         s = Spectrum(np.array([1.0, 2.0]))
-        point = discrepancy_point("bias", s, 2, 0.5, 8)(40_000)
+        point = discrepancy_point("bias", s, 0.5, 8)(40_000)
         assert np.isfinite(point.value) and point.value > 0
         assert point.ci_low <= point.value <= point.ci_high
 
-    def test_bias_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            discrepancy_point("bias", Spectrum(np.ones(3)), 4, 0.5, 1)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            discrepancy_point("skew", Spectrum(np.ones(4)), 4, 0.5, 1)
+            discrepancy_point("skew", Spectrum(np.ones(4)), 0.5, 1)
 
 
 class TestThreadInvariance:
     # block boundaries do not depend on the worker count, so results are byte-identical
     def test_mse_trial_samples(self):
         p = RegressionProblem(Spectrum(np.linspace(0.5, 2.0, 12)), np.ones(12), 0.5)
-        m = MeasureSpec(p.spectrum, "rademacher")
         for n in (4, 12, 30):
-            a = mse_trial_samples(p, m, n, 300, 3, threads=1)
-            b = mse_trial_samples(p, m, n, 300, 3, threads=3)
+            a = mse_trial_samples(p, "rademacher", n, 300, 3, threads=1)
+            b = mse_trial_samples(p, "rademacher", n, 300, 3, threads=3)
             assert a.tobytes() == b.tobytes()
 
     def test_variance_discrepancy(self):
         s = Spectrum(np.linspace(0.5, 2.0, 16))
-        assert discrepancy_point("variance", s, 16, 0.5, 4, threads=1)(2000) == \
-            discrepancy_point("variance", s, 16, 0.5, 4, threads=3)(2000)
+        assert discrepancy_point("variance", s, 0.5, 4, threads=1)(2000) == \
+            discrepancy_point("variance", s, 0.5, 4, threads=3)(2000)
 
     def test_bias_discrepancy(self):
         s = Spectrum(np.linspace(0.5, 2.0, 16))
-        assert discrepancy_point("bias", s, 16, 0.5, 5, threads=1)(3000) == \
-            discrepancy_point("bias", s, 16, 0.5, 5, threads=3)(3000)
+        assert discrepancy_point("bias", s, 0.5, 5, threads=1)(3000) == \
+            discrepancy_point("bias", s, 0.5, 5, threads=3)(3000)
 
 
 class TestAdaptiveTrials:
@@ -314,7 +305,7 @@ class TestAdaptiveTrials:
 
     def test_variance_d20_terminates_quickly(self):
         s = Spectrum(np.ones(20))
-        point = adaptive_trials(discrepancy_point("variance", s, 20, 0.5, 9), cap=10_000)
+        point = adaptive_trials(discrepancy_point("variance", s, 0.5, 9), cap=10_000)
         assert point.trials_used <= 10_000
         assert not point.flagged
 
@@ -327,7 +318,7 @@ class _PointCases:
     KIND = TRIALS = None
 
     def point(self, threads=None):
-        return discrepancy_point(self.KIND, self.S, 10, 0.5, 4, threads)
+        return discrepancy_point(self.KIND, self.S, 0.5, 4, threads)
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("cap,flagged", [(100_000, False), (1000, True)])
@@ -429,8 +420,7 @@ class TestLoglogSlope:
 class TestCurves:
     def test_formula_only_sweep(self):
         p = iso_problem(10)
-        m = MeasureSpec(p.spectrum)
-        points = curve_double_descent(p, m, range(1, 21), 0, 1, with_mc=False)
+        points = curve_double_descent(p, "gaussian", range(1, 21), None, 1)
         assert len(points) == 20
         peak = max(points, key=lambda pt: pt.mse_surrogate)
         assert peak.n == 10
@@ -441,8 +431,7 @@ class TestCurves:
 
     def test_mc_columns_filled(self):
         p = iso_problem(6)
-        m = MeasureSpec(p.spectrum)
-        points = curve_double_descent(p, m, [2, 3], 60, 5)
+        points = curve_double_descent(p, "gaussian", [2, 3], 60, 5)
         for pt in points:
             assert pt.mse_mc is not None and pt.ci_low <= pt.mse_mc <= pt.ci_high
 
@@ -452,7 +441,7 @@ class TestCurves:
         # and (seed, 0xB6) must name streams none of them uses
         keys = record_stream_keys(monkeypatch, parallel, experiments)
         p = iso_problem(20)
-        curve_double_descent(p, MeasureSpec(p.spectrum), [30], 400, 9)
+        curve_double_descent(p, "gaussian", [30], 400, 9)
         blocks = [k for k in keys if k[1] & BLOCK_KEY]
         assert block_size(20 * 20) == 81
         assert blocks == [(9, BLOCK_KEY | b) for b in range(5)]
@@ -464,11 +453,6 @@ class TestCurves:
 
     def test_dimension_sweep_peaks_at_n(self):
         n = 12
-
-        def make_problem(d):
-            w = np.full(d, 1 / math.sqrt(d))
-            return RegressionProblem(Spectrum(np.ones(d)), w, 1.0), n
-
-        points = curve_dimension_sweep(make_problem, range(4, 25))
+        points = [curve_point(iso_problem(d), n) for d in range(4, 25)]
         peak = max(points, key=lambda pt: pt.mse_surrogate)
         assert peak.d == n

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from ddlab import linalg
 from ddlab.linalg import (
@@ -116,13 +117,13 @@ class TestSmallSvd:
         assert_near(projection_complement(A), C, 1e-12 * np.linalg.norm(C))
 
     def test_dgesdd_sees_every_per_design_svd(self, monkeypatch):
-        shapes, dgesdd = [], linalg.lapack.dgesdd
+        shapes, dgesdd = [], lapack.dgesdd
 
         def counted(A, **kw):
             shapes.append(A.shape)
             return dgesdd(A, **kw)
 
-        monkeypatch.setattr(linalg.lapack, "dgesdd", counted)
+        monkeypatch.setattr(lapack, "dgesdd", counted)
         pseudo_inverse(np.ones((1, 1024)))
         projection_complement(np.ones((2, 513)))
         assert shapes == [(1, 1024), (2, 513)]
@@ -150,7 +151,7 @@ class TestSmallSvd:
             r = min(k, d)
             return np.zeros((k, r)), np.zeros(r), np.zeros((r, d)), 1
 
-        monkeypatch.setattr(linalg.lapack, "dgesdd", no_convergence)
+        monkeypatch.setattr(lapack, "dgesdd", no_convergence)
         with pytest.raises(np.linalg.LinAlgError):
             kernel(np.eye(3))
 
@@ -158,7 +159,7 @@ class TestSmallSvd:
 def masked_reference(A):
     """pseudo_inverse and projection_complement by the general masked
     formula, on the dgesdd SVD that the kernels compute for A."""
-    U, s, Vt, _ = linalg.lapack.dgesdd(A, compute_uv=1, full_matrices=0)
+    U, s, Vt, _ = lapack.dgesdd(A, compute_uv=1, full_matrices=0)
     keep = s > zero_threshold(s, A.shape)
     P = (Vt.T * np.divide(1.0, s, out=np.zeros_like(s), where=keep)) @ U.T
     V = Vt[keep]

@@ -171,8 +171,7 @@ class TestSolveCount:
     def test_curve_without_monte_carlo(self, solves):
         s = make_profile("diag_exp", 20)
         ns = [5, 10, 19, 20, 21, 40]
-        curve_double_descent(RegressionProblem(s, np.ones(20), 1.0), MeasureSpec(s), ns, 100, 1,
-                             with_mc=False)
+        curve_double_descent(RegressionProblem(s, np.ones(20), 1.0), "gaussian", ns, None, 1)
         assert solves == [5, 10, 19]
 
     def test_oracle(self, solves):
