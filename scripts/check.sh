@@ -8,9 +8,10 @@
 # one, violated for rank2_scaled_counterexample and consistent for every
 # other scenario. It prints its elapsed seconds, which are mostly the
 # start-up of its nine CLI processes. Then the figure-1 curve at 50 trials runs at 1 and at 2
-# threads, and the two curve.csv files must match byte for byte outside
-# their "# threads=" and "# out=" lines: the grid crosses n = d, so both
-# Monte Carlo paths run at d = 100. The figure-4 bias grid at a 3200-trial
+# threads, each printing its elapsed seconds (the end-to-end time of one
+# Monte Carlo curve process), and the two curve.csv files must match byte
+# for byte outside their "# threads=" and "# out=" lines: the grid crosses
+# n = d, so both Monte Carlo paths run at d = 100. The figure-4 bias grid at a 3200-trial
 # cap gets the same comparison of its discrepancy.csv, and so does the
 # figure-4 variance grid (on the d-values of criterion 7's variance slopes)
 # at an 800-trial cap.
@@ -95,7 +96,8 @@ awk 'match($0, /(verdict|->) (consistent|violated)/) {
     "$tmp/dp_suite.txt"
 echo "dp-verify suite verdicts as expected"
 for t in 1 2; do
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m ddlab.cli curve \
+    TIMEFORMAT="curve --config configs/figure1.cfg --trials 50 --threads $t: %R s"
+    time PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m ddlab.cli curve \
         --config configs/figure1.cfg --trials 50 --threads "$t" --out "$tmp/t$t"
 done
 cmp <(grep -v -e '^# threads=' -e '^# out=' "$tmp/t1/curve.csv") \

@@ -2,9 +2,7 @@
 
 Three ways of touching the surrogate design live here:
 
-* ``sample_iid`` draws the standard i.i.d. sub-Gaussian design, and
-  ``gram_factor`` the triangular factor of X^T X for Gaussian n >= d
-  designs, from the Bartlett draw that ``_tilted`` uses too,
+* ``sample_iid`` draws the standard i.i.d. sub-Gaussian design,
 * ``surrogate_expectation_oracle`` estimates surrogate expectations by
   self-normalized determinant weighting of i.i.d. blocks, each weighted
   by det(X X^T) / (k! e_k(Sigma)), which has mean 1,
@@ -37,7 +35,6 @@ __all__ = [
     "MeasureSpec",
     "MonteCarloEstimate",
     "sample_iid",
-    "gram_factor",
     "gen_responses",
     "surrogate_expectation_oracle",
     "sample_surrogate_under_batch",
@@ -212,16 +209,6 @@ def _bartlett(num: int, k: int, df: int, rng) -> np.ndarray:
     R = np.triu(rng.standard_normal((num, k, k)), 1)
     R[:, np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(np.arange(df, df - k, -1), size=(num, k)))
     return R
-
-
-def gram_factor(m: MeasureSpec, n: int, num: int, rng) -> np.ndarray:
-    """(num, d, d) upper-triangular T = R Sigma^{1/2}, R Bartlett with
-    R^T R ~ Wishart_d(n, I), for the ``gaussian`` law and n >= d: T^T T =
-    Sigma^{1/2} R^T R Sigma^{1/2} has the law of X^T X for an n x d i.i.d.
-    design X, at d^2 draws and no n x d design per trial."""
-    if m.entry_law != "gaussian" or n < m.dim:
-        raise ValueError("gram_factor needs the gaussian law and n >= d")
-    return apply_sqrt(m.spectrum, _bartlett(num, m.dim, n, rng))
 
 
 def _tilted(m: MeasureSpec, cols: np.ndarray, rng) -> tuple[np.ndarray, int]:

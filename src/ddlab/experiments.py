@@ -7,9 +7,10 @@ The i.i.d. designs come from the block streams of
 designs in one ``sample_iid(m, (count, n), rng)`` call, so a trial's
 design depends on its block and its place in it. The one exception is
 ``mse_trial_samples`` for the ``gaussian`` law at n > d, whose blocks draw
-``count`` Bartlett factors of X^T X from the same streams instead of
-designs. A discrepancy point's trial t comes from block t // block_size(n d)
-and joins batch t mod BATCHES. Every CI comes from the one ``bootstrap_ci``,
+no designs: from the same streams they draw ``count`` bidiagonal chi
+factors (``_inverse_wishart_traces``), O(d) chi-squares per trial. A
+discrepancy point's trial t comes from block t // block_size(n d) and
+joins batch t mod BATCHES. Every CI comes from the one ``bootstrap_ci``,
 on a single stream its caller passes, apart from every block stream: a
 curve point and a variance point key theirs (seed, 0xB5), a bias point
 (seed, 0xB6). The covariance is diagonal, so w* and the bias whitening
@@ -27,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .covariance import Spectrum
-from .designs import MeasureSpec, gram_factor, sample_iid
-from .linalg import min_norm_stats, projection_complements, triangular_trace_inv
+from .designs import MeasureSpec, sample_iid
+from .linalg import min_norm_stats, projection_complements
 from .parallel import block_size, run_block_streams, trial_rng
 from .surrogate import (
     RegressionProblem,
@@ -82,6 +83,28 @@ class CurvePoint:
     norm_implicit_mean: float
 
 
+def _inverse_wishart_traces(num: int, k: int, df: int, rng) -> np.ndarray:
+    """tr(W^{-1}) for each of ``num`` draws W ~ Wishart_k(df, I), df >= k,
+    from the bidiagonal chi model of Dumitriu and Edelman (2002): W has the
+    eigenvalues of B^T B, B upper bidiagonal with squared diagonal
+    a_j^2 ~ chi^2_{df+1-j} and squared superdiagonal b_j^2 ~ chi^2_{k-j},
+    j = 1, 2, ..., drawn in that order from ``rng``.
+
+    tr(W^{-1}) = ||B^{-1}||_F^2, and column j of B^{-1} has squared norm
+    t_j / a_j^2 with t_1 = 1 and t_j = 1 + t_{j-1} b_{j-1}^2 / a_{j-1}^2: a
+    sum of positive terms, computed across the draws one column at a time,
+    with no normals and no matrix."""
+    a2 = rng.chisquare(np.arange(df, df - k, -1), size=(num, k))
+    b2 = rng.chisquare(np.arange(k - 1, 0, -1), size=(num, k - 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.ones(num)
+        tr = t / a2[:, 0]
+        for j in range(1, k):
+            t = 1.0 + t * (b2[:, j - 1] / a2[:, j - 1])
+            tr += t / a2[:, j]
+    return tr
+
+
 def mse_trial_samples(p: RegressionProblem, entry_law: str, n: int, trials: int,
                       seed: int, threads: int | None = None) -> np.ndarray:
     """Per-trial Rao-Blackwellized MSE statistics for an i.i.d. design with
@@ -90,22 +113,29 @@ def mse_trial_samples(p: RegressionProblem, entry_law: str, n: int, trials: int,
     noise and random only in X, which removes all noise-sampling variance
     from the Monte Carlo.
 
-    For the ``gaussian`` law at n > d a trial draws no design: the
-    statistic depends on X only through X^T X, so each trial draws the
-    d x d triangular factor of ``gram_factor``, T with T^T T equal in law
-    to X^T X, and returns sigma^2 ||T^{-1}||_F^2; the residual is 0, as
-    for any full-rank n > d design. Its blocks hold block_size(d^2)
-    trials. Every other case draws (count, n, d) designs in blocks of
-    block_size(n d) trials."""
+    For the ``gaussian`` law at n > d a trial draws no design. The residual
+    of a full-rank n > d design is 0, and X^T X = Sigma^{1/2} W Sigma^{1/2}
+    with W = O Lambda O^T ~ Wishart_d(n, I), O Haar and independent of
+    Lambda, so E[tr(Sigma^{-1} W^{-1}) | Lambda] = tr(Sigma^{-1}) tr(W^{-1}) / d.
+    A trial returns sigma^2 tr(Sigma^{-1}) tr(W^{-1}) / d, with tr(W^{-1})
+    from ``_inverse_wishart_traces``: the same mean at a lower variance, in
+    O(d) per trial. Its blocks hold block_size(2 d) trials, and a block
+    whose statistics are not all finite raises RuntimeError. Every other
+    case draws (count, n, d) designs in blocks of block_size(n d) trials."""
     if trials < 30:
         raise ValueError("need at least 30 trials")
     m = MeasureSpec(p.spectrum, entry_law)
     d = m.dim
     if entry_law == "gaussian" and n > d:
-        def block(rng, lo, hi):
-            return p.sigma2 * triangular_trace_inv(gram_factor(m, n, hi - lo, rng))
+        scale = p.sigma2 * p.spectrum.trace_inverse() / d
 
-        size = block_size(d * d)
+        def block(rng, lo, hi):
+            vals = scale * _inverse_wishart_traces(hi - lo, d, n, rng)
+            if not np.isfinite(vals).all():
+                raise RuntimeError(f"non-finite tr(W^-1) in a Wishart_{d}({n}) block")
+            return vals
+
+        size = block_size(2 * d)
     else:
         def block(rng, lo, hi):
             tr, resid = min_norm_stats(sample_iid(m, (hi - lo, n), rng), p.w_star)

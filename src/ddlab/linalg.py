@@ -13,8 +13,8 @@ scipy's ``dgesdd`` directly, skipping most of the per-call cost of
 a full-rank matrix, the common case at the oracle's sizes, builds no
 mask and no masked reciprocal. ``log_det_gram`` and the stacked QR of
 ``min_norm_stats`` and ``projection_complements`` run on numpy's LAPACK;
-their triangular inverses, and those of ``triangular_trace_inv``, call
-scipy's ``dtrtri`` through one helper with one rank guard. The numpy and
+their triangular inverses call scipy's ``dtrtri``, one design at a time,
+through one helper with one rank guard. The numpy and
 scipy wheels each bundle their own OpenBLAS; the trial engine
 (``parallel.run_block_streams``) holds both at one thread.
 
@@ -35,7 +35,6 @@ __all__ = [
     "projection_complement",
     "log_det_gram",
     "min_norm_stats",
-    "triangular_trace_inv",
     "projection_complements",
 ]
 
@@ -178,25 +177,6 @@ def _r_factor(X: np.ndarray, w: np.ndarray | None):
         A = np.concatenate([A, np.broadcast_to(w[:, None], (B, d, 1))], axis=2)
     R = np.linalg.qr(A, mode="r")
     return (R, *_tri_inv(R[:, :k, :k], X))
-
-
-def triangular_trace_inv(T) -> np.ndarray:
-    """tr((T^T T)^+) = ||T^{-1}||_F^2 for each upper-triangular k x k factor
-    of a (B, k, k) stack; only the upper triangle is read.
-
-    The same triangular inverse and rank guard as ``min_norm_stats``, with
-    T standing for its own design: a factor that could be rank deficient
-    goes through pseudo_inverse instead.
-    """
-    T = np.triu(_as_matrix(T, ndim=3))
-    B, k, _ = T.shape
-    if k == 0:
-        return np.zeros(B)
-    _, tr, fallback = _tri_inv(T, T)
-    for b in np.flatnonzero(fallback):
-        P = pseudo_inverse(T[b])
-        tr[b] = float(np.sum(P * P))
-    return tr
 
 
 def min_norm_stats(X, w=None) -> tuple[np.ndarray, np.ndarray]:

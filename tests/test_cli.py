@@ -6,10 +6,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ddlab import parallel
 from ddlab.cli import OPTIONS, _parse_values, _resolve, build_parser, main, parse_config
 from ddlab.parallel import default_threads
 
@@ -301,13 +303,24 @@ class TestCurveCommand:
     def test_pinned_monte_carlo_rows(self, tmp_path):
         # sha256 prefix of the curve.csv data rows of the figure-1 problem
         # (d = 100) at 60 trials on 2 workers. n = 50 runs the n <= d design
-        # path, n = 150 the Bartlett path, n = 100 the peak. A change is a
+        # path, n = 150 the bidiagonal path, n = 100 the peak. A change is a
         # change of random stream, of MSE arithmetic or of output format
         out = tmp_path / "o"
         assert run(["curve", "--config", str(ROOT / "configs/figure1.cfg"),
                     "--n-values", "50,100,150", "--trials", "60", "--threads", "2",
                     "--out", str(out)]) == 0
-        assert rows_digest(out / "curve.csv") == "14557608f206aa09"
+        assert rows_digest(out / "curve.csv") == "99fababab80c8776"
+
+    def test_non_finite_monte_carlo_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a generator whose chi-squares are all 0 makes the Gaussian n > d
+        # trials infinite: a numerical failure, exit 2, and no curve.csv
+        broken = SimpleNamespace(chisquare=lambda df, size: np.zeros(size))
+        monkeypatch.setattr(parallel, "trial_rng", lambda seed, index: broken)
+        out = tmp_path / "o"
+        assert run(["curve", "--d", "8", "--n-values", "12", "--trials", "40",
+                    "--out", str(out)]) == 2
+        assert "internal failure: non-finite" in capsys.readouterr().err
+        assert not (out / "curve.csv").exists()
 
 
 class TestDiscrepancyCommand:

@@ -1,13 +1,15 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ddlab import experiments, parallel
-from ddlab.covariance import Spectrum, make_profile
+from ddlab.covariance import Spectrum, make_profile, scale_trace_inverse
 from ddlab.designs import MeasureSpec, sample_iid
-from ddlab.linalg import min_norm_stats, projection_complement, pseudo_inverse, triangular_trace_inv
+from ddlab.linalg import min_norm_stats, projection_complement, pseudo_inverse
 from ddlab.parallel import BLOCK_KEY, block_size, trial_rng
 from ddlab.experiments import (
     DiscrepancyPoint,
@@ -94,32 +96,66 @@ class TestMseMonteCarlo:
         got = mse_trial_samples(p, law, n, trials, seed, threads=3)
         assert got.tobytes() == np.array(ref).tobytes()
 
-    def test_gaussian_tall_matches_bartlett_stream_reference(self):
-        # Gaussian n > d draws no design: block b draws its trials' Bartlett
-        # factors R (R^T R ~ Wishart_d(n, I)) from stream (seed, 2^63 | b),
-        # as full d x d normals, the strict upper triangle kept, then the
-        # chi^2_{n}, ..., chi^2_{n-d+1} diagonal; a trial's statistic is
-        # sigma^2 ||T^{-1}||_F^2 with T = R Sigma^{1/2}. 300 trials cross
-        # the 227-trial block boundary of d = 12
-        d, n, trials, seed = 12, 20, 300, 23
+    def test_gaussian_tall_matches_bidiagonal_stream_reference(self):
+        # Gaussian n > d draws no design: block b draws its trials'
+        # bidiagonal chi factors B from stream (seed, 2^63 | b), the squared
+        # diagonal chi^2_{n}, ..., chi^2_{n-d+1} first, then the squared
+        # superdiagonal chi^2_{d-1}, ..., chi^2_1; a trial's statistic is
+        # sigma^2 tr(Sigma^{-1}) ||B^{-1}||_F^2 / d, summed column by column.
+        # 2000 trials cross the 1365-trial block boundary of d = 12
+        d, n, trials, seed = 12, 20, 2000, 23
         tau = np.linspace(0.5, 2.0, d)
         p = RegressionProblem(Spectrum(tau), np.linspace(-1, 1, d), 0.5)
-        size = block_size(d * d)
+        scale = p.sigma2 * p.spectrum.trace_inverse() / d
+        size = block_size(2 * d)
         assert size < trials < 2 * size
         ref, plain = [], []
         for lo in range(0, trials, size):
             count = min(size, trials - lo)
             rng = trial_rng(seed, BLOCK_KEY | lo // size)
-            R = np.triu(rng.standard_normal((count, d, d)), 1)
-            R[:, np.arange(d), np.arange(d)] = np.sqrt(
-                rng.chisquare(np.arange(n, n - d, -1), size=(count, d)))
-            T = R * np.sqrt(p.spectrum.eigenvalues)
-            for j in range(count):
-                ref.append(p.sigma2 * triangular_trace_inv(T[None, j])[0])
-                plain.append(p.sigma2 * np.sum(np.linalg.inv(T[j]) ** 2))
+            a2 = rng.chisquare(np.arange(n, n - d, -1), size=(count, d))
+            b2 = rng.chisquare(np.arange(d - 1, 0, -1), size=(count, d - 1))
+            for a, b in zip(a2, b2):
+                t, tr = 1.0, 1.0 / a[0]
+                for j in range(1, d):
+                    t = 1.0 + t * (b[j - 1] / a[j - 1])
+                    tr += t / a[j]
+                ref.append(scale * tr)
+                B = np.diag(np.sqrt(a)) + np.diag(np.sqrt(b), 1)
+                plain.append(scale * np.sum(np.linalg.inv(B) ** 2))
         got = mse_trial_samples(p, "gaussian", n, trials, seed, threads=3)
         assert got.tobytes() == np.array(ref).tobytes()
         np.testing.assert_allclose(got, plain, rtol=1e-12)
+
+    def test_gaussian_tall_trace_law_matches_explicit_designs(self):
+        # on the identity a trial is tr((X^T X)^{-1}) itself: its law at
+        # d = 12, n = 16 against that of explicit 16 x 12 Gaussian designs.
+        # Either chi sequence of the bidiagonal model drawn in reverse
+        # order gives p = 0 at this size
+        d, n, trials = 12, 16, 20_000
+        got = mse_trial_samples(iso_problem(d), "gaussian", n, trials, 24)
+        Z = trial_rng(24, 1).standard_normal((trials, n, d))
+        ref = np.trace(np.linalg.inv(np.swapaxes(Z, 1, 2) @ Z), axis1=1, axis2=2)
+        assert stats.ks_2samp(got, ref).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n", [110, 150, 200])
+    def test_gaussian_tall_mean_at_figure_scale(self, n):
+        # the exact i.i.d. MSE sigma^2 tr(Sigma^{-1}) / (n - d - 1) at the
+        # figures' d = 100, away from the threshold (the statistic has
+        # finite variance for n - d >= 4)
+        d = 100
+        s = scale_trace_inverse(make_profile("diag_exp", d, 1.0, 1e-4), float(d))
+        p = RegressionProblem(s, np.full(d, 1 / math.sqrt(d)), 1.0)
+        mean, se = mean_and_se(mse_trial_samples(p, "gaussian", n, 20_000, 33 + n))
+        assert abs(mean - s.trace_inverse() / (n - d - 1)) < 4 * se
+
+    def test_gaussian_tall_non_finite_trace_raises(self, monkeypatch):
+        # chi-squares of 0 (a broken generator) give tr(W^-1) = inf: the
+        # block fails loudly instead of returning it
+        broken = SimpleNamespace(chisquare=lambda df, size: np.zeros(size))
+        monkeypatch.setattr(parallel, "trial_rng", lambda seed, index: broken)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            mse_trial_samples(iso_problem(4), "gaussian", 8, 40, 1)
 
     @pytest.mark.parametrize("d,n,seed", [(10, 16, 31), (40, 50, 32)])
     def test_gaussian_tall_mean_matches_inverse_wishart(self, d, n, seed):
@@ -436,15 +472,15 @@ class TestCurves:
             assert pt.mse_mc is not None and pt.ci_low <= pt.mse_mc <= pt.ci_high
 
     def test_bootstrap_streams_apart_from_block_streams(self, monkeypatch):
-        # the point's 400 trials (Gaussian n=30 > d=20, so d x d Bartlett
-        # factors) run in 5 blocks of 81; its bootstrap keys (seed, 0xB5)
+        # the point's 2000 trials (Gaussian n=30 > d=20, so bidiagonal chi
+        # factors) run in 3 blocks of 819; its bootstrap keys (seed, 0xB5)
         # and (seed, 0xB6) must name streams none of them uses
         keys = record_stream_keys(monkeypatch, parallel, experiments)
         p = iso_problem(20)
-        curve_double_descent(p, "gaussian", [30], 400, 9)
+        curve_double_descent(p, "gaussian", [30], 2000, 9)
         blocks = [k for k in keys if k[1] & BLOCK_KEY]
-        assert block_size(20 * 20) == 81
-        assert blocks == [(9, BLOCK_KEY | b) for b in range(5)]
+        assert block_size(2 * 20) == 819
+        assert blocks == [(9, BLOCK_KEY | b) for b in range(3)]
         assert (9, 0xB5) in keys
         first = lambda key: trial_rng(*key).integers(2**63, size=4).tolist()
         block_draws = [first(k) for k in blocks]

@@ -7,13 +7,11 @@ from scipy.linalg import lapack
 from ddlab import linalg
 from ddlab.linalg import (
     _r_factor,
-    _tri_inv,
     log_det_gram,
     min_norm_stats,
     projection_complement,
     projection_complements,
     pseudo_inverse,
-    triangular_trace_inv,
     zero_threshold,
 )
 
@@ -332,48 +330,3 @@ class TestMinNormStats:
         with pytest.raises(ValueError):
             min_norm_stats(np.ones((1, 2, 3)), np.ones(2))
 
-
-def pinv_trace(T):
-    P = pseudo_inverse(np.triu(T))
-    return float(np.sum(P * P))
-
-
-class TestTriangularTraceInv:
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 12))
-    def test_well_conditioned_matches_pseudo_inverse(self, seed, B, k):
-        # off-diagonal entries of scale 1/sqrt(k) over a diagonal kept away
-        # from 0; the lower triangle holds junk that must not be read
-        rng = rng_for(seed)
-        T = rng.standard_normal((B, k, k)) / np.sqrt(k)
-        T[:, np.arange(k), np.arange(k)] = rng.choice([-1.0, 1.0], (B, k)) * rng.uniform(1, 3, (B, k))
-        tr = triangular_trace_inv(T)
-        assert not _tri_inv(np.triu(T), np.triu(T))[2].any()
-        ref = [pinv_trace(t) for t in T]
-        np.testing.assert_allclose(tr, ref, rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("diag", [[2.0, 0.0, 1.0], [1.0, 1.0, 1e-17], [1e-300, 1.0, 1.0]])
-    def test_singular_or_ill_conditioned_takes_pseudo_inverse(self, diag, monkeypatch):
-        # an exact zero pivot fails dtrtri; the other two pass it but fail
-        # the rank guard
-        T = np.triu(rng_for(7).standard_normal((2, 3, 3)))
-        T[1, np.arange(3), np.arange(3)] = diag
-        assert _tri_inv(T, T)[2].tolist() == [False, True]
-        calls = []
-        monkeypatch.setattr(linalg, "pseudo_inverse", lambda A: calls.append(A) or pseudo_inverse(A))
-        tr = triangular_trace_inv(T)
-        assert len(calls) == 1 and np.array_equal(calls[0], T[1])
-        assert tr[1] == pinv_trace(T[1])
-        assert tr[0] == pytest.approx(pinv_trace(T[0]), rel=1e-12)
-
-    def test_empty_factors(self):
-        np.testing.assert_array_equal(triangular_trace_inv(np.zeros((3, 0, 0))), np.zeros(3))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_bad_input(self, bad):
-        T = np.eye(3)[None].copy()
-        T[0, 0, 2] = bad
-        with pytest.raises(ValueError):
-            triangular_trace_inv(T)
-        with pytest.raises(ValueError):
-            triangular_trace_inv(np.eye(3))
