@@ -7,11 +7,12 @@
 # --trials and --out win): each of its nine verdicts must be the known
 # one, violated for rank2_scaled_counterexample and consistent for every
 # other scenario. It prints its elapsed seconds, which are mostly the
-# start-up of its nine CLI processes. Then the figure-1 curve at 50 trials runs at 1 and at 2
+# start-up of its nine CLI processes. Then the figure-1 curve at 50 trials runs at 1, 2 and 3
 # threads, each printing its elapsed seconds (the end-to-end time of one
-# Monte Carlo curve process), and the two curve.csv files must match byte
-# for byte outside their "# threads=" and "# out=" lines: the grid crosses
-# n = d, so both Monte Carlo paths run at d = 100. The figure-4 bias grid at a 3200-trial
+# Monte Carlo curve process), and the 2- and 3-thread curve.csv files must
+# match the 1-thread one byte for byte outside their "# threads=" and
+# "# out=" lines: the grid crosses n = d, so both Monte Carlo paths run at
+# d = 100, and all the points share one worker pool. The figure-4 bias grid at a 3200-trial
 # cap gets the same comparison of its discrepancy.csv, and so does the
 # figure-4 variance grid (on the d-values of criterion 7's variance slopes)
 # at an 800-trial cap.
@@ -95,14 +96,16 @@ awk 'match($0, /(verdict|->) (consistent|violated)/) {
      END { if (n != 9) { print "dp-verify: expected 9 verdicts, got " n; bad = 1 }; exit bad }' \
     "$tmp/dp_suite.txt"
 echo "dp-verify suite verdicts as expected"
-for t in 1 2; do
+for t in 1 2 3; do
     TIMEFORMAT="curve --config configs/figure1.cfg --trials 50 --threads $t: %R s"
     time PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m ddlab.cli curve \
         --config configs/figure1.cfg --trials 50 --threads "$t" --out "$tmp/t$t"
 done
-cmp <(grep -v -e '^# threads=' -e '^# out=' "$tmp/t1/curve.csv") \
-    <(grep -v -e '^# threads=' -e '^# out=' "$tmp/t2/curve.csv")
-echo "curve.csv identical at 1 and 2 threads"
+for t in 2 3; do
+    cmp <(grep -v -e '^# threads=' -e '^# out=' "$tmp/t1/curve.csv") \
+        <(grep -v -e '^# threads=' -e '^# out=' "$tmp/t$t/curve.csv")
+done
+echo "curve.csv identical at 1, 2 and 3 threads"
 for t in 1 2; do
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m ddlab.cli discrepancy \
         --config configs/figure4_bias.cfg --trials 3200 --threads "$t" --out "$tmp/b$t"

@@ -208,6 +208,19 @@ def _write_csv(path: Path, cfg: dict[str, str], columns: list[str], rows: list[l
     path.write_text("\n".join(lines) + "\n")
 
 
+def _warn_heavy_tails(d: int, n_values: list[int]) -> None:
+    """One warning naming the Gaussian Monte Carlo points near n = d: at
+    |n - d| <= 1 the i.i.d. MSE is infinite, and at 2 <= |n - d| <= 3 the
+    per-trial statistic has infinite variance. Their rows stay in the CSV."""
+    bands = [("the i.i.d. MSE is infinite", [n for n in n_values if abs(n - d) <= 1]),
+             ("the per-trial statistic has infinite variance",
+              [n for n in n_values if 2 <= abs(n - d) <= 3])]
+    named = [f"{what} at n = {', '.join(map(str, ns))}" for what, ns in bands if ns]
+    if named:
+        log.warning("Gaussian Monte Carlo at d = %d: %s; mse_mc and its CI there are not "
+                    "reliable", d, "; ".join(named))
+
+
 def cmd_curve(cfg: dict[str, str]) -> int:
     out = Path(cfg["out"])
     columns = ["n", "d", "mse_surrogate", "mse_mc", "mse_mc_se", "ci_low", "ci_high",
@@ -239,6 +252,8 @@ def cmd_curve(cfg: dict[str, str]) -> int:
                         law)
         n_values = _sizes("n_values", cfg.get("n_values", "10:190:10"))
         trials = int(cfg["trials"])  # parsed under --no-mc too: a bad count exits 1
+        if law == "gaussian" and _bool(cfg["mc"]):
+            _warn_heavy_tails(d, n_values)
         points = experiments.curve_double_descent(p, law, n_values,
                                                   trials if _bool(cfg["mc"]) else None,
                                                   int(cfg["seed"]), int(cfg["threads"]))

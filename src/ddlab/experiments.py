@@ -30,7 +30,7 @@ import numpy as np
 from .covariance import Spectrum
 from .designs import MeasureSpec, sample_iid
 from .linalg import min_norm_stats, projection_complements
-from .parallel import block_size, run_block_streams, trial_rng
+from .parallel import BlockRun, block_size, run_block_streams, trial_rng
 from .surrogate import (
     RegressionProblem,
     _implicit_mean,
@@ -122,6 +122,12 @@ def mse_trial_samples(p: RegressionProblem, entry_law: str, n: int, trials: int,
     O(d) per trial. Its blocks hold block_size(2 d) trials, and a block
     whose statistics are not all finite raises RuntimeError. Every other
     case draws (count, n, d) designs in blocks of block_size(n d) trials."""
+    block, size = _mse_blocks(p, entry_law, n, trials)
+    return np.concatenate(run_block_streams(block, trials, seed, size, threads))
+
+
+def _mse_blocks(p: RegressionProblem, entry_law: str, n: int, trials: int):
+    """(block function, block size) of ``mse_trial_samples``."""
     if trials < 30:
         raise ValueError("need at least 30 trials")
     m = MeasureSpec(p.spectrum, entry_law)
@@ -142,7 +148,7 @@ def mse_trial_samples(p: RegressionProblem, entry_law: str, n: int, trials: int,
             return p.sigma2 * tr + resid
 
         size = block_size(n * d)
-    return np.concatenate(run_block_streams(block, trials, seed, size, threads))
+    return block, size
 
 
 # bootstrap indices drawn at once: keeps memory flat at large trial counts
@@ -347,12 +353,21 @@ def curve_double_descent(p: RegressionProblem, entry_law: str, n_values, trials:
                          seed: int, threads: int | None = None) -> list[CurvePoint]:
     """Surrogate MSE curve over sample sizes with, unless ``trials`` is None,
     i.i.d.-design Monte Carlo estimates of ``entry_law`` rows and bootstrap
-    CIs."""
+    CIs.
+
+    Point i at n is ``curve_point(p, n, mse_trial_samples(p, entry_law, n,
+    trials, seed + 1000 i, threads), seed + 1000 i)``, bit for bit, but the
+    points share one engine call: the blocks of every point run on one pool
+    of ``threads`` workers, and each point's ``curve_point``, bootstrap
+    included, runs on it as soon as that point's blocks are done."""
     MeasureSpec(p.spectrum, entry_law)  # an unknown law raises, with or without trials
-    points = []
-    for i, n in enumerate(n_values):
-        n, point_seed = int(n), seed + 1000 * i
-        vals = (None if trials is None
-                else mse_trial_samples(p, entry_law, n, trials, point_seed, threads))
-        points.append(curve_point(p, n, vals, point_seed))
-    return points
+    grid = [(int(n), seed + 1000 * i) for i, n in enumerate(n_values)]
+    if trials is None:
+        return [curve_point(p, n) for n, _ in grid]
+
+    def run(n, point_seed):
+        block, size = _mse_blocks(p, entry_law, n, trials)
+        return BlockRun(block, trials, point_seed, size, finish=lambda blocks: curve_point(
+            p, n, np.concatenate(blocks), point_seed))
+
+    return run_block_streams([run(n, point_seed) for n, point_seed in grid], threads=threads)

@@ -13,17 +13,23 @@ top bit of the block keys keeps every block stream apart from those.
 
 Threads and BLAS: ``run_block_streams`` is the one trial engine. It cuts the
 trials into fixed blocks whose size comes from the input shapes, and the
-worker threads run whole blocks, in parallel where the blocks' calls let
-go of the GIL: a stacked ``np.linalg`` call releases it only when stack
-size times min(rows, cols) passes 500 (numpy's
-NPY_BEGIN_THREADS_THRESHOLDED), and scipy's f2py ``dtrtri`` and
-``dgesdd`` hold it throughout, so the workers gain little on blocks of
-small stacks whatever ``threads`` is. While it runs, every OpenBLAS that
-numpy and scipy loaded (their wheels bundle separate builds) is held at
-one thread, so the workers' small LAPACK calls neither share nor wait
-for BLAS threads; the previous counts are restored afterwards. Block
-boundaries never depend on ``threads``, so the output does not depend on
-``--threads`` either, and no generator is shared between threads.
+worker threads run whole blocks. One call can take several runs, each
+with a ``finish`` for its blocks: ``curve_double_descent`` hands it every
+point of a curve, so one pool runs all the points' blocks and, as each
+point's blocks are done, that point's bootstrap. What the workers overlap
+is the work that lets go of the GIL: the generators' array draws, the
+bootstraps' index draws, gathers and means, and so one point's last
+block or bootstrap runs beside the next point's blocks, where a pool per
+point left a worker idle. What still holds the GIL: a stacked ``np.linalg`` call
+releases it only when stack size times min(rows, cols) passes 500
+(numpy's NPY_BEGIN_THREADS_THRESHOLDED), which the figure-scale n <= d
+blocks' QR does not reach, and scipy's f2py ``dtrtri`` and ``dgesdd``
+hold it throughout. While it runs, every OpenBLAS that numpy and scipy
+loaded (their wheels bundle separate builds) is held at one thread, so
+the workers' small LAPACK calls neither share nor wait for BLAS threads;
+the previous counts are restored afterwards. Block boundaries never
+depend on ``threads``, so the output does not depend on ``--threads``
+either, and no generator is shared between threads.
 
 The module does not import scipy. The first engine run finds scipy's
 OpenBLAS from the package's location (``importlib.util.find_spec``) and
@@ -39,12 +45,14 @@ import glob
 import importlib.util
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "trial_rng", "run_block_streams", "run_trials", "block_size", "default_threads",
+    "trial_rng", "BlockRun", "run_block_streams", "run_trials", "block_size", "default_threads",
 ]
 
 # design data per block, in floats (256 KB): keeps the memory a block holds
@@ -148,7 +156,23 @@ class _BlasHold:
 _blas_hold = _BlasHold()
 
 
-def run_block_streams(fn, trials: int, seed: int, block: int, threads: int | None = None,
+class BlockRun(NamedTuple):
+    """One run of the trial engine: ``fn(rng, lo, hi)`` on the blocks of
+    ``block`` trials covering trials start..trials-1 of the run seeded
+    ``seed``. With ``finish``, the run's result is ``finish(blocks)``, the
+    block results in index order, called on the pool as soon as the run's
+    last block is done; without it, the result is the block list."""
+
+    fn: Callable
+    trials: int
+    seed: int
+    block: int
+    start: int = 0
+    finish: Callable | None = None
+
+
+def run_block_streams(fn, trials: int | None = None, seed: int | None = None,
+                      block: int | None = None, threads: int | None = None,
                       start: int = 0) -> list:
     """Evaluate ``fn(rng, lo, hi)`` on the blocks of ``block`` trials
     covering trials start..trials-1, where ``rng`` is block b's own stream,
@@ -156,27 +180,77 @@ def run_block_streams(fn, trials: int, seed: int, block: int, threads: int | Non
     and ``start`` is a block boundary; return the block results in index
     order.
 
+    ``fn`` may instead be a sequence of ``BlockRun``, and ``threads`` the
+    only other argument: the runs share one pool and one BLAS hold, and the
+    return is the list of the runs' results. The pool takes the blocks of
+    every run largest first, a block's size being its share of its run's
+    full block, whose design data callers fix from the trial shapes; a
+    run's ``finish`` runs on the worker that completes the run's last block.
+    When a block or a ``finish`` raises, the blocks still queued are
+    cancelled, the running ones are waited for, and the error of the first
+    failed task in queue order is raised.
+
     ``fn`` draws all of its block's trials from ``rng``, so the draws depend
     on ``block`` (which callers fix from the trial shapes) but never on
     ``threads``: ``threads`` workers run whole blocks in parallel, with
     every OpenBLAS held at one thread throughout.
     """
-    if block < 1:
-        raise ValueError("block must be at least 1")
-    if start % block:
-        raise ValueError("start must be a block boundary")
+    if callable(fn):
+        return _run_blocks([BlockRun(fn, trials, seed, block, start)], threads)[0]
+    return _run_blocks(list(fn), threads)
+
+
+def _run_blocks(runs: list[BlockRun], threads: int | None) -> list:
+    for run in runs:
+        if run.block < 1:
+            raise ValueError("block must be at least 1")
+        if run.start % run.block:
+            raise ValueError("start must be a block boundary")
     if threads is None:
         threads = default_threads()
-    starts = range(start, trials, block)
+    parts = [[None] * len(range(run.start, run.trials, run.block)) for run in runs]
+    left = [len(blocks) for blocks in parts]
+    results = [None] * len(runs)
+    lock = threading.Lock()
 
-    def one(lo):
-        return fn(trial_rng(seed, BLOCK_KEY | lo // block), lo, min(lo + block, trials))
+    def finish(i):
+        results[i] = parts[i] if runs[i].finish is None else runs[i].finish(parts[i])
 
+    def one(i, lo):
+        run = runs[i]
+        hi = min(lo + run.block, run.trials)
+        parts[i][(lo - run.start) // run.block] = run.fn(
+            trial_rng(run.seed, BLOCK_KEY | lo // run.block), lo, hi)
+        with lock:
+            left[i] -= 1
+            last = left[i] == 0
+        if last:
+            finish(i)
+
+    def share(task):  # a block's share of its run's full block
+        run = runs[task[0]]
+        return min(run.block, run.trials - task[1]) / run.block
+
+    # every block of every run, largest first; ties keep run and index order
+    tasks = sorted(((i, lo) for i, run in enumerate(runs)
+                    for lo in range(run.start, run.trials, run.block)), key=share, reverse=True)
     with _blas_hold:
-        if threads <= 1 or len(starts) <= 1:
-            return [one(lo) for lo in starts]
-        with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
-            return list(pool.map(one, starts))
+        for i, count in enumerate(left):
+            if count == 0:
+                finish(i)
+        if threads <= 1 or len(tasks) <= 1:
+            for task in tasks:
+                one(*task)
+            return results
+        with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            futures = [pool.submit(one, *task) for task in tasks]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            for future in futures:
+                future.cancel()
+        for future in futures:
+            if not future.cancelled():
+                future.result()
+    return results
 
 
 def run_trials(fn, trials: int, seed: int, threads: int | None = None) -> list:

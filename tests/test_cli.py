@@ -290,6 +290,32 @@ class TestCurveCommand:
         assert ("surrogate (Gaussian closed form)" in (out / "curve.svg").read_text()) == warns
         assert capsys.readouterr().out == f"wrote {out / 'curve.csv'} (2 points)\n"
 
+    @pytest.mark.parametrize("n_values, args, warned", [
+        ("3,5,6,7,8,9,10,11,12", [], "the i.i.d. MSE is infinite at n = 7, 8, 9; the per-trial "
+                                     "statistic has infinite variance at n = 5, 6, 10, 11;"),
+        ("3,10,20", [], "at d = 8: the per-trial statistic has infinite variance at n = 10;"),
+        ("3,8,20", [], "at d = 8: the i.i.d. MSE is infinite at n = 8;"),
+        ("3,4,12,20", [], None),
+        ("7,8,9", ["--no-mc"], None),
+        ("7,8,9", ["--entry-law", "rademacher"], None)])
+    def test_heavy_tailed_gaussian_points_warn_once(self, tmp_path, caplog, n_values, args,
+                                                    warned):
+        # near n = d the Gaussian i.i.d. MSE is infinite (|n - d| <= 1) or its
+        # per-trial statistic has infinite variance (2 <= |n - d| <= 3): one
+        # warning names those points, and their rows keep their values
+        out = tmp_path / "o"
+        with caplog.at_level(logging.WARNING, logger="ddlab.cli"):
+            assert run(["curve", "--d", "8", "--n-values", n_values, "--trials", "40",
+                        *args, "--out", str(out)]) == 0
+        msgs = [r.getMessage() for r in caplog.records if "Gaussian Monte Carlo" in r.getMessage()]
+        assert msgs == ([] if warned is None else [msgs[0]])
+        if warned is not None:
+            assert warned in msgs[0] and msgs[0].endswith("mse_mc and its CI there are not reliable")
+        header, rows = read_rows(out / "curve.csv")
+        assert [int(r[0]) for r in rows] == [int(n) for n in n_values.split(",")]
+        mc = [r[header.index("mse_mc")] for r in rows]
+        assert all(math.isfinite(float(v)) for v in mc) if "--no-mc" not in args else set(mc) == {""}
+
     @pytest.mark.parametrize("line", ["trials = abc", "entry_law = cauchy"])
     def test_no_mc_still_checks_trials_and_law(self, tmp_path, capsys, line):
         # neither is used without Monte Carlo, but a bad value is still an error

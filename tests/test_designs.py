@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ddlab.designs import (
 from ddlab.linalg import projection_complement, pseudo_inverse
 from ddlab.parallel import (
     BLOCK_KEY,
+    BlockRun,
     TRIAL_BLOCK,
     _openblas_threads,
     run_block_streams,
@@ -507,6 +509,37 @@ class TestRunBlocks:
     def test_block_must_be_positive(self):
         with pytest.raises(ValueError):
             run_block_streams(self.bounds, 10, 3, 0, 1)
+
+    def test_runs_share_one_pool_under_contention(self):
+        # 40 runs of 0-12 blocks on 8 workers (more than the cores), with the
+        # interpreter switching threads every microsecond: a lost update of a
+        # run's count of blocks left would skip its finish or call it twice.
+        # Each finish sees all its blocks in index order, each on its own
+        # stream; a run of no trials finishes on its empty block list
+        def draw(rng, lo, hi):
+            return lo, hi, rng.integers(2**62)
+
+        calls = []
+
+        def finish(blocks):
+            calls.append(len(blocks))
+            return blocks
+
+        trial_counts = [0] + [1 + (7 * k) % 36 for k in range(1, 40)]
+        runs = [BlockRun(draw, trials, 100 + r, 3, 0, finish)
+                for r, trials in enumerate(trial_counts)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = run_block_streams(runs, threads=8)
+        finally:
+            sys.setswitchinterval(old)
+        assert sorted(calls) == sorted(len(range(0, run.trials, 3)) for run in runs)
+        for run, blocks in zip(runs, out, strict=True):
+            assert blocks == [(lo, min(lo + 3, run.trials),
+                               trial_rng(run.seed, BLOCK_KEY | lo // 3).integers(2**62))
+                              for lo in range(0, run.trials, 3)]
+        assert run_block_streams(runs[1:3], threads=1) == out[1:3]
 
     @pytest.mark.skipif(not _openblas_threads(), reason="no OpenBLAS thread control found")
     @pytest.mark.parametrize("threads", [1, 3])

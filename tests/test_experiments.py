@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,7 +12,7 @@ from ddlab import experiments, parallel
 from ddlab.covariance import Spectrum, make_profile, scale_trace_inverse
 from ddlab.designs import MeasureSpec, sample_iid
 from ddlab.linalg import min_norm_stats, projection_complement, pseudo_inverse
-from ddlab.parallel import BLOCK_KEY, block_size, trial_rng
+from ddlab.parallel import BLOCK_KEY, _openblas_threads, block_size, trial_rng
 from ddlab.experiments import (
     DiscrepancyPoint,
     adaptive_trials,
@@ -486,6 +488,59 @@ class TestCurves:
         block_draws = [first(k) for k in blocks]
         for boot in ((9, 0xB5), (9, 0xB6)):
             assert boot not in blocks and first(boot) not in block_draws
+
+    @pytest.mark.parametrize("law", ["gaussian", "rademacher"])
+    def test_shared_pool_matches_points_one_at_a_time(self, law):
+        # one engine call runs every point's blocks and bootstrap; each point
+        # must be, bit for bit, the point computed alone on one worker. The
+        # grid crosses n = d = 12, so Gaussian points take the design path
+        # at n <= d and the bidiagonal path above, and at 300 trials the
+        # larger design points run in several blocks
+        d, trials, seed = 12, 300, 17
+        p = RegressionProblem(make_profile("diag_exp", d, 1.0, 1e-2),
+                              np.full(d, 1 / math.sqrt(d)), 1.0)
+        grid = [4, 8, 11, 12, 13, 16, 24]
+        assert trials > block_size(24 * d)
+        ref = [curve_point(p, n, mse_trial_samples(p, law, n, trials, seed + 1000 * i, 1),
+                           seed + 1000 * i) for i, n in enumerate(grid)]
+        for threads in (1, 2, 3):
+            assert curve_double_descent(p, law, grid, trials, seed, threads) == ref
+
+    @pytest.mark.skipif(not _openblas_threads(), reason="no OpenBLAS thread control found")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_block_cancels_the_queue(self, monkeypatch, threads):
+        # the blocks of the first point (n = 4) raise: the call raises that
+        # error, the 34 blocks of the other points still queued never start
+        # (the good ones take 50 ms each, so a running pool would drain them
+        # in about a second), no worker thread outlives the call, and both
+        # OpenBLAS builds are back at the thread counts they had
+        real, started = experiments.min_norm_stats, []
+
+        def stats(X, w=None):
+            if X.shape[1] == 4:
+                raise RuntimeError("bad block")
+            started.append(X.shape[1])
+            time.sleep(0.05)
+            return real(X, w)
+
+        monkeypatch.setattr(experiments, "min_norm_stats", stats)
+        grid, trials = [4, 8, 10, 12], 3000
+        queued = sum(-(-trials // block_size(n * 12)) for n in grid[1:])
+        assert queued == 34
+        apis = _openblas_threads().values()
+        before = [get() for get, _ in apis]
+        for _, put in apis:
+            put(2)
+        try:
+            alive = set(threading.enumerate())
+            with pytest.raises(RuntimeError, match="bad block"):
+                curve_double_descent(iso_problem(12), "gaussian", grid, trials, 1, threads)
+            assert set(threading.enumerate()) == alive
+            assert [get() for get, _ in apis] == [2] * len(before)
+        finally:
+            for (_, put), count in zip(apis, before):
+                put(count)
+        assert len(started) < queued // 2
 
     def test_dimension_sweep_peaks_at_n(self):
         n = 12
